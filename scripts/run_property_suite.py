@@ -10,32 +10,22 @@ diagram dump and move log needed to reproduce them.
 import sys
 import time
 
-from maip.checks import (check_compose_suite, check_corollary_suite,
-                         check_moves, check_prop2_suite, check_vassiliev_suite)
+from maip.checks import SUITES
 
-RUNS = (
-    (check_moves, 1000),
-    (check_prop2_suite, 500),
-    (check_corollary_suite, 500),
-    (check_compose_suite, 200),
-    (check_vassiliev_suite, 200),
-)
+TRIALS = {"moves": 1000, "prop2": 500, "corollary": 500, "compose": 200, "vassiliev": 200}
 
 
 def main():
     seed = int(sys.argv[1]) if len(sys.argv) > 1 else 20250810
     bad = 0
-    for suite, trials in RUNS:
+    for name, trials in TRIALS.items():
         t0 = time.perf_counter()
-        report = suite(trials, seed)
+        report = SUITES[name](trials, seed)
         elapsed = time.perf_counter() - t0
         print(f"{report.summary()}  ({elapsed:.1f}s)")
-        for failure in report.failures:
-            bad += 1
-            print(f"-- trial {failure['trial']} (seed {failure['seed']})")
-            for key, value in failure.items():
-                if key not in ("trial", "seed"):
-                    print(f"   {key}: {value}")
+        for line in report.failure_lines():
+            print(line)
+        bad += len(report.failures)
     return 1 if bad else 0
 
 

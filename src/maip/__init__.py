@@ -8,9 +8,9 @@ from .diagram import (Component, CrossingRecord, Passage, TangleDiagram,
                       validate)
 from .homology import (CycleSlice, check_prop2, homological_weight,
                        maip_via_homology, pairing)
-from .invariant import (Labeling, MaipContributions, crossing_weight, maip,
-                        propagate_labels, resolve_singular, structured_maip,
-                        vassiliev_eval, weight_table)
+from .invariant import (Labeling, MaipContributions, maip, propagate_labels,
+                        resolve_singular, structured_maip, vassiliev_eval,
+                        weight_table)
 from .moves import (MoveSite, find_r1_delete_sites, find_r2_delete_sites,
                     find_r3_sites, r1_delete, r1_insert, r2_delete, r2_insert,
                     r3_apply, random_walk)

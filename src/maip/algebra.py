@@ -131,10 +131,6 @@ ZERO = AffineInt(0)
 ONE = AffineInt(1)
 
 
-def affine_add(a: AffineInt, b: AffineInt) -> AffineInt:
-    return a + b
-
-
 # ---------------------------------------------------------------------------
 # Laurent polynomials with affine exponents
 
@@ -225,10 +221,6 @@ class LaurentPoly:
 
 def _term_key(var: int | None, exp: AffineInt):
     return (0 if var is None else var, exp.coeffs, exp.const)
-
-
-def poly_add(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
-    return p + q
 
 
 def shift_monomial(p: LaurentPoly, var: int, e: AffineInt | int) -> LaurentPoly:

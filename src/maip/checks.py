@@ -43,6 +43,15 @@ class CheckReport:
         extra = "".join(f" {k}={v}" for k, v in sorted(self.stats.items()))
         return f"what={self.name} trials={self.trials} seed={self.seed}:{extra} {verdict}"
 
+    def failure_lines(self) -> list[str]:
+        """Each failure as a '-- trial' line and one indented line per field."""
+        lines = []
+        for failure in self.failures:
+            lines.append(f"-- trial {failure['trial']} (seed {failure['seed']})")
+            lines.extend(f"   {key}: {value}" for key, value in failure.items()
+                         if key not in ("trial", "seed"))
+        return lines
+
     def to_json(self) -> dict:
         return {
             "what": self.name,
@@ -54,25 +63,26 @@ class CheckReport:
         }
 
 
-def _random_shape(rng: random.Random, max_crossings: int = 12):
-    total = rng.randint(1, 4)
-    n_closed = rng.randint(0, total)
-    return n_closed, total - n_closed, rng.randint(0, max_crossings)
+def _trial(seed: int, trial: int, diagram: TangleDiagram | None = None,
+           max_crossings: int = 12, n_singular: int = 0):
+    """Seed, generator and diagram of one trial; the diagram is drawn unless given."""
+    tseed = _trial_seed(seed, trial)
+    rng = random.Random(tseed)
+    if diagram is None:
+        total = rng.randint(1, 4)
+        n_closed = rng.randint(0, total)
+        diagram = random_diagram(tseed, n_closed, total - n_closed,
+                                 rng.randint(0, max_crossings), n_singular)
+    return tseed, rng, diagram
 
 
-def check_moves(trials: int, seed: int, start: TangleDiagram | None = None,
+def check_moves(trials: int, seed: int, diagram: TangleDiagram | None = None,
                 max_moves: int = 50) -> CheckReport:
     """Random walks of classical moves must preserve the polynomial exactly."""
     report = CheckReport("moves", trials, seed)
     total_moves = 0
     for trial in range(trials):
-        tseed = _trial_seed(seed, trial)
-        rng = random.Random(tseed)
-        if start is not None:
-            d = start
-        else:
-            n_closed, n_long, n_cr = _random_shape(rng)
-            d = random_diagram(tseed, n_closed, n_long, n_cr)
+        tseed, rng, d = _trial(seed, trial, diagram)
         n_moves = rng.randint(1, max_moves)
         total_moves += n_moves
         before = maip(d)
@@ -100,13 +110,7 @@ def check_prop2_suite(trials: int, seed: int,
     report = CheckReport("prop2", trials if diagram is None else 1, seed)
     checked = 0
     for trial in range(report.trials):
-        tseed = _trial_seed(seed, trial)
-        if diagram is not None:
-            d = diagram
-        else:
-            rng = random.Random(tseed)
-            n_closed, n_long, n_cr = _random_shape(rng)
-            d = random_diagram(tseed, n_closed, n_long, n_cr)
+        tseed, _rng, d = _trial(seed, trial, diagram)
         res = check_prop2(d)
         checked += len(res.entries)
         if not res.ok:
@@ -129,13 +133,7 @@ def check_corollary_suite(trials: int, seed: int,
     """The homological reassembly must reproduce the polynomial exactly."""
     report = CheckReport("corollary", trials if diagram is None else 1, seed)
     for trial in range(report.trials):
-        tseed = _trial_seed(seed, trial)
-        if diagram is not None:
-            d = diagram
-        else:
-            rng = random.Random(tseed)
-            n_closed, n_long, n_cr = _random_shape(rng)
-            d = random_diagram(tseed, n_closed, n_long, n_cr)
+        tseed, _rng, d = _trial(seed, trial, diagram)
         direct = maip(d)
         homological = maip_via_homology(d)
         if direct != homological:
@@ -265,10 +263,7 @@ def check_vassiliev_suite(trials: int, seed: int) -> CheckReport:
     """Diagrams with two singular crossings must evaluate to zero."""
     report = CheckReport("vassiliev", trials, seed)
     for trial in range(trials):
-        tseed = _trial_seed(seed, trial)
-        rng = random.Random(tseed)
-        n_closed, n_long, n_cr = _random_shape(rng, max_crossings=8)
-        d = random_diagram(tseed, n_closed, n_long, n_cr, n_singular=2)
+        tseed, _rng, d = _trial(seed, trial, max_crossings=8, n_singular=2)
         value = vassiliev_eval(d)
         if not value.is_zero():
             report.failures.append({
@@ -287,3 +282,5 @@ SUITES = {
     "compose": check_compose_suite,
     "vassiliev": check_vassiliev_suite,
 }
+# Suites that draw every input themselves and take no diagram.
+RANDOM_ONLY = ("compose", "vassiliev")

@@ -38,12 +38,15 @@ def _load(path: str):
             text = fh.read()
     except OSError as exc:
         raise _InputError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _InputError(f"{path}: not UTF-8 text: {exc}") from exc
     try:
         if text.lstrip().startswith("{"):
             try:
-                return from_json(json.loads(text))
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                data = json.loads(text)
+            except (ValueError, RecursionError) as exc:  # bad syntax, huge number, deep nesting
                 raise _InputError(f"{path}: bad diagram JSON: {exc}") from exc
+            return from_json(data)
         return parse(text)
     except DiagramParseError as exc:
         raise _InputError(f"{path}: {exc}") from exc
@@ -152,34 +155,34 @@ def cmd_compose(args) -> int:
 
 
 def cmd_check(args) -> int:
-    if args.what in ("compose", "vassiliev") and not args.random:
-        raise _InputError(f"--what {args.what} runs on random inputs; pass --random")
+    if args.what in checks.RANDOM_ONLY and (args.file or not args.random):
+        raise _InputError(f"--what {args.what} runs on random inputs only; "
+                          "pass --random and no diagram file")
     if not args.random and not args.file:
         raise _InputError("pass a diagram file or --random")
-    diagram = _load(args.file) if args.file else None
-    if diagram is not None and diagram.singular_ids():
-        raise _InputError(f"{args.file}: diagram has singular crossings; use resolve")
-    if args.what == "moves":
-        report = checks.check_moves(args.trials, args.seed, start=diagram)
-    elif args.what == "prop2":
-        report = checks.check_prop2_suite(args.trials, args.seed, diagram=diagram)
-    elif args.what == "corollary":
-        report = checks.check_corollary_suite(args.trials, args.seed, diagram=diagram)
-    elif args.what == "compose":
-        report = checks.check_compose_suite(args.trials, args.seed)
+    suite = checks.SUITES[args.what]
+    if args.file:
+        diagram = _load(args.file)
+        if diagram.singular_ids():
+            raise _InputError(f"{args.file}: diagram has singular crossings; use resolve")
+        report = suite(args.trials, args.seed, diagram=diagram)
     else:
-        report = checks.check_vassiliev_suite(args.trials, args.seed)
+        report = suite(args.trials, args.seed)
     if args.json:
         print(json.dumps(report.to_json()))
     else:
-        print(report.summary())
-        for failure in report.failures:
-            print(f"-- trial {failure['trial']} (seed {failure['seed']})")
-            for key, value in failure.items():
-                if key in ("trial", "seed"):
-                    continue
-                print(f"   {key}: {value}")
+        print("\n".join([report.summary(), *report.failure_lines()]))
     return 0 if report.ok else 1
+
+
+def _trial_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -218,10 +221,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run a randomized property suite")
     p.add_argument("file", nargs="?")
-    p.add_argument("--what", required=True,
-                   choices=["moves", "prop2", "corollary", "compose", "vassiliev"])
+    p.add_argument("--what", required=True, choices=list(checks.SUITES))
     p.add_argument("--random", action="store_true", help="generate random diagrams")
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--trials", type=_trial_count, default=200)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_check)

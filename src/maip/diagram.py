@@ -23,7 +23,6 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass, field
-from typing import Mapping
 
 from .errors import DiagramParseError, ValidationFailure
 
@@ -121,10 +120,6 @@ class TangleDiagram:
         return out
 
 
-def empty_tangle() -> TangleDiagram:
-    return TangleDiagram(0, 0, (), {})
-
-
 # ---------------------------------------------------------------------------
 # validation
 
@@ -166,6 +161,13 @@ def validate(d: TangleDiagram) -> list[str]:
     for (cid, role), _count in sorted(seen.items()):
         errs.append(f"crossing {cid}: unexpected role {role}")
 
+    # One line per unused slot is bounded by the input only while the
+    # declared boundary stays within reach of the long components.
+    n_long = sum(comp.kind == "long" for comp in d.components)
+    if d.m + d.n > 3 * n_long:
+        errs.append(f"boundary: m={d.m}, n={d.n}, but {n_long} long components "
+                    f"reach at most {2 * n_long} slots")
+        return errs
     expected = [f"T{k}" for k in range(1, d.m + 1)] + [f"B{k}" for k in range(1, d.n + 1)]
     used: dict[str, int] = {}
     for comp in d.components:
@@ -197,7 +199,48 @@ _HEADER_RE = re.compile(r"^tangle\s+m=(\d+)\s+n=(\d+)$")
 _COMPONENT_RE = re.compile(
     r"^component\s+(\d+)\s+(?:(closed)|long\s+from\s+([TB]\d+)\s+to\s+([TB]\d+))\s*:(.*)$"
 )
-_TOKEN_RE = re.compile(r"^(?:([OU])(\d+)([+-])|([XY])(\d+))$")
+_TOKEN_RE = re.compile(r"([OU])(\d+)([+-])|([XY])(\d+)")
+# Shared records, so that a crossing met twice with the same kind and
+# sign finds the very record it declared.
+_TOKEN_RECORDS = {"+": CrossingRecord.classical(1), "-": CrossingRecord.classical(-1),
+                  None: CrossingRecord.singular()}
+
+
+def _number(digits: str, line: int, column: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # more digits than the interpreter converts
+        raise DiagramParseError("number is too long", line, column) from None
+
+
+def _read_tokens(tokens, crossings: dict[int, CrossingRecord],
+                 line: int | None = None, raw: str = "") -> tuple[Passage, ...]:
+    """One component's passages; declares each crossing met in ``crossings``.
+
+    Both input formats read their tokens here, so they share one set of
+    checks: a classical crossing keeps one sign, and no crossing is both
+    classical and singular.  ``line`` and ``raw`` place errors in text input.
+    """
+    def error(message: str, tok) -> DiagramParseError:
+        return DiagramParseError(message, line, raw.index(tok) + 1 if line is not None else None)
+
+    events = []
+    for tok in tokens:
+        tm = _TOKEN_RE.fullmatch(tok) if isinstance(tok, str) else None
+        if not tm:
+            raise error(f"bad token {tok!r}", tok)
+        try:
+            cid = int(tm.group(2) or tm.group(5))
+        except ValueError:  # more digits than the interpreter converts
+            raise error("crossing id is too long", tok) from None
+        rec = _TOKEN_RECORDS[tm.group(3)]
+        prev = crossings.setdefault(cid, rec)
+        if prev is not rec:
+            if prev.is_classical != rec.is_classical:
+                raise error(f"crossing {cid} is both classical and singular", tok)
+            raise error(f"sign mismatch at crossing {cid}", tok)
+        events.append(Passage(cid, tm.group(1) or tm.group(4)))
+    return tuple(events)
 
 
 def parse(text: str, check: bool = True) -> TangleDiagram:
@@ -210,7 +253,6 @@ def parse(text: str, check: bool = True) -> TangleDiagram:
     header: tuple[int, int] | None = None
     components: list[Component] = []
     crossings: dict[int, CrossingRecord] = {}
-    sign_source: dict[int, int] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -220,41 +262,20 @@ def parse(text: str, check: bool = True) -> TangleDiagram:
             m = _HEADER_RE.match(line)
             if not m:
                 raise DiagramParseError("expected header 'tangle m=<int> n=<int>'", lineno, 1)
-            header = (int(m.group(1)), int(m.group(2)))
+            header = (_number(m.group(1), lineno, 1), _number(m.group(2), lineno, 1))
             continue
         m = _COMPONENT_RE.match(line)
         if not m:
             raise DiagramParseError("expected a 'component ...' line", lineno, 1)
-        idx = int(m.group(1))
+        idx = _number(m.group(1), lineno, 11)
         if idx != len(components) + 1:
             raise DiagramParseError(
                 f"component index {idx} out of order (expected {len(components) + 1})", lineno, 11)
-        events = []
-        for tok in m.group(5).split():
-            tm = _TOKEN_RE.match(tok)
-            if not tm:
-                col = raw.index(tok) + 1
-                raise DiagramParseError(f"bad token {tok!r}", lineno, col)
-            if tm.group(1):
-                role, cid, sign = tm.group(1), int(tm.group(2)), (1 if tm.group(3) == "+" else -1)
-                old = sign_source.get(cid)
-                if old is not None and old != sign:
-                    raise DiagramParseError(f"sign mismatch at crossing {cid}", lineno, raw.index(tok) + 1)
-                sign_source[cid] = sign
-                if cid in crossings and not crossings[cid].is_classical:
-                    raise DiagramParseError(f"crossing {cid} is both classical and singular", lineno, 1)
-                crossings[cid] = CrossingRecord.classical(sign)
-                events.append(Passage(cid, role))
-            else:
-                role, cid = tm.group(4), int(tm.group(5))
-                if cid in crossings and crossings[cid].is_classical:
-                    raise DiagramParseError(f"crossing {cid} is both classical and singular", lineno, 1)
-                crossings[cid] = CrossingRecord.singular()
-                events.append(Passage(cid, role))
+        events = _read_tokens(m.group(5).split(), crossings, lineno, raw)
         if m.group(2) == "closed":
-            components.append(Component("closed", tuple(events)))
+            components.append(Component("closed", events))
         else:
-            components.append(Component("long", tuple(events), m.group(3), m.group(4)))
+            components.append(Component("long", events, m.group(3), m.group(4)))
 
     if header is None:
         raise DiagramParseError("empty input: missing 'tangle' header", 1, 1)
@@ -292,31 +313,34 @@ def to_json(d: TangleDiagram) -> dict:
     }
 
 
-def from_json(data: Mapping, check: bool = True) -> TangleDiagram:
+def from_json(data: dict, check: bool = True) -> TangleDiagram:
+    """Build a diagram from the mirror that :func:`to_json` writes.
+
+    Raises :class:`DiagramParseError` when ``data`` does not have the
+    mirror's shape or a token is bad, and :class:`ValidationFailure` as
+    :func:`parse` does.
+    """
+    if not isinstance(data, dict):
+        raise DiagramParseError("a diagram must be a JSON object")
+    for key in ("m", "n"):
+        if type(data.get(key)) is not int or data[key] < 0:
+            raise DiagramParseError(f"'{key}' must be a non-negative integer")
+    entries = data.get("components")
+    if not isinstance(entries, list):
+        raise DiagramParseError("'components' must be a list")
     components: list[Component] = []
     crossings: dict[int, CrossingRecord] = {}
-    for entry in data["components"]:
-        events = []
-        for tok in entry.get("events", []):
-            tm = _TOKEN_RE.match(tok)
-            if not tm:
-                raise DiagramParseError(f"bad token {tok!r}")
-            if tm.group(1):
-                cid, sign = int(tm.group(2)), (1 if tm.group(3) == "+" else -1)
-                prev = crossings.get(cid)
-                if prev is not None and prev.sign not in (None, sign):
-                    raise DiagramParseError(f"sign mismatch at crossing {cid}")
-                crossings[cid] = CrossingRecord.classical(sign)
-                events.append(Passage(cid, tm.group(1)))
-            else:
-                cid = int(tm.group(5))
-                crossings[cid] = CrossingRecord.singular()
-                events.append(Passage(cid, tm.group(4)))
-        if entry["kind"] == "closed":
-            components.append(Component("closed", tuple(events)))
-        else:
-            components.append(Component("long", tuple(events), entry["start"], entry["end"]))
-    d = TangleDiagram(int(data["m"]), int(data["n"]), tuple(components), crossings)
+    for k, entry in enumerate(entries, start=1):
+        if not isinstance(entry, dict):
+            raise DiagramParseError(f"component {k}: must be an object")
+        kind, start, end = entry.get("kind"), entry.get("start"), entry.get("end")
+        tokens = entry.get("events", [])
+        if not (isinstance(kind, str) and isinstance(tokens, list)
+                and all(slot is None or isinstance(slot, str) for slot in (start, end))):
+            raise DiagramParseError(f"component {k}: 'kind' must be a string, 'start' and "
+                                    "'end' slot names or null, and 'events' a list")
+        components.append(Component(kind, _read_tokens(tokens, crossings), start, end))
+    d = TangleDiagram(data["m"], data["n"], tuple(components), crossings)
     return require_valid(d) if check else d
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from .algebra import AffineInt, LaurentPoly
 from .diagram import OVER, UNDER, TangleDiagram
 from .errors import HasSingular, NotClassical
-from .invariant import Labeling, propagate_labels
+from .invariant import Labeling, propagate_labels, weight_table
 
 PassageRef = tuple[int, str]  # (crossing id, role)
 
@@ -126,14 +126,6 @@ def homological_weight(d: TangleDiagram, cid: int) -> AffineInt:
     return AffineInt.symbol(ci) - AffineInt.symbol(cj) + pairing(sl.rest, sl.slice, d)
 
 
-def is_early_undercrossing(d: TangleDiagram, cid: int) -> bool:
-    """True for a self-crossing whose Under passage comes first from the basepoint."""
-    positions = d.passage_positions()
-    ci, p = positions[(cid, OVER)]
-    cj, q = positions[(cid, UNDER)]
-    return ci == cj and q < p
-
-
 @dataclass(frozen=True)
 class Prop2Entry:
     crossing: int
@@ -158,22 +150,26 @@ class Prop2Report:
 
 
 def check_prop2(d: TangleDiagram, labeling: Labeling | None = None) -> Prop2Report:
-    """Verify W = +/-(W_h - delta) for every classical crossing."""
+    """Verify W = +/-(W_h - delta) for every classical crossing.
+
+    W is read from :func:`weight_table`, the table the polynomial is
+    built from, so a fault there shows here.
+    """
     if d.singular_ids():
         raise HasSingular("resolve singular crossings first")
     labeling = labeling or propagate_labels(d)
     positions = d.passage_positions()
     entries = []
-    for cid in d.classical_ids():
+    for cid, rec in weight_table(d, labeling).items():
         ci, p = positions[(cid, OVER)]
         cj, q = positions[(cid, UNDER)]
-        w = (labeling.incoming(ci, p) - labeling.incoming(cj, q)) - d.sign(cid)
         wh = homological_weight(d, cid)
         self_crossing = ci == cj
         early_under = self_crossing and q < p
         adjusted = wh - AffineInt(labeling.delta[cj])
         expected = -adjusted if early_under else adjusted
-        entries.append(Prop2Entry(cid, w, wh, expected, self_crossing, early_under, w == expected))
+        entries.append(Prop2Entry(cid, rec.weight, wh, expected, self_crossing, early_under,
+                                  rec.weight == expected))
     return Prop2Report(tuple(entries))
 
 

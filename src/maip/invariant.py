@@ -26,7 +26,7 @@ from typing import Mapping
 from .algebra import AffineInt, LaurentPoly, shift_monomial
 from .diagram import (OVER, SING_PRIMARY, SING_SECONDARY, UNDER, Component,
                       CrossingRecord, Passage, TangleDiagram)
-from .errors import HasSingular, NoSingular, NotClassical
+from .errors import HasSingular, NoSingular
 
 _INCREMENT_BY_ROLE = {SING_PRIMARY: -1, SING_SECONDARY: 1}
 
@@ -76,45 +76,6 @@ def propagate_labels(d: TangleDiagram,
 
 
 @dataclass(frozen=True)
-class WeightEntry:
-    weight: AffineInt
-    over_component: int
-    under_component: int
-    sign: int
-
-
-def crossing_weight(d: TangleDiagram, labeling: Labeling, crossing_id: int) -> AffineInt:
-    return weight_entry(d, labeling, crossing_id).weight
-
-
-def weight_entry(d: TangleDiagram, labeling: Labeling, crossing_id: int) -> WeightEntry:
-    rec = d.crossings.get(crossing_id)
-    if rec is None or not rec.is_classical:
-        raise NotClassical(f"crossing {crossing_id} is not a classical crossing")
-    positions = d.passage_positions()
-    oi, opos = positions[(crossing_id, OVER)]
-    ui, upos = positions[(crossing_id, UNDER)]
-    w = labeling.incoming(oi, opos) - labeling.incoming(ui, upos) - rec.sign
-    return WeightEntry(w, oi, ui, rec.sign)
-
-
-def weight_table(d: TangleDiagram, labeling: Labeling | None = None) -> dict[int, WeightEntry]:
-    labeling = labeling or propagate_labels(d)
-    positions = d.passage_positions()
-    table = {}
-    for cid in d.classical_ids():
-        oi, opos = positions[(cid, OVER)]
-        ui, upos = positions[(cid, UNDER)]
-        w = labeling.incoming(oi, opos) - labeling.incoming(ui, upos) - d.crossings[cid].sign
-        table[cid] = WeightEntry(w, oi, ui, d.crossings[cid].sign)
-    return table
-
-
-# ---------------------------------------------------------------------------
-# the polynomial
-
-
-@dataclass(frozen=True)
 class Contribution:
     """One crossing's structured summand, before any simplification."""
 
@@ -122,6 +83,27 @@ class Contribution:
     over_component: int
     under_component: int
     weight: AffineInt
+
+
+def weight_table(d: TangleDiagram, labeling: Labeling | None = None) -> dict[int, Contribution]:
+    """Every classical crossing's summand, keyed by crossing id in ascending order.
+
+    This is the one place the weight W = a - b - s is read off a labeling.
+    """
+    labeling = labeling or propagate_labels(d)
+    positions = d.passage_positions()
+    table = {}
+    for cid in d.classical_ids():
+        oi, opos = positions[(cid, OVER)]
+        ui, upos = positions[(cid, UNDER)]
+        sign = d.crossings[cid].sign
+        w = labeling.incoming(oi, opos) - labeling.incoming(ui, upos) - sign
+        table[cid] = Contribution(sign, oi, ui, w)
+    return table
+
+
+# ---------------------------------------------------------------------------
+# the polynomial
 
 
 @dataclass(frozen=True)
@@ -152,11 +134,7 @@ def contribution_poly(records, delta: Mapping[int, int]) -> LaurentPoly:
 
 def structured_maip(d: TangleDiagram, labeling: Labeling | None = None) -> MaipContributions:
     labeling = labeling or propagate_labels(d)
-    table = weight_table(d, labeling)
-    records = tuple(
-        Contribution(e.sign, e.over_component, e.under_component, e.weight)
-        for _cid, e in sorted(table.items())
-    )
+    records = tuple(weight_table(d, labeling).values())
     return MaipContributions(records, dict(labeling.delta))
 
 

@@ -275,9 +275,3 @@ def from_generator_word(word: GeneratorWord) -> TangleDiagram:
         components.append(Component("closed", tuple(events)))
 
     return TangleDiagram(m, n, tuple(components), crossings)
-
-
-def identity_word_for_top(slot_roles: list[str]) -> GeneratorWord:
-    """One identity row matching a boundary: "start" slots flow downward."""
-    atoms = tuple(Identity("d" if role == "start" else "u") for role in slot_roles)
-    return GeneratorWord((atoms,))

@@ -1,9 +1,13 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+from maip import cli
 from maip.algebra import poly_from_json, render
 from maip.diagram import parse, random_diagram, serialize
 from maip.invariant import maip
@@ -190,3 +194,113 @@ def test_bad_json_diagram_is_an_input_error(tmp_path):
     path.write_text('{"m": 1}')
     res = run_cli("compute", str(path))
     assert res.returncode == 2
+
+
+def test_non_utf8_file_is_an_input_error(tmp_path):
+    path = tmp_path / "binary.tangle"
+    path.write_bytes(b"tangle m=0 n=0\xff\xfe\n")
+    res = run_cli("compute", str(path))
+    assert res.returncode == 2
+    assert "UTF-8" in res.stderr
+
+
+# ---------------------------------------------------------------------------
+# the input contract, in process
+
+
+def compute_file(path, text, capsys):
+    path.write_text(text)
+    code = cli.main(["compute", str(path)])
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"m": "x", "n": 0, "components": []}', "'m' must be a non-negative integer"),
+    ('{"m": 1e400, "n": 0, "components": []}', "'m' must be a non-negative integer"),
+    ('{"m": 0, "n": -1, "components": []}', "'n' must be a non-negative integer"),
+    ('{"m": true, "n": 0, "components": []}', "'m' must be a non-negative integer"),
+    ('{"m": 0, "n": 0, "components": {}}', "'components' must be a list"),
+    ('{"m": 0, "n": 0, "components": [3]}', "component 1: must be an object"),
+    ('{"m": 1, "n": 1, "components": [{"kind": "long", "start": 1, "end": "B1"}]}',
+     "slot names or null"),
+    ('{"m": 1, "n": 1, "components": [{"kind": "closed", "start": "T1", "end": "B1"}]}',
+     "closed component carries boundary slots"),
+    ('{"m": 0, "n": 0, "components": [{"kind": "closed", "events": ["X1", "O1+"]}]}',
+     "crossing 1 is both classical and singular"),
+    ('{"m": 0, "n": 0, "components": [{"kind": "closed", "events": "O1+ U1+"}]}',
+     "'events' a list"),
+    ('{"m": 0, "n": 0, "components": [{"kind": "closed", "events": ["O1+\\n", "U1+"]}]}',
+     "bad token 'O1+\\n'"),
+])
+def test_json_input_contract(tmp_path, capsys, text, message):
+    code, err = compute_file(tmp_path / "bad.json", text, capsys)
+    assert code == 2
+    assert message in err
+
+
+def test_huge_boundary_exits_fast_with_a_short_message(tmp_path, capsys):
+    start = time.perf_counter()
+    code, err = compute_file(tmp_path / "wide.tangle", "tangle m=4000000 n=0\n", capsys)
+    assert code == 2
+    assert time.perf_counter() - start < 1.0
+    assert "boundary: m=4000000, n=0, but 0 long components reach at most 0 slots" in err
+    assert len(err) < 300
+
+
+@pytest.mark.parametrize("trials", ["-5", "0", "x"])
+def test_check_trials_must_be_positive(trials, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["check", "--what", "compose", "--random", "--trials", trials])
+    assert exc.value.code == 2
+    assert "expected an integer >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("what", ["compose", "vassiliev"])
+def test_check_random_only_suites_refuse_a_file(what, capsys):
+    assert cli.main(["check", fx("ex3"), "--what", what, "--random"]) == 2
+    assert "random inputs only" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the loader through the CLI
+
+_junk = (st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=3)
+         | st.lists(st.integers(0, 2), max_size=2)
+         | st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
+_token = st.sampled_from(["O1+", "U1+", "U1-", "X1", "Y1", "O2-", "U2-", "Q"]) | _junk
+_slot = st.sampled_from(["T1", "T2", "B1", "B2"]) | _junk
+_component = st.fixed_dictionaries({}, optional={
+    "kind": st.sampled_from(["closed", "long"]) | _junk,
+    "start": _slot, "end": _slot,
+    "events": st.lists(_token, max_size=4) | _junk,
+})
+_json_text = st.fixed_dictionaries({}, optional={
+    "m": st.integers(0, 3) | _junk,
+    "n": st.integers(0, 3) | _junk,
+    "components": st.lists(_component | _junk, max_size=3) | _junk,
+}).map(json.dumps)
+_line_text = st.lists(st.sampled_from([
+    "tangle m=1 n=1", "tangle m=0 n=0", "tangle m=2 n=0", "\n", " ", "#",
+    "component 1 long from T1 to B1 :", "component 1 closed :",
+    "component 2 long from B1 to T1 :", "component 2 closed :",
+    " O1+", " U1+", " O1-", " U1-", " X1", " Y1", " O2+", " U2+", " Q",
+]), max_size=12).map("".join)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=st.text() | _line_text | _json_text)
+@example(text='{"m": "x", "n": 0, "components": []}')
+@example(text='{"m": 1e400, "n": 0, "components": []}')
+@example(text='{"m": 1, "n": 1, "components": [{"kind": "closed", "start": "T1", "end": "B1"}]}')
+@example(text='{"m": 2, "n": 0, "components": [{"kind": "long", "start": 1, "end": "T1"}]}')
+@example(text='{"m": 0, "n": 0, "components": [{"kind": "closed", "events": ["X1", "O1+"]}]}')
+@example(text='{"m": ' + "1" * 5000 + ', "n": 0, "components": []}')
+@example(text='{"m": ' + "[" * 100_000 + "]" * 100_000 + "}")
+@example(text="tangle m=4000000 n=0\n")
+@example(text="tangle m=" + "9" * 5000 + " n=0\n")
+@example(text="tangle m=0 n=0\ncomponent 1 closed : O" + "1" * 5000 + "+ U1+\n")
+def test_compute_never_raises(tmp_path, text):
+    path = tmp_path / "fuzz.tangle"
+    path.write_text(text, encoding="utf-8")
+    assert cli.main(["compute", str(path)]) in (0, 2)

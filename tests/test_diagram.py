@@ -48,6 +48,19 @@ def test_parse_sign_mismatch():
         parse("tangle m=0 n=0\ncomponent 1 closed : O1+ U1-\n")
 
 
+@pytest.mark.parametrize("tokens, message", [
+    ("O1+ U1-", "sign mismatch at crossing 1"),
+    ("X1 O1+", "crossing 1 is both classical and singular"),
+    ("O1+ Y1", "crossing 1 is both classical and singular"),
+    ("O1+ Q2-", "bad token 'Q2-'"),
+])
+def test_text_and_json_share_token_checks(tokens, message):
+    with pytest.raises(DiagramParseError, match=message):
+        parse(f"tangle m=0 n=0\ncomponent 1 closed : {tokens}\n")
+    with pytest.raises(DiagramParseError, match=message):
+        from_json({"m": 0, "n": 0, "components": [{"kind": "closed", "events": tokens.split()}]})
+
+
 def test_parse_reports_position():
     with pytest.raises(DiagramParseError) as err:
         parse("tangle m=0 n=0\ncomponent 1 closed : O1+ Q2-\n")

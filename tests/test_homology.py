@@ -1,14 +1,16 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from maip import homology
 from maip.algebra import AffineInt
 from maip.diagram import OVER, UNDER, parse, random_diagram
 from maip.errors import NotClassical
-from maip.homology import (check_prop2, homological_weight,
-                           is_early_undercrossing, maip_via_homology, pairing,
-                           smooth_mixed_crossing, smooth_self_crossing)
-from maip.invariant import maip, propagate_labels
+from maip.homology import (check_prop2, homological_weight, maip_via_homology,
+                           pairing, smooth_mixed_crossing, smooth_self_crossing)
+from maip.invariant import maip, propagate_labels, weight_table
 
 
 def aff(const=0, **coeffs):
@@ -114,13 +116,22 @@ def test_homological_weight_requires_classical(singular):
 
 def test_early_undercrossing_flag():
     d = parse("tangle m=0 n=0\ncomponent 1 closed : U1+ O1+\n")
-    assert is_early_undercrossing(d, 1)
+    assert check_prop2(d).entries[0].early_under
     e = parse("tangle m=0 n=0\ncomponent 1 closed : O1+ U1+\n")
-    assert not is_early_undercrossing(e, 1)
+    assert not check_prop2(e).entries[0].early_under
 
 
 def test_prop2_ex3(ex3):
     assert check_prop2(ex3).ok
+
+
+def test_prop2_checks_the_weights_the_polynomial_uses(ex3, monkeypatch):
+    def shifted(d, labeling=None):
+        table = weight_table(d, labeling)
+        return {cid: replace(rec, weight=rec.weight + 1) for cid, rec in table.items()}
+
+    monkeypatch.setattr(homology, "weight_table", shifted)
+    assert not check_prop2(ex3).ok
 
 
 def test_prop2_kink_early_overcrossing(kink):

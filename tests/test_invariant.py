@@ -4,9 +4,9 @@ from hypothesis import strategies as st
 
 from maip.algebra import (AffineInt, LaurentPoly, render, substitute_symbols)
 from maip.diagram import random_diagram, validate
-from maip.errors import HasSingular, NoSingular, NotClassical
-from maip.invariant import (crossing_weight, maip, propagate_labels,
-                            resolve_singular, structured_maip, vassiliev_eval)
+from maip.errors import HasSingular, NoSingular
+from maip.invariant import (maip, propagate_labels, resolve_singular,
+                            structured_maip, vassiliev_eval, weight_table)
 
 
 def sym(i):
@@ -60,37 +60,39 @@ def test_self_crossing_only_components_have_zero_delta():
 
 
 def test_weights_ex3(ex3):
-    lab = propagate_labels(ex3)
-    assert crossing_weight(ex3, lab, 1) == aff(-1, c1=1, c3=-1)
-    assert crossing_weight(ex3, lab, 2) == aff(0, c2=1, c3=-1)
+    table = weight_table(ex3, propagate_labels(ex3))
+    assert table[1].weight == aff(-1, c1=1, c3=-1)
+    assert table[2].weight == aff(0, c2=1, c3=-1)
 
 
 def test_weights_ex2_match_displayed_factors(ex2):
     # crossing 1: over-incoming c1 minus under-outgoing (c1 - 1)
     # crossing 2: over-incoming (c1 - 1) minus under-outgoing (c2 + 1)
-    lab = propagate_labels(ex2)
-    assert crossing_weight(ex2, lab, 1) == AffineInt(1)
-    assert crossing_weight(ex2, lab, 2) == aff(-2, c1=1, c2=-1)
+    table = weight_table(ex2, propagate_labels(ex2))
+    assert table[1].weight == AffineInt(1)
+    assert table[2].weight == aff(-2, c1=1, c2=-1)
 
 
 def test_weight_equals_over_incoming_minus_under_outgoing(ex2, ex3):
     for d in (ex2, ex3):
         lab = propagate_labels(d)
         positions = d.passage_positions()
+        table = weight_table(d, lab)
         for cid in d.classical_ids():
             oi, op = positions[(cid, "O")]
             ui, up = positions[(cid, "U")]
             under_outgoing = lab.labels[ui][up + 1]
-            assert crossing_weight(d, lab, cid) == lab.incoming(oi, op) - under_outgoing
+            assert table[cid].weight == lab.incoming(oi, op) - under_outgoing
 
 
 def test_kink_weight_is_zero(kink):
-    assert crossing_weight(kink, propagate_labels(kink), 1) == AffineInt(0)
+    assert weight_table(kink, propagate_labels(kink))[1].weight == AffineInt(0)
 
 
-def test_weight_requires_classical(singular):
-    with pytest.raises(NotClassical):
-        crossing_weight(singular, propagate_labels(singular), 1)
+def test_weight_requires_classical(singular, ex2):
+    # only classical crossings carry a weight; singular crossing 1 has none
+    assert weight_table(singular, propagate_labels(singular)) == {}
+    assert list(weight_table(ex2)) == ex2.classical_ids()
 
 
 # ---------------------------------------------------------------------------

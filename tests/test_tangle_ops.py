@@ -2,12 +2,11 @@ import pytest
 
 from maip.algebra import AffineInt, LaurentPoly, reindex
 from maip.checks import random_composable_pair
-from maip.diagram import empty_tangle, parse, serialize, validate
+from maip.diagram import TangleDiagram, parse, serialize, validate
 from maip.errors import ArityMismatch, InconsistentPlan, OrientationMismatch
 from maip.invariant import maip, propagate_labels, structured_maip
 from maip.tangle_ops import GluePlan, compose, predict_composed, tensor
-from maip.words import from_generator_word, identity_word_for_top
-
+from maip.words import GeneratorWord, Identity, from_generator_word
 
 
 def aff(const=0, **coeffs):
@@ -16,6 +15,16 @@ def aff(const=0, **coeffs):
 
 def mono(var, exp, coeff=1):
     return LaurentPoly.monomial(var, exp, coeff)
+
+
+def empty_tangle():
+    return TangleDiagram(0, 0, (), {})
+
+
+def identity_word_for_top(slot_roles):
+    """One identity row matching a boundary: "start" slots flow downward."""
+    atoms = tuple(Identity("d" if role == "start" else "u") for role in slot_roles)
+    return GeneratorWord((atoms,))
 
 
 # ---------------------------------------------------------------------------
