@@ -14,6 +14,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -25,6 +26,9 @@ from .errors import (ArityMismatch, DiagramParseError, InconsistentPlan,
                      ValidationFailure)
 from .invariant import maip, structured_maip, vassiliev_eval
 from .tangle_ops import GluePlan, compose, predict_composed, tensor
+
+
+DEFAULT_TRIALS = 200
 
 
 class _InputError(Exception):
@@ -160,14 +164,20 @@ def cmd_check(args) -> int:
                           "pass --random and no diagram file")
     if not args.random and not args.file:
         raise _InputError("pass a diagram file or --random")
+    if args.random and args.file:
+        raise _InputError("pass a diagram file or --random, not both")
+    if args.file and args.what in checks.ONCE_ON_A_DIAGRAM and args.trials is not None:
+        raise _InputError(f"--what {args.what} checks a diagram file once; "
+                          "--trials applies to --random")
     suite = checks.SUITES[args.what]
+    trials = DEFAULT_TRIALS if args.trials is None else args.trials
     if args.file:
         diagram = _load(args.file)
         if diagram.singular_ids():
             raise _InputError(f"{args.file}: diagram has singular crossings; use resolve")
-        report = suite(args.trials, args.seed, diagram=diagram)
+        report = suite(trials, args.seed, diagram=diagram)
     else:
-        report = suite(args.trials, args.seed)
+        report = suite(trials, args.seed)
     if args.json:
         print(json.dumps(report.to_json()))
     else:
@@ -185,6 +195,7 @@ def _trial_count(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="maip",
@@ -223,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", nargs="?")
     p.add_argument("--what", required=True, choices=list(checks.SUITES))
     p.add_argument("--random", action="store_true", help="generate random diagrams")
-    p.add_argument("--trials", type=_trial_count, default=200)
+    p.add_argument("--trials", type=_trial_count)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_check)

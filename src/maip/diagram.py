@@ -136,9 +136,8 @@ def validate(d: TangleDiagram) -> list[str]:
                 errs.append(f"component {ci}: endpoint arity")
             elif comp.start == comp.end:
                 errs.append(f"component {ci}: endpoint arity (start and end share slot {comp.start})")
-        else:
-            if comp.start is not None or comp.end is not None:
-                errs.append(f"component {ci}: closed component carries boundary slots")
+        elif comp.kind == "closed" and (comp.start is not None or comp.end is not None):
+            errs.append(f"component {ci}: closed component carries boundary slots")
         for ev in comp.events:
             rec = d.crossings.get(ev.crossing)
             if rec is None:

@@ -21,7 +21,10 @@ These homological weights satisfy, for every classical crossing,
 
 which is what :func:`check_prop2` verifies and what lets
 :func:`maip_via_homology` rebuild the invariant without ever reading the
-labeling-derived weights.
+labeling-derived weights.  Both index the diagram once and hand the
+index down: the optional ``positions`` and ``classical`` arguments below
+are ``d.passage_positions()`` and ``d.classical_ids()``, computed by the
+callee when not given.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from .errors import HasSingular, NotClassical
 from .invariant import Labeling, propagate_labels, weight_table
 
 PassageRef = tuple[int, str]  # (crossing id, role)
+Positions = dict[PassageRef, tuple[int, int]]  # as d.passage_positions() returns
 
 
 @dataclass(frozen=True)
@@ -49,10 +53,11 @@ class CycleSlice:
 
 
 def pairing(rest: frozenset[PassageRef] | set[PassageRef],
-            slice_: frozenset[PassageRef] | set[PassageRef], d: TangleDiagram) -> int:
+            slice_: frozenset[PassageRef] | set[PassageRef], d: TangleDiagram,
+            classical: list[int] | None = None) -> int:
     """Intersection count of the slice against the rest of the diagram."""
     total = 0
-    for cid in d.classical_ids():
+    for cid in d.classical_ids() if classical is None else classical:
         over, under = (cid, OVER), (cid, UNDER)
         in_slice = (over in slice_, under in slice_)
         if in_slice == (True, False) and under in rest:
@@ -66,9 +71,10 @@ def _refs(events) -> list[PassageRef]:
     return [(ev.crossing, ev.role) for ev in events]
 
 
-def smooth_self_crossing(d: TangleDiagram, cid: int) -> CycleSlice:
+def smooth_self_crossing(d: TangleDiagram, cid: int,
+                         positions: Positions | None = None) -> CycleSlice:
     """Split a self-crossing's component; keep the basepoint half as the slice."""
-    positions = d.passage_positions()
+    positions = d.passage_positions() if positions is None else positions
     ci, p = positions[(cid, OVER)]
     cj, q = positions[(cid, UNDER)]
     if ci != cj:
@@ -85,7 +91,8 @@ def smooth_self_crossing(d: TangleDiagram, cid: int) -> CycleSlice:
     return CycleSlice(frozenset(outer), frozenset(inner) | frozenset(others))
 
 
-def smooth_mixed_crossing(d: TangleDiagram, cid: int) -> CycleSlice:
+def smooth_mixed_crossing(d: TangleDiagram, cid: int,
+                          positions: Positions | None = None) -> CycleSlice:
     """Smooth a mixed crossing; keep the half holding the overstrand's head.
 
     Both long components rewire into start_i -> end_j and start_j ->
@@ -95,7 +102,7 @@ def smooth_mixed_crossing(d: TangleDiagram, cid: int) -> CycleSlice:
     retained class is (overstrand events before the crossing) together
     with (understrand events after it).
     """
-    positions = d.passage_positions()
+    positions = d.passage_positions() if positions is None else positions
     ci, p = positions[(cid, OVER)]
     cj, q = positions[(cid, UNDER)]
     if ci == cj:
@@ -112,18 +119,20 @@ def smooth_mixed_crossing(d: TangleDiagram, cid: int) -> CycleSlice:
     return CycleSlice(frozenset(selected), frozenset(other_half) | frozenset(others))
 
 
-def homological_weight(d: TangleDiagram, cid: int) -> AffineInt:
+def homological_weight(d: TangleDiagram, cid: int, positions: Positions | None = None,
+                       classical: list[int] | None = None) -> AffineInt:
+    """The weight of a classical crossing from its smoothing and the pairing."""
     rec = d.crossings.get(cid)
     if rec is None or not rec.is_classical:
         raise NotClassical(f"crossing {cid} is not a classical crossing")
-    positions = d.passage_positions()
+    positions = d.passage_positions() if positions is None else positions
     ci, _ = positions[(cid, OVER)]
     cj, _ = positions[(cid, UNDER)]
     if ci == cj:
-        sl = smooth_self_crossing(d, cid)
-        return AffineInt(pairing(sl.rest, sl.slice, d))
-    sl = smooth_mixed_crossing(d, cid)
-    return AffineInt.symbol(ci) - AffineInt.symbol(cj) + pairing(sl.rest, sl.slice, d)
+        sl = smooth_self_crossing(d, cid, positions)
+        return AffineInt(pairing(sl.rest, sl.slice, d, classical))
+    sl = smooth_mixed_crossing(d, cid, positions)
+    return AffineInt.symbol(ci) - AffineInt.symbol(cj) + pairing(sl.rest, sl.slice, d, classical)
 
 
 @dataclass(frozen=True)
@@ -159,11 +168,12 @@ def check_prop2(d: TangleDiagram, labeling: Labeling | None = None) -> Prop2Repo
         raise HasSingular("resolve singular crossings first")
     labeling = labeling or propagate_labels(d)
     positions = d.passage_positions()
+    classical = d.classical_ids()
     entries = []
     for cid, rec in weight_table(d, labeling).items():
         ci, p = positions[(cid, OVER)]
         cj, q = positions[(cid, UNDER)]
-        wh = homological_weight(d, cid)
+        wh = homological_weight(d, cid, positions, classical)
         self_crossing = ci == cj
         early_under = self_crossing and q < p
         adjusted = wh - AffineInt(labeling.delta[cj])
@@ -185,16 +195,17 @@ def maip_via_homology(d: TangleDiagram, labeling: Labeling | None = None) -> Lau
         raise HasSingular("resolve singular crossings first")
     labeling = labeling or propagate_labels(d)
     positions = d.passage_positions()
-    total = LaurentPoly.zero()
-    for cid in d.classical_ids():
+    classical = d.classical_ids()
+    terms: dict[tuple[int, AffineInt], int] = {}
+    for cid in classical:
         ci, p = positions[(cid, OVER)]
         cj, q = positions[(cid, UNDER)]
         sign = d.sign(cid)
-        wh = homological_weight(d, cid)
+        wh = homological_weight(d, cid, positions, classical)
         if ci == cj and q < p:
             exponent = -wh + 2 * AffineInt(labeling.delta[ci])
         else:
             exponent = wh
-        total = total + LaurentPoly.monomial(ci, exponent, sign)
-        total = total - LaurentPoly.monomial(ci, AffineInt(labeling.delta[cj]), sign)
-    return total
+        for key, coeff in (((ci, exponent), sign), ((ci, AffineInt(labeling.delta[cj])), -sign)):
+            terms[key] = terms.get(key, 0) + coeff
+    return LaurentPoly(terms)

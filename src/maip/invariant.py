@@ -23,7 +23,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping
 
-from .algebra import AffineInt, LaurentPoly, shift_monomial
+from .algebra import AffineInt, LaurentPoly
 from .diagram import (OVER, SING_PRIMARY, SING_SECONDARY, UNDER, Component,
                       CrossingRecord, Passage, TangleDiagram)
 from .errors import HasSingular, NoSingular
@@ -85,21 +85,25 @@ class Contribution:
     weight: AffineInt
 
 
-def weight_table(d: TangleDiagram, labeling: Labeling | None = None) -> dict[int, Contribution]:
-    """Every classical crossing's summand, keyed by crossing id in ascending order.
+def _contribution(labeling: Labeling, sign: int, over: tuple[int, int],
+                  under: tuple[int, int]) -> Contribution:
+    """The summand of a crossing whose over and under passages sit at the
+    given (component, offset) places.
 
     This is the one place the weight W = a - b - s is read off a labeling.
     """
+    (oi, opos), (ui, upos) = over, under
+    w = labeling.incoming(oi, opos) - labeling.incoming(ui, upos) - sign
+    return Contribution(sign, oi, ui, w)
+
+
+def weight_table(d: TangleDiagram, labeling: Labeling | None = None) -> dict[int, Contribution]:
+    """Every classical crossing's summand, keyed by crossing id in ascending order."""
     labeling = labeling or propagate_labels(d)
     positions = d.passage_positions()
-    table = {}
-    for cid in d.classical_ids():
-        oi, opos = positions[(cid, OVER)]
-        ui, upos = positions[(cid, UNDER)]
-        sign = d.crossings[cid].sign
-        w = labeling.incoming(oi, opos) - labeling.incoming(ui, upos) - sign
-        table[cid] = Contribution(sign, oi, ui, w)
-    return table
+    return {cid: _contribution(labeling, d.crossings[cid].sign,
+                               positions[(cid, OVER)], positions[(cid, UNDER)])
+            for cid in d.classical_ids()}
 
 
 # ---------------------------------------------------------------------------
@@ -124,12 +128,13 @@ class MaipContributions:
 
 
 def contribution_poly(records, delta: Mapping[int, int]) -> LaurentPoly:
-    total = LaurentPoly.zero()
+    """Sum of sign * t_i^(delta_j) * (t_i^W - 1) over the records, in one pass."""
+    terms: dict[tuple[int, AffineInt], int] = {}
     for rec in records:
-        base = LaurentPoly.monomial(rec.over_component, rec.weight) + LaurentPoly.constant(-1)
-        shifted = shift_monomial(base, rec.over_component, AffineInt(delta[rec.under_component]))
-        total = total + rec.sign * shifted
-    return total
+        var, shift = rec.over_component, delta[rec.under_component]
+        for exp, coeff in ((rec.weight + shift, rec.sign), (AffineInt(shift), -rec.sign)):
+            terms[(var, exp)] = terms.get((var, exp), 0) + coeff
+    return LaurentPoly(terms)
 
 
 def structured_maip(d: TangleDiagram, labeling: Labeling | None = None) -> MaipContributions:
@@ -193,10 +198,26 @@ def resolve_singular(d: TangleDiagram) -> list[SingularResolutionTerm]:
 
 
 def vassiliev_eval(d: TangleDiagram) -> LaurentPoly:
-    """Signed sum of the polynomial over all resolutions (order-one extension)."""
-    if not d.singular_ids():
+    """Signed sum of the polynomial over all resolutions (order-one extension).
+
+    Every resolution has the labeling of ``d`` itself, so a classical
+    crossing adds the same term to each of the 2^k resolutions, and those
+    terms cancel under the signs: the sum is 0 for k >= 2, and for k = 1
+    it is the singular crossing's + term minus its - term.  This runs in
+    one linear pass; :func:`resolve_singular` enumerates the resolutions
+    only so that the vassiliev suite can check this value against them.
+    """
+    sing = d.singular_ids()
+    if not sing:
         return maip(d)
-    total = LaurentPoly.zero()
-    for term in resolve_singular(d):
-        total = total + term.coefficient * maip(term.diagram)
-    return total
+    if len(sing) > 1:
+        return LaurentPoly.zero()
+    labeling = propagate_labels(d)
+    positions = d.passage_positions()
+    primary = positions[(sing[0], SING_PRIMARY)]
+    secondary = positions[(sing[0], SING_SECONDARY)]
+    # P+ puts the primary strand over at a positive crossing, P- under at
+    # a negative one; P- enters the sum with coefficient -1.
+    plus = _contribution(labeling, 1, primary, secondary)
+    minus = _contribution(labeling, -1, secondary, primary)
+    return contribution_poly((plus,), labeling.delta) - contribution_poly((minus,), labeling.delta)

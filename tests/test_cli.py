@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from maip import cli
+from maip import cli, invariant
 from maip.algebra import poly_from_json, render
 from maip.diagram import parse, random_diagram, serialize
 from maip.invariant import maip
@@ -259,6 +259,31 @@ def test_check_trials_must_be_positive(trials, capsys):
 def test_check_random_only_suites_refuse_a_file(what, capsys):
     assert cli.main(["check", fx("ex3"), "--what", what, "--random"]) == 2
     assert "random inputs only" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("what", ["moves", "prop2", "corollary"])
+def test_check_refuses_a_file_with_random(what, capsys):
+    assert cli.main(["check", fx("ex1"), "--what", what, "--random", "--seed", "2"]) == 2
+    assert "not both" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("what", ["prop2", "corollary"])
+def test_check_refuses_trials_when_a_file_is_checked_once(what, capsys):
+    assert cli.main(["check", fx("ex1"), "--what", what, "--trials", "9"]) == 2
+    assert "checks a diagram file once" in capsys.readouterr().err
+
+
+def test_resolve_many_singular_crossings_without_enumerating(tmp_path, capsys, monkeypatch):
+    def refuse(d):
+        raise AssertionError("resolve enumerated the 2^k resolutions")
+
+    monkeypatch.setattr(invariant, "resolve_singular", refuse)
+    path = tmp_path / "k24.tangle"
+    path.write_text(serialize(random_diagram(5, 1, 2, 30, n_singular=24)))
+    start = time.perf_counter()
+    assert cli.main(["resolve", str(path)]) == 0
+    assert capsys.readouterr().out == "0\n"
+    assert time.perf_counter() - start < 2.0
 
 
 # ---------------------------------------------------------------------------

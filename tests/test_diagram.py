@@ -36,6 +36,14 @@ def test_validate_slot_usage():
     assert any("T2" in p and "unused" in p for p in problems)
 
 
+def test_validate_unknown_kind_is_not_called_closed():
+    d = from_json({"m": 1, "n": 0, "components": [
+        {"kind": "loop", "start": "T1", "end": None, "events": []}]}, check=False)
+    problems = validate(d)
+    assert "component 1: unknown kind 'loop'" in problems
+    assert not any("closed component" in p for p in problems)
+
+
 def test_parse_ex3(ex3):
     assert ex3.m == 2 and ex3.n == 4
     assert len(ex3.components) == 3

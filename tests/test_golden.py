@@ -1,0 +1,55 @@
+"""Golden digests of the rendered and JSON output on seeded corpora.
+
+The digests pin the exact text and JSON the package prints, so a change
+to how polynomials are assembled must leave every byte of output alone.
+They were taken from the quadratic, one-crossing-at-a-time assembly.
+"""
+
+import hashlib
+import json
+
+from maip.algebra import poly_to_json, render
+from maip.checks import random_composable_pair
+from maip.diagram import random_diagram
+from maip.invariant import maip, structured_maip
+from maip.tangle_ops import predict_composed
+
+
+def digests(polys):
+    polys = list(polys)
+    text = "\n".join(render(p) for p in polys)
+    data = json.dumps([poly_to_json(p) for p in polys])
+    return (hashlib.sha256(text.encode()).hexdigest(),
+            hashlib.sha256(data.encode()).hexdigest())
+
+
+def maip_corpus():
+    for seed in range(80):
+        n_closed, n_long = seed % 3, 1 + seed % 4
+        yield maip(random_diagram(seed, n_closed, n_long, (seed * 7) % 61))
+    for seed, n in enumerate((120, 250, 400)):
+        yield maip(random_diagram(1000 + seed, 1, 2, n))
+
+
+def compose_corpus():
+    for seed in range(60):
+        upper, lower, plan = random_composable_pair(seed, max_crossings=12)
+        yield predict_composed(structured_maip(upper), structured_maip(lower), plan)
+
+
+MAIP_DIGESTS = (
+    "4c9c045c2d71c2aa470b8722a8a77415174f29c8aff465256aa3049b61cfb498",
+    "78ac1abf5a00b46926a5bc84086410f3ad60109474a285fc872ad4df0b22a237",
+)
+COMPOSE_DIGESTS = (
+    "06b3813805b865bb399bbfdfb1b1577463ef5708b0f7022db9d5daf61bddcb05",
+    "11077b417fb20ed92f995c24246cd8b4a60450d8932629ef1b18cfb0f2122d72",
+)
+
+
+def test_maip_output_is_unchanged():
+    assert digests(maip_corpus()) == MAIP_DIGESTS
+
+
+def test_predicted_composite_output_is_unchanged():
+    assert digests(compose_corpus()) == COMPOSE_DIGESTS

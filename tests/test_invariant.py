@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from maip import checks
 from maip.algebra import (AffineInt, LaurentPoly, render, substitute_symbols)
 from maip.diagram import random_diagram, validate
 from maip.errors import HasSingular, NoSingular
@@ -199,6 +200,29 @@ def test_two_singular_points_vanish():
     for seed in range(40):
         d = random_diagram(seed, seed % 2, 1 + seed % 3, seed % 7, n_singular=2)
         assert vassiliev_eval(d).is_zero()
+
+
+def signed_enumeration(d):
+    total = LaurentPoly.zero()
+    for term in resolve_singular(d):
+        total = total + term.coefficient * maip(term.diagram)
+    return total
+
+
+@given(st.integers(min_value=0, max_value=100_000), st.integers(min_value=1, max_value=3))
+@settings(max_examples=80, deadline=None)
+def test_closed_form_equals_the_signed_enumeration(seed, k):
+    d = random_diagram(seed, seed % 2, 1 + seed % 3, seed % 9, n_singular=k)
+    assert vassiliev_eval(d) == signed_enumeration(d)
+
+
+def test_vassiliev_suite_catches_a_wrong_value(monkeypatch):
+    def unsigned(d):
+        return sum((maip(t.diagram) for t in resolve_singular(d)), LaurentPoly.zero())
+
+    for wrong in (unsigned, lambda d: LaurentPoly.zero()):
+        monkeypatch.setattr(checks, "vassiliev_eval", wrong)
+        assert not checks.check_vassiliev_suite(30, 7).ok
 
 
 @given(st.integers(min_value=0, max_value=10_000))
