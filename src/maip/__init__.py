@@ -2,12 +2,12 @@
 
 from .algebra import (AffineInt, LaurentPoly, collapse_variables, poly_from_json,
                       poly_parse, poly_to_json, reindex, render,
-                      shift_monomial, substitute_symbols)
+                      substitute_symbols)
 from .diagram import (Component, CrossingRecord, Passage, TangleDiagram,
                       from_json, parse, random_diagram, serialize, to_json,
                       validate)
-from .homology import (CycleSlice, check_prop2, homological_weight,
-                       maip_via_homology, pairing)
+from .homology import (check_prop2, homological_weight, maip_via_homology,
+                       pairing, smoothing)
 from .invariant import (Labeling, MaipContributions, maip, propagate_labels,
                         resolve_singular, structured_maip, vassiliev_eval,
                         weight_table)

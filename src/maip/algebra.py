@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .errors import MissingSymbol, MixedVariable, PolyParseError, SymbolicExponent
+from .errors import MissingSymbol, PolyParseError, SymbolicExponent
 
 
 # ---------------------------------------------------------------------------
@@ -206,9 +206,6 @@ class LaurentPoly:
     def __rmul__(self, k: int) -> "LaurentPoly":
         return LaurentPoly({key: k * c for key, c in self._terms.items()})
 
-    def variables(self) -> tuple[int, ...]:
-        return tuple(sorted({v for v, _ in self._terms if v is not None}))
-
     def symbols(self) -> tuple[int, ...]:
         seen: set[int] = set()
         for _, exp in self._terms:
@@ -221,19 +218,6 @@ class LaurentPoly:
 
 def _term_key(var: int | None, exp: AffineInt):
     return (0 if var is None else var, exp.coeffs, exp.const)
-
-
-def shift_monomial(p: LaurentPoly, var: int, e: AffineInt | int) -> LaurentPoly:
-    """Multiply ``p`` by t_var^e; ``p`` may only involve t_var and constants."""
-    if isinstance(e, int):
-        e = AffineInt(e)
-    out: dict[TermKey, int] = {}
-    for (v, exp), coeff in p.terms.items():
-        if v is not None and v != var:
-            raise MixedVariable(f"polynomial contains t{v}, cannot shift in t{var}")
-        key = (var, exp + e)
-        out[key] = out.get(key, 0) + coeff
-    return LaurentPoly(out)
 
 
 def substitute_symbols(p: LaurentPoly, assignment: Mapping[int, int]) -> LaurentPoly:

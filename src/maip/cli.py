@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 
 from . import checks
@@ -59,6 +60,14 @@ def _load(path: str):
         raise _InputError(f"{path}: invalid diagram\n{lines}") from exc
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _InputError(f"{path}: {exc.strerror or exc}") from exc
+
+
 def _parse_assignment(text: str, symbols) -> dict[int, int]:
     out: dict[int, int] = {}
     for item in text.split(","):
@@ -67,15 +76,17 @@ def _parse_assignment(text: str, symbols) -> dict[int, int]:
             continue
         name, _, value = item.partition("=")
         name = name.strip()
+        symbol = re.fullmatch(r"c([0-9]+)", name)
         try:
             val = int(value)
+            index = int(symbol[1]) if symbol else None  # too many digits: ValueError
         except ValueError:
             raise _InputError(f"bad assignment {item!r}; expected c<i>=<int> or all=<int>")
         if name == "all":
             for s in symbols:
                 out.setdefault(s, val)
-        elif name.startswith("c") and name[1:].isdigit():
-            out[int(name[1:])] = val
+        elif symbol:
+            out[index] = val
         else:
             raise _InputError(f"bad assignment {item!r}; expected c<i>=<int> or all=<int>")
     return out
@@ -115,8 +126,7 @@ def cmd_tensor(args) -> int:
     product = tensor(left, right)
     poly = None if product.singular_ids() else maip(product)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(serialize(product))
+        _write(args.out, serialize(product))
     if args.json:
         payload = {"diagram": to_json(product),
                    "maip": None if poly is None else poly_to_json(poly)}
@@ -145,8 +155,7 @@ def cmd_compose(args) -> int:
     except InconsistentPlan:
         predicted, verdict = None, "skipped (cyclic gluing)"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(serialize(composite))
+        _write(args.out, serialize(composite))
     if args.json:
         payload = {"diagram": to_json(composite), "maip": poly_to_json(poly),
                    "predict": verdict}

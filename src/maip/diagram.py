@@ -74,10 +74,6 @@ class Component:
     start: str | None = None       # slot name, long components only
     end: str | None = None
 
-    @property
-    def is_closed(self) -> bool:
-        return self.kind == "closed"
-
 
 @dataclass
 class TangleDiagram:
@@ -242,12 +238,12 @@ def _read_tokens(tokens, crossings: dict[int, CrossingRecord],
     return tuple(events)
 
 
-def parse(text: str, check: bool = True) -> TangleDiagram:
+def parse(text: str) -> TangleDiagram:
     """Parse the line-oriented diagram format; '#' starts a comment.
 
     Raises :class:`DiagramParseError` on syntax or sign problems and
     :class:`ValidationFailure` if the parsed diagram is not structurally
-    valid (unless ``check`` is False).
+    valid.
     """
     header: tuple[int, int] | None = None
     components: list[Component] = []
@@ -279,7 +275,7 @@ def parse(text: str, check: bool = True) -> TangleDiagram:
     if header is None:
         raise DiagramParseError("empty input: missing 'tangle' header", 1, 1)
     d = TangleDiagram(header[0], header[1], tuple(components), crossings)
-    return require_valid(d) if check else d
+    return require_valid(d)
 
 
 def serialize(d: TangleDiagram) -> str:
@@ -312,7 +308,7 @@ def to_json(d: TangleDiagram) -> dict:
     }
 
 
-def from_json(data: dict, check: bool = True) -> TangleDiagram:
+def from_json(data: dict) -> TangleDiagram:
     """Build a diagram from the mirror that :func:`to_json` writes.
 
     Raises :class:`DiagramParseError` when ``data`` does not have the
@@ -340,7 +336,7 @@ def from_json(data: dict, check: bool = True) -> TangleDiagram:
                                     "'end' slot names or null, and 'events' a list")
         components.append(Component(kind, _read_tokens(tokens, crossings), start, end))
     d = TangleDiagram(data["m"], data["n"], tuple(components), crossings)
-    return require_valid(d) if check else d
+    return require_valid(d)
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,6 @@ class TangleError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class MixedVariable(TangleError):
-    """A single-variable polynomial operation met a second variable."""
-
-
 class MissingSymbol(TangleError):
     """A numeric substitution did not cover every symbol present."""
 

@@ -49,12 +49,6 @@ class Labeling:
     def incoming(self, component: int, position: int) -> AffineInt:
         return self.labels[component][position]
 
-    def start(self, component: int) -> AffineInt:
-        return self.labels[component][0]
-
-    def final(self, component: int) -> AffineInt:
-        return self.labels[component][-1]
-
 
 def propagate_labels(d: TangleDiagram,
                      starts: Mapping[int, AffineInt | int] | None = None) -> Labeling:

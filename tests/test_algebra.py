@@ -4,9 +4,8 @@ from hypothesis import strategies as st
 
 from maip.algebra import (AffineInt, LaurentPoly, collapse_variables,
                           parse_affine, poly_from_json, poly_parse,
-                          poly_to_json, reindex, render, shift_monomial,
-                          substitute_symbols)
-from maip.errors import MissingSymbol, MixedVariable, PolyParseError, SymbolicExponent
+                          poly_to_json, reindex, render, substitute_symbols)
+from maip.errors import MissingSymbol, PolyParseError, SymbolicExponent
 
 
 def sym(i):
@@ -105,43 +104,6 @@ def test_poly_add_laws(p, q, r):
 def test_zero_exponents_merge_across_variables():
     p = LaurentPoly.monomial(1, 0, 3) + LaurentPoly.monomial(2, 0, -1)
     assert p == LaurentPoly.constant(2)
-
-
-# ---------------------------------------------------------------------------
-# shift_monomial
-
-
-def test_shift_recomputes_second_contribution():
-    # t1^(c1-c2-2) - 1 shifted by +1 -> t1^(c1-c2-1) - t1
-    p = LaurentPoly.monomial(1, aff(-2, c1=1, c2=-1)) + LaurentPoly.constant(-1)
-    shifted = shift_monomial(p, 1, AffineInt(1))
-    assert shifted == (LaurentPoly.monomial(1, aff(-1, c1=1, c2=-1))
-                       + LaurentPoly.monomial(1, 1, -1))
-
-
-def test_shift_negative():
-    # t1 - 1 shifted by -1 -> 1 - t1^(-1)
-    p = LaurentPoly.monomial(1, 1) + LaurentPoly.constant(-1)
-    shifted = shift_monomial(p, 1, AffineInt(-1))
-    assert shifted == LaurentPoly.constant(1) + LaurentPoly.monomial(1, -1, -1)
-
-
-def test_shift_zero_is_identity():
-    p = LaurentPoly.monomial(1, aff(0, c1=1)) + LaurentPoly.constant(4)
-    assert shift_monomial(p, 1, AffineInt(0)) == p
-
-
-def test_shift_rejects_other_variables():
-    p = LaurentPoly.monomial(2, 1)
-    with pytest.raises(MixedVariable):
-        shift_monomial(p, 1, AffineInt(1))
-
-
-@given(polys.filter(lambda p: len(p.variables()) <= 1), affine_ints, affine_ints)
-def test_shift_composes(p, a, b):
-    var = (p.variables() or (1,))[0]
-    lhs = shift_monomial(shift_monomial(p, var, a), var, b)
-    assert lhs == shift_monomial(p, var, a + b)
 
 
 # ---------------------------------------------------------------------------

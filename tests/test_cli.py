@@ -61,6 +61,14 @@ def test_compute_numeric_partial_assignment_fails():
     assert "c2" in res.stderr or "c3" in res.stderr
 
 
+@pytest.mark.parametrize("assignment", ["c\u00b2=1", "c" + "1" * 5000 + "=0"],
+                         ids=["superscript-index", "index-too-long-for-int"])
+def test_compute_numeric_bad_index_is_an_input_error(assignment):
+    res = run_cli("compute", fx("ex3"), "--numeric", assignment)
+    assert res.returncode == 2
+    assert "bad assignment" in res.stderr and "Traceback" not in res.stderr
+
+
 def test_compute_parse_error(tmp_path):
     bad = tmp_path / "bad.tangle"
     bad.write_text("tangle m=0 n=0\ncomponent 1 closed : O1+ U1-\n")
@@ -128,6 +136,17 @@ def test_compose_writes_output_file(tmp_path):
     res = run_cli("compose", fx("ex3"), fx("ex2"), "-o", str(out))
     assert res.returncode == 0
     assert parse(out.read_text()) == load("ex4")
+
+
+@pytest.mark.parametrize("command, target, reason", [
+    ("tensor", "missing/x", "No such file or directory"),
+    ("compose", ".", "Is a directory"),
+])
+def test_unwritable_output_is_an_input_error(command, target, reason, tmp_path):
+    out = str(tmp_path / target)
+    res = run_cli(command, fx("ex3"), fx("ex2"), "-o", out)
+    assert res.returncode == 2
+    assert res.stderr == f"error: {out}: {reason}\n"
 
 
 @pytest.mark.parametrize("what", ["moves", "prop2", "corollary", "compose", "vassiliev"])

@@ -37,8 +37,7 @@ def test_validate_slot_usage():
 
 
 def test_validate_unknown_kind_is_not_called_closed():
-    d = from_json({"m": 1, "n": 0, "components": [
-        {"kind": "loop", "start": "T1", "end": None, "events": []}]}, check=False)
+    d = TangleDiagram(1, 0, (Component("loop", (), "T1", None),), {})
     problems = validate(d)
     assert "component 1: unknown kind 'loop'" in problems
     assert not any("closed component" in p for p in problems)

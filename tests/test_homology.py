@@ -9,7 +9,7 @@ from maip.algebra import AffineInt
 from maip.diagram import OVER, UNDER, parse, random_diagram
 from maip.errors import NotClassical
 from maip.homology import (check_prop2, homological_weight, maip_via_homology,
-                           pairing, smooth_mixed_crossing, smooth_self_crossing)
+                           pairing, smoothing)
 from maip.invariant import maip, propagate_labels, weight_table
 
 
@@ -17,23 +17,25 @@ def aff(const=0, **coeffs):
     return AffineInt.of(const, {int(k[1:]): v for k, v in coeffs.items()})
 
 
+def all_refs(d):
+    return {(ev.crossing, ev.role) for comp in d.components for ev in comp.events}
+
+
 # ---------------------------------------------------------------------------
 # the pairing
 
 
 def test_pairing_empty_slice(ex3):
-    assert pairing(frozenset({(1, OVER), (1, UNDER)}), frozenset(), ex3) == 0
+    assert pairing(frozenset(), ex3) == 0
 
 
 def test_pairing_hand_traced_slice(ex3):
     # smoothing crossing 1 of the three-strand example leaves {U2-} against {O2-}
-    assert pairing(frozenset({(2, OVER)}), frozenset({(2, UNDER)}), ex3) == -1
+    assert pairing(frozenset({(2, UNDER)}), ex3) == -1
 
 
 def test_pairing_whole_diagram_slice(ex3):
-    everything = frozenset((ev.crossing, ev.role)
-                           for comp in ex3.components for ev in comp.events)
-    assert pairing(frozenset(), everything, ex3) == 0
+    assert pairing(frozenset(all_refs(ex3)), ex3) == 0
 
 
 def test_pairing_antisymmetric_under_swap():
@@ -42,7 +44,7 @@ def test_pairing_antisymmetric_under_swap():
         refs = [(ev.crossing, ev.role) for comp in d.components for ev in comp.events]
         half = frozenset(refs[: len(refs) // 2])
         rest = frozenset(refs[len(refs) // 2:])
-        assert pairing(rest, half, d) == -pairing(half, rest, d)
+        assert pairing(half, d) == -pairing(rest, d)
 
 
 def test_pairing_equals_label_increment_sum():
@@ -52,48 +54,74 @@ def test_pairing_equals_label_increment_sum():
         d = random_diagram(seed, 2, 1, 8)
         refs = [(ev.crossing, ev.role) for comp in d.components for ev in comp.events]
         half = frozenset(refs[::2])
-        rest = frozenset(refs[1::2])
         total = sum(increments[role](d.sign(cid)) for cid, role in half)
-        assert pairing(rest, half, d) == total
+        assert pairing(half, d) == total
+
+
+def two_set_pairing(rest, slice_, d):
+    """The pairing of a slice against an explicit complement, kept as the reference."""
+    total = 0
+    for cid in d.classical_ids():
+        over, under = (cid, OVER), (cid, UNDER)
+        in_slice = (over in slice_, under in slice_)
+        if in_slice == (True, False) and under in rest:
+            total -= d.sign(cid)
+        elif in_slice == (False, True) and over in rest:
+            total += d.sign(cid)
+    return total
+
+
+@given(st.integers(0, 10**6), st.integers(0, 2), st.integers(0, 2),
+       st.integers(0, 12), st.integers(0, 2))
+@settings(max_examples=150, deadline=None)
+def test_pairing_over_the_class_equals_the_two_set_pairing(seed, n_closed, n_long,
+                                                            n_crossings, n_singular):
+    if n_closed + n_long == 0:
+        n_long = 1
+    d = random_diagram(seed, n_closed, n_long, n_crossings, n_singular)
+    refs = all_refs(d)
+    positions = d.passage_positions()
+    for cid in d.classical_ids():
+        class_ = smoothing(d, cid, positions)
+        rest = refs - class_ - {(cid, OVER), (cid, UNDER)}
+        assert pairing(class_, d) == two_set_pairing(rest, class_, d)
 
 
 # ---------------------------------------------------------------------------
-# smoothing slices
+# smoothing classes
 
 
 def test_self_smoothing_slices(kink):
-    sl = smooth_self_crossing(kink, 1)
-    assert sl.slice == frozenset() and sl.rest == frozenset()
+    assert smoothing(kink, 1, kink.passage_positions()) == frozenset()
 
 
 def test_self_smoothing_keeps_basepoint_half():
     d = parse("tangle m=0 n=0\ncomponent 1 closed : O2+ O1+ U1+ U2+\n")
-    sl = smooth_self_crossing(d, 1)
-    assert sl.slice == frozenset({(2, OVER), (2, UNDER)})
-    assert sl.rest == frozenset()
+    assert smoothing(d, 1, d.passage_positions()) == frozenset({(2, OVER), (2, UNDER)})
 
 
 def test_mixed_smoothing_slices(ex3):
-    sl = smooth_mixed_crossing(ex3, 1)
-    assert sl.slice == frozenset({(2, UNDER)})
-    assert sl.rest == frozenset({(2, OVER)})
-    sl2 = smooth_mixed_crossing(ex3, 2)
-    assert sl2.slice == frozenset()
-    assert sl2.rest == frozenset({(1, OVER), (1, UNDER)})
+    positions = ex3.passage_positions()
+    assert smoothing(ex3, 1, positions) == frozenset({(2, UNDER)})
+    assert smoothing(ex3, 2, positions) == frozenset()
 
 
 def test_slices_partition_all_other_passages():
+    """The class and its complement partition the passages of the other crossings.
+
+    That holds exactly when the class avoids the smoothed crossing's own
+    two passages and draws only on the others, which is what lets
+    :func:`pairing` read the complement as "not in the class".
+    """
     for seed in range(20):
-        d = random_diagram(seed, 1, 2, 7)
-        refs = {(ev.crossing, ev.role) for comp in d.components for ev in comp.events}
+        d = random_diagram(seed, 1, 2, 7, n_singular=seed % 3)
+        refs = all_refs(d)
         positions = d.passage_positions()
         for cid in d.classical_ids():
-            ci, _ = positions[(cid, OVER)]
-            cj, _ = positions[(cid, UNDER)]
-            sl = (smooth_self_crossing(d, cid) if ci == cj
-                  else smooth_mixed_crossing(d, cid))
-            assert sl.slice | sl.rest == refs - {(cid, OVER), (cid, UNDER)}
-            assert not (sl.slice & sl.rest)
+            own = {(cid, OVER), (cid, UNDER)}
+            class_ = smoothing(d, cid, positions)
+            assert not (class_ & own)
+            assert class_ <= refs - own
 
 
 # ---------------------------------------------------------------------------
@@ -101,17 +129,18 @@ def test_slices_partition_all_other_passages():
 
 
 def test_homological_weights_ex3(ex3):
-    assert homological_weight(ex3, 1) == aff(-1, c1=1, c3=-1)
-    assert homological_weight(ex3, 2) == aff(0, c2=1, c3=-1)
+    positions = ex3.passage_positions()
+    assert homological_weight(ex3, 1, positions) == aff(-1, c1=1, c3=-1)
+    assert homological_weight(ex3, 2, positions) == aff(0, c2=1, c3=-1)
 
 
 def test_homological_weight_kink(kink):
-    assert homological_weight(kink, 1) == AffineInt(0)
+    assert homological_weight(kink, 1, kink.passage_positions()) == AffineInt(0)
 
 
 def test_homological_weight_requires_classical(singular):
     with pytest.raises(NotClassical):
-        homological_weight(singular, 1)
+        homological_weight(singular, 1, singular.passage_positions())
 
 
 def test_early_undercrossing_flag():

@@ -46,7 +46,7 @@ def test_labels_kink(kink):
 
 def test_labels_custom_starts(ex3):
     lab = propagate_labels(ex3, starts={1: 5, 2: AffineInt(0), 3: 2})
-    assert lab.start(1) == AffineInt(5)
+    assert lab.labels[1][0] == AffineInt(5)
     assert lab.delta == {1: -1, 2: 1, 3: 0}
 
 
