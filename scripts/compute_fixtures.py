@@ -36,7 +36,7 @@ def main():
     swap = {1: 2, 2: 1}
     print("compose(ex3, ex2) equals the ex4 fixture:", composite == diagrams["ex4"])
     print("ex1 equals the composite closed up (components renumbered):",
-          maip(diagrams["ex1"]) == reindex(maip(composite), swap, swap))
+          maip(diagrams["ex1"]) == reindex(maip(composite), swap))
 
 
 if __name__ == "__main__":

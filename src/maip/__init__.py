@@ -1,8 +1,7 @@
 """Polynomial invariants of oriented virtual tangles on Gauss codes."""
 
-from .algebra import (AffineInt, LaurentPoly, collapse_variables, poly_from_json,
-                      poly_parse, poly_to_json, reindex, render,
-                      substitute_symbols)
+from .algebra import (AffineInt, LaurentPoly, collapse_variables, poly_to_json,
+                      reindex, render, substitute_symbols)
 from .diagram import (Component, CrossingRecord, Passage, TangleDiagram,
                       from_json, parse, random_diagram, serialize, to_json,
                       validate)

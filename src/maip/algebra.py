@@ -12,17 +12,20 @@ A polynomial is stored as a mapping
     (variable index | None, exponent: AffineInt)  ->  nonzero int
 
 normalised so that any term with exponent 0 lives under the single
-variable-free key ``(None, 0)``: t_i^0 and t_j^0 are the same monomial
+variable-free key ``(None, 0)``: t_i^0 and t_j^0 are both the constant 1,
 and contributions from different variables must merge and cancel.
+
+Polynomials are output only: :func:`render` and :func:`poly_to_json`
+write them, and nothing reads them back.
 """
 
 from __future__ import annotations
 
-import re
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .errors import MissingSymbol, PolyParseError, SymbolicExponent
+from .errors import MissingSymbol, SymbolicExponent
 
 
 # ---------------------------------------------------------------------------
@@ -163,16 +166,6 @@ class LaurentPoly:
     def zero(cls) -> "LaurentPoly":
         return cls()
 
-    @classmethod
-    def constant(cls, k: int) -> "LaurentPoly":
-        return cls({(None, ZERO): k})
-
-    @classmethod
-    def monomial(cls, var: int, exp: AffineInt | int, coeff: int = 1) -> "LaurentPoly":
-        if isinstance(exp, int):
-            exp = AffineInt(exp)
-        return cls({(var, exp): coeff})
-
     @property
     def terms(self) -> dict[TermKey, int]:
         return dict(self._terms)
@@ -192,10 +185,7 @@ class LaurentPoly:
     __hash__ = None
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = dict(self._terms)
-        for key, coeff in other._terms.items():
-            out[key] = out.get(key, 0) + coeff
-        return LaurentPoly(out)
+        return LaurentPoly(itertools.chain(self._terms.items(), other._terms.items()))
 
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly({k: -c for k, c in self._terms.items()})
@@ -222,34 +212,24 @@ def _term_key(var: int | None, exp: AffineInt):
 
 def substitute_symbols(p: LaurentPoly, assignment: Mapping[int, int]) -> LaurentPoly:
     """Replace every symbol c_i with assignment[i]; exponents become constants."""
-    out: dict[TermKey, int] = {}
-    for (v, exp), coeff in p.terms.items():
-        key = (v, AffineInt(exp.substitute(assignment)))
-        out[key] = out.get(key, 0) + coeff
-    return LaurentPoly(out)
+    return LaurentPoly(((v, AffineInt(exp.substitute(assignment))), coeff)
+                       for (v, exp), coeff in p.terms.items())
 
 
 def collapse_variables(p: LaurentPoly) -> LaurentPoly:
     """Rename every variable to t_1, merging like terms (one-variable reduction)."""
-    out: dict[TermKey, int] = {}
-    for (v, exp), coeff in p.terms.items():
+    for _, exp in p.terms:
         if not exp.is_constant:
             raise SymbolicExponent(f"exponent {exp} still symbolic; substitute first")
-        key = (None if v is None else 1, exp)
-        out[key] = out.get(key, 0) + coeff
-    return LaurentPoly(out)
+    return LaurentPoly(((None if v is None else 1, exp), coeff)
+                       for (v, exp), coeff in p.terms.items())
 
 
-def reindex(p: LaurentPoly, var_map: Mapping[int, int] | None = None,
-            sym_map: Mapping[int, int] | None = None) -> LaurentPoly:
-    """Rename variable and symbol indices (missing entries stay fixed)."""
-    var_map = var_map or {}
-    sym_map = sym_map or {}
-    out: dict[TermKey, int] = {}
-    for (v, exp), coeff in p.terms.items():
-        key = (None if v is None else var_map.get(v, v), exp.rename_symbols(sym_map))
-        out[key] = out.get(key, 0) + coeff
-    return LaurentPoly(out)
+def reindex(p: LaurentPoly, index_map: Mapping[int, int]) -> LaurentPoly:
+    """Renumber t_i and c_i together by ``index_map`` (missing entries stay fixed)."""
+    return LaurentPoly(((None if v is None else index_map.get(v, v),
+                         exp.rename_symbols(index_map)), coeff)
+                       for (v, exp), coeff in p.terms.items())
 
 
 # ---------------------------------------------------------------------------
@@ -284,64 +264,6 @@ def render(p: LaurentPoly) -> str:
     return " ".join(pieces)
 
 
-_TERM_RE = re.compile(r"^(?:(\d+)\*?)?t(\d+)(?:\^\(([^()]+)\))?$")
-_AFFINE_PART_RE = re.compile(r"([+-]?)(?:(\d*)c(\d+)|(\d+))")
-
-
-def parse_affine(text: str) -> AffineInt:
-    """Parse an exponent such as ``c1-c3-1`` or ``-2``."""
-    text = text.replace(" ", "")
-    if not text:
-        raise PolyParseError("empty exponent")
-    pos = 0
-    const = 0
-    coeffs: dict[int, int] = {}
-    while pos < len(text):
-        m = _AFFINE_PART_RE.match(text, pos)
-        if not m or m.start() != pos:
-            raise PolyParseError(f"bad exponent {text!r} at offset {pos}")
-        sign = -1 if m.group(1) == "-" else 1
-        if m.group(3) is not None:
-            mult = int(m.group(2)) if m.group(2) else 1
-            i = int(m.group(3))
-            coeffs[i] = coeffs.get(i, 0) + sign * mult
-        else:
-            const += sign * int(m.group(4))
-        pos = m.end()
-    return AffineInt.of(const, coeffs)
-
-
-def poly_parse(text: str) -> LaurentPoly:
-    """Inverse of :func:`render` on canonical strings."""
-    text = text.strip()
-    if text == "0":
-        return LaurentPoly.zero()
-    if not text:
-        raise PolyParseError("empty polynomial")
-    chunks = re.split(r"\s+([+-])\s+", text)
-    terms: list[tuple[TermKey, int]] = []
-    sign = 1
-    first = chunks[0]
-    if first.startswith("-"):
-        sign = -1
-        first = first[1:]
-    pending = [(sign, first)]
-    for op, chunk in zip(chunks[1::2], chunks[2::2]):
-        pending.append((1 if op == "+" else -1, chunk))
-    for sign, chunk in pending:
-        if chunk.isdigit():
-            terms.append(((None, ZERO), sign * int(chunk)))
-            continue
-        m = _TERM_RE.match(chunk)
-        if not m:
-            raise PolyParseError(f"bad term {chunk!r}")
-        coeff = sign * (int(m.group(1)) if m.group(1) else 1)
-        var = int(m.group(2))
-        exp = parse_affine(m.group(3)) if m.group(3) is not None else ONE
-        terms.append(((var, exp), coeff))
-    return LaurentPoly(terms)
-
-
 # ---------------------------------------------------------------------------
 # JSON form
 
@@ -350,26 +272,9 @@ def affine_to_json(a: AffineInt) -> dict:
     return {"const": a.const, "syms": {f"c{i}": k for i, k in a.coeffs}}
 
 
-def affine_from_json(data: Mapping) -> AffineInt:
-    coeffs = {}
-    for name, k in data.get("syms", {}).items():
-        if not re.fullmatch(r"c\d+", name):
-            raise PolyParseError(f"bad symbol name {name!r}")
-        coeffs[int(name[1:])] = int(k)
-    return AffineInt.of(int(data.get("const", 0)), coeffs)
-
-
 def poly_to_json(p: LaurentPoly) -> list[dict]:
     return [
         {"var": var, "coeff": coeff, "exp": affine_to_json(exp)}
         for (var, exp), coeff in p.items_sorted()
     ]
 
-
-def poly_from_json(data: Iterable[Mapping]) -> LaurentPoly:
-    terms = []
-    for entry in data:
-        var = entry["var"]
-        terms.append(((None if var is None else int(var), affine_from_json(entry["exp"])),
-                      int(entry["coeff"])))
-    return LaurentPoly(terms)

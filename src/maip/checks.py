@@ -20,6 +20,8 @@ from .moves import random_walk
 from .tangle_ops import GluePlan, compose, predict_composed, tensor
 
 _TRIAL_STRIDE = 1_000_003
+_MAX_MOVES = 50  # longest walk of one moves trial
+_MAX_IFACE = 4   # most glued slots of one composable pair
 
 
 def _trial_seed(seed: int, trial: int) -> int:
@@ -76,18 +78,16 @@ def _trial(seed: int, trial: int, diagram: TangleDiagram | None = None,
     return tseed, rng, diagram
 
 
-def check_moves(trials: int, seed: int, diagram: TangleDiagram | None = None,
-                max_moves: int = 50) -> CheckReport:
+def check_moves(trials: int, seed: int, diagram: TangleDiagram | None = None) -> CheckReport:
     """Random walks of classical moves must preserve the polynomial exactly."""
     report = CheckReport("moves", trials, seed)
     total_moves = 0
     for trial in range(trials):
         tseed, rng, d = _trial(seed, trial, diagram)
-        n_moves = rng.randint(1, max_moves)
-        total_moves += n_moves
         before = maip(d)
         log: list[str] = []
-        walked = random_walk(d, n_moves, tseed + 1, log)
+        walked = random_walk(d, rng.randint(1, _MAX_MOVES), tseed + 1, log)
+        total_moves += len(log)
         problems = validate(walked)
         after = maip(walked)
         if problems or after != before:
@@ -198,23 +198,22 @@ def _random_side(rng: random.Random, iface_roles: list[str], iface_prefix: str,
     return TangleDiagram(m, n, tuple(components), crossings)
 
 
-def random_composable_pair(seed: int, max_iface: int = 4, max_crossings: int = 8,
-                           allow_cycles: bool = False):
+def random_composable_pair(seed: int, max_crossings: int = 8):
     """A deterministic composable (upper, lower, plan) triple.
 
-    Pairs whose gluing closes a cycle are redrawn unless allow_cycles,
-    since polynomial prediction is only defined for chain gluings.
+    Pairs whose gluing closes a cycle are redrawn, since polynomial
+    prediction is only defined for chain gluings.
     """
     for attempt in itertools.count():
         rng = random.Random(seed * 7919 + attempt)
-        n_iface = rng.randint(1, max_iface)
+        n_iface = rng.randint(1, _MAX_IFACE)
         flows = [rng.choice(("down", "up")) for _ in range(n_iface)]
         upper = _random_side(rng, ["end" if f == "down" else "start" for f in flows],
                              "B", "T", max_crossings)
         lower = _random_side(rng, ["start" if f == "down" else "end" for f in flows],
                              "T", "B", max_crossings)
         plan = GluePlan.from_tangles(upper, lower)
-        if allow_cycles or not plan.has_cycles:
+        if not plan.has_cycles:
             return upper, lower, plan
 
 
@@ -242,7 +241,7 @@ def check_compose_suite(trials: int, seed: int) -> CheckReport:
         both = tensor(upper, lower)
         offset_v = len(upper.components)
         shift = {i: i + offset_v for i in range(1, len(lower.components) + 1)}
-        expected = maip(upper) + reindex(maip(lower), shift, shift)
+        expected = maip(upper) + reindex(maip(lower), shift)
         if maip(both) != expected:
             problems.append("tensor additivity failed")
 

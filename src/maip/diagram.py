@@ -14,8 +14,8 @@ erasing them makes that part of the invariance story true by
 representation.
 
 Boundary slots are named ``T1..Tm`` (top, left to right) and ``B1..Bn``
-(bottom); each long component records the slot where it starts and the
-slot where it ends.
+(bottom); each long component records the slot it begins at and the
+slot it ends at.
 """
 
 from __future__ import annotations
@@ -195,6 +195,7 @@ _COMPONENT_RE = re.compile(
     r"^component\s+(\d+)\s+(?:(closed)|long\s+from\s+([TB]\d+)\s+to\s+([TB]\d+))\s*:(.*)$"
 )
 _TOKEN_RE = re.compile(r"([OU])(\d+)([+-])|([XY])(\d+)")
+_WORD_RE = re.compile(r"\S+")
 # Shared records, so that a crossing met twice with the same kind and
 # sign finds the very record it declared.
 _TOKEN_RECORDS = {"+": CrossingRecord.classical(1), "-": CrossingRecord.classical(-1),
@@ -209,37 +210,36 @@ def _number(digits: str, line: int, column: int) -> int:
 
 
 def _read_tokens(tokens, crossings: dict[int, CrossingRecord],
-                 line: int | None = None, raw: str = "") -> tuple[Passage, ...]:
+                 line: int | None = None) -> tuple[Passage, ...]:
     """One component's passages; declares each crossing met in ``crossings``.
 
-    Both input formats read their tokens here, so they share one set of
-    checks: a classical crossing keeps one sign, and no crossing is both
-    classical and singular.  ``line`` and ``raw`` place errors in text input.
+    ``tokens`` holds (token, 1-based column) pairs; JSON input has no
+    line and passes None for each column.  Both input formats read their
+    tokens here, so they share one set of checks: a classical crossing
+    keeps one sign, and no crossing is both classical and singular.
     """
-    def error(message: str, tok) -> DiagramParseError:
-        return DiagramParseError(message, line, raw.index(tok) + 1 if line is not None else None)
-
     events = []
-    for tok in tokens:
+    for tok, column in tokens:
         tm = _TOKEN_RE.fullmatch(tok) if isinstance(tok, str) else None
         if not tm:
-            raise error(f"bad token {tok!r}", tok)
+            raise DiagramParseError(f"bad token {tok!r}", line, column)
         try:
             cid = int(tm.group(2) or tm.group(5))
         except ValueError:  # more digits than the interpreter converts
-            raise error("crossing id is too long", tok) from None
+            raise DiagramParseError("crossing id is too long", line, column) from None
         rec = _TOKEN_RECORDS[tm.group(3)]
         prev = crossings.setdefault(cid, rec)
         if prev is not rec:
             if prev.is_classical != rec.is_classical:
-                raise error(f"crossing {cid} is both classical and singular", tok)
-            raise error(f"sign mismatch at crossing {cid}", tok)
+                raise DiagramParseError(
+                    f"crossing {cid} is both classical and singular", line, column)
+            raise DiagramParseError(f"sign mismatch at crossing {cid}", line, column)
         events.append(Passage(cid, tm.group(1) or tm.group(4)))
     return tuple(events)
 
 
 def parse(text: str) -> TangleDiagram:
-    """Parse the line-oriented diagram format; '#' starts a comment.
+    """Parse the line-oriented diagram format; '#' begins a comment.
 
     Raises :class:`DiagramParseError` on syntax or sign problems and
     :class:`ValidationFailure` if the parsed diagram is not structurally
@@ -266,7 +266,9 @@ def parse(text: str) -> TangleDiagram:
         if idx != len(components) + 1:
             raise DiagramParseError(
                 f"component index {idx} out of order (expected {len(components) + 1})", lineno, 11)
-        events = _read_tokens(m.group(5).split(), crossings, lineno, raw)
+        col = len(raw) - len(raw.lstrip()) + m.start(5) + 1  # where the token list begins
+        tokens = ((t.group(), col + t.start()) for t in _WORD_RE.finditer(m.group(5)))
+        events = _read_tokens(tokens, crossings, lineno)
         if m.group(2) == "closed":
             components.append(Component("closed", events))
         else:
@@ -334,7 +336,8 @@ def from_json(data: dict) -> TangleDiagram:
                 and all(slot is None or isinstance(slot, str) for slot in (start, end))):
             raise DiagramParseError(f"component {k}: 'kind' must be a string, 'start' and "
                                     "'end' slot names or null, and 'events' a list")
-        components.append(Component(kind, _read_tokens(tokens, crossings), start, end))
+        components.append(Component(kind, _read_tokens(((tok, None) for tok in tokens), crossings),
+                                    start, end))
     d = TangleDiagram(data["m"], data["n"], tuple(components), crossings)
     return require_valid(d)
 

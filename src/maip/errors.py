@@ -13,10 +13,6 @@ class SymbolicExponent(TangleError):
     """An operation requiring constant exponents met a symbolic one."""
 
 
-class PolyParseError(TangleError):
-    """Malformed polynomial string."""
-
-
 class DiagramParseError(TangleError):
     """Malformed diagram text; carries a 1-based line and column."""
 
@@ -45,7 +41,7 @@ class ArityMismatch(TangleError):
 
 
 class OrientationMismatch(TangleError):
-    """A gluing would join two starts or two ends."""
+    """A gluing would join a start to a start or an end to an end."""
 
 
 class NotClassical(TangleError):

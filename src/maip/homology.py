@@ -86,7 +86,6 @@ class Prop2Entry:
     weight: AffineInt
     homological: AffineInt
     expected: AffineInt
-    self_crossing: bool
     early_under: bool
     ok: bool
 
@@ -118,11 +117,10 @@ def check_prop2(d: TangleDiagram) -> Prop2Report:
         ci, p = positions[(cid, OVER)]
         cj, q = positions[(cid, UNDER)]
         wh = homological_weight(d, cid, positions)
-        self_crossing = ci == cj
-        early_under = self_crossing and q < p
+        early_under = ci == cj and q < p
         adjusted = wh - AffineInt(labeling.delta[cj])
         expected = -adjusted if early_under else adjusted
-        entries.append(Prop2Entry(cid, rec.weight, wh, expected, self_crossing, early_under,
+        entries.append(Prop2Entry(cid, rec.weight, wh, expected, early_under,
                                   rec.weight == expected))
     return Prop2Report(tuple(entries))
 

@@ -50,17 +50,12 @@ class Labeling:
         return self.labels[component][position]
 
 
-def propagate_labels(d: TangleDiagram,
-                     starts: Mapping[int, AffineInt | int] | None = None) -> Labeling:
-    """Propagate labels from each component's start (symbol c_i by default)."""
+def propagate_labels(d: TangleDiagram) -> Labeling:
+    """Propagate labels from each component's start, the symbol c_i."""
     labels: dict[int, tuple[AffineInt, ...]] = {}
     delta: dict[int, int] = {}
     for ci, comp in enumerate(d.components, start=1):
-        start = AffineInt.symbol(ci)
-        if starts is not None and ci in starts:
-            given = starts[ci]
-            start = AffineInt(given) if isinstance(given, int) else given
-        arcs = [start]
+        arcs = [AffineInt.symbol(ci)]
         for ev in comp.events:
             arcs.append(arcs[-1] + _increment(ev.role, d.crossings[ev.crossing].sign))
         labels[ci] = tuple(arcs)
@@ -91,9 +86,8 @@ def _contribution(labeling: Labeling, sign: int, over: tuple[int, int],
     return Contribution(sign, oi, ui, w)
 
 
-def weight_table(d: TangleDiagram, labeling: Labeling | None = None) -> dict[int, Contribution]:
+def weight_table(d: TangleDiagram, labeling: Labeling) -> dict[int, Contribution]:
     """Every classical crossing's summand, keyed by crossing id in ascending order."""
-    labeling = labeling or propagate_labels(d)
     positions = d.passage_positions()
     return {cid: _contribution(labeling, d.crossings[cid].sign,
                                positions[(cid, OVER)], positions[(cid, UNDER)])
@@ -131,17 +125,17 @@ def contribution_poly(records, delta: Mapping[int, int]) -> LaurentPoly:
     return LaurentPoly(terms)
 
 
-def structured_maip(d: TangleDiagram, labeling: Labeling | None = None) -> MaipContributions:
-    labeling = labeling or propagate_labels(d)
+def structured_maip(d: TangleDiagram) -> MaipContributions:
+    labeling = propagate_labels(d)
     records = tuple(weight_table(d, labeling).values())
     return MaipContributions(records, dict(labeling.delta))
 
 
-def maip(d: TangleDiagram, labeling: Labeling | None = None) -> LaurentPoly:
+def maip(d: TangleDiagram) -> LaurentPoly:
     """The multi-variable polynomial of a diagram without singular crossings."""
     if d.singular_ids():
         raise HasSingular("diagram has singular crossings; use resolve")
-    return structured_maip(d, labeling).polynomial()
+    return structured_maip(d).polynomial()
 
 
 # ---------------------------------------------------------------------------

@@ -50,9 +50,8 @@ class PlanEntry:
 
 @dataclass(frozen=True)
 class GluePlan:
-    """Slot pairing of a composition plus the derived component grouping."""
+    """The component grouping a composition's slot gluing produces."""
 
-    pairs: tuple[tuple[str, str], ...]          # (upper slot, lower slot)
     entries: tuple[PlanEntry, ...]
 
     @property
@@ -71,12 +70,10 @@ class GluePlan:
         lower_slots = lower.slot_map()
         succ: dict[tuple[str, int], tuple[str, int]] = {}
         pred: dict[tuple[str, int], tuple[str, int]] = {}
-        pairs = []
         for k in range(1, upper.n + 1):
             uslot, lslot = f"B{k}", f"T{k}"
             ucomp, uend = upper_slots[uslot]
             lcomp, lend = lower_slots[lslot]
-            pairs.append((uslot, lslot))
             if uend == "end" and lend == "start":
                 src, dst = (UPPER, ucomp), (LOWER, lcomp)
             elif uend == "start" and lend == "end":
@@ -117,7 +114,7 @@ class GluePlan:
             entries.append(PlanEntry("cycle", tuple(cycle)))
             seen.update(cycle)
         entries.sort(key=lambda e: (_SIDE_RANK[e.lead[0]], e.lead[1]))
-        return GluePlan(tuple(pairs), tuple(entries))
+        return GluePlan(tuple(entries))
 
 
 def tensor(t: TangleDiagram, t2: TangleDiagram) -> TangleDiagram:

@@ -2,6 +2,7 @@ from pathlib import Path
 
 import pytest
 
+from maip.algebra import AffineInt, LaurentPoly
 from maip.diagram import parse
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -13,6 +14,26 @@ def fixture_text(name: str) -> str:
 
 def load(name: str):
     return parse(fixture_text(name))
+
+
+def sym(i):
+    """The start-label symbol c_i."""
+    return AffineInt.symbol(i)
+
+
+def aff(const=0, **coeffs):
+    """An affine exponent, e.g. ``aff(-1, c1=1, c3=-1)`` for c1 - c3 - 1."""
+    return AffineInt.of(const, {int(k[1:]): v for k, v in coeffs.items()})
+
+
+def mono(var, exp, coeff=1):
+    """``coeff * t_var^exp``; an int exponent is a constant one."""
+    return LaurentPoly({(var, AffineInt(exp) if isinstance(exp, int) else exp): coeff})
+
+
+def const(k):
+    """The constant polynomial k."""
+    return LaurentPoly({(None, AffineInt(0)): k})
 
 
 @pytest.fixture

@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from maip import cli, invariant
-from maip.algebra import poly_from_json, render
+from maip.algebra import poly_to_json, render
 from maip.diagram import parse, random_diagram, serialize
 from maip.invariant import maip
 
@@ -46,7 +46,7 @@ def test_compute_singular_is_an_input_error():
 def test_compute_json_round_trips():
     res = run_cli("compute", fx("ex3"), "--json")
     assert res.returncode == 0
-    assert poly_from_json(json.loads(res.stdout)) == maip(load("ex3"))
+    assert json.loads(res.stdout) == poly_to_json(maip(load("ex3")))
 
 
 def test_compute_numeric_and_collapse():
@@ -166,6 +166,14 @@ def test_check_file_based_moves():
     res = run_cli("check", fx("ex1"), "--what", "moves", "--trials", "10", "--seed", "4")
     assert res.returncode == 0
     assert "PASS" in res.stdout
+
+
+def test_check_moves_counts_applied_moves(tmp_path, capsys):
+    # No move applies to a diagram without components, so every walk stops at once.
+    path = tmp_path / "empty.tangle"
+    path.write_text("tangle m=0 n=0\n")
+    assert cli.main(["check", str(path), "--what", "moves", "--trials", "5", "--seed", "1"]) == 0
+    assert "moves_applied=0 PASS" in capsys.readouterr().out
 
 
 def test_check_json_report():

@@ -75,6 +75,18 @@ def test_parse_reports_position():
     assert err.value.column == 26
 
 
+@pytest.mark.parametrize("text, column", [
+    # the bad token's text also appears earlier on the line, as a slot
+    ("tangle m=1 n=1\ncomponent 1 long from T1 to B1 : O1+ U1+ T1\n", 42),
+    # X1 clashes with O1+; the text "X1" first occurs inside "X12"
+    ("tangle m=0 n=0\ncomponent 1 closed : O1+ X12 U1+ Y12 X1\n", 38),
+], ids=["same-text-as-a-slot", "same-text-inside-a-token"])
+def test_parse_error_points_at_the_token(text, column):
+    with pytest.raises(DiagramParseError) as err:
+        parse(text)
+    assert (err.value.line, err.value.column) == (2, column)
+
+
 def test_parse_comments_and_blank_lines(kink):
     text = "# a kink\n\ntangle m=0 n=0\ncomponent 1 closed : O1+ U1+  # the kink\n"
     assert parse(text) == kink

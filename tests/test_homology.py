@@ -12,9 +12,7 @@ from maip.homology import (check_prop2, homological_weight, maip_via_homology,
                            pairing, smoothing)
 from maip.invariant import maip, propagate_labels, weight_table
 
-
-def aff(const=0, **coeffs):
-    return AffineInt.of(const, {int(k[1:]): v for k, v in coeffs.items()})
+from conftest import aff
 
 
 def all_refs(d):
@@ -155,7 +153,7 @@ def test_prop2_ex3(ex3):
 
 
 def test_prop2_checks_the_weights_the_polynomial_uses(ex3, monkeypatch):
-    def shifted(d, labeling=None):
+    def shifted(d, labeling):
         table = weight_table(d, labeling)
         return {cid: replace(rec, weight=rec.weight + 1) for cid, rec in table.items()}
 

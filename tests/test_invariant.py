@@ -3,23 +3,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maip import checks
-from maip.algebra import (AffineInt, LaurentPoly, render, substitute_symbols)
-from maip.diagram import random_diagram, validate
+from maip.algebra import AffineInt, LaurentPoly, render, substitute_symbols
+from maip.diagram import OVER, random_diagram, validate
 from maip.errors import HasSingular, NoSingular
-from maip.invariant import (maip, propagate_labels, resolve_singular,
-                            structured_maip, vassiliev_eval, weight_table)
+from maip.invariant import (Labeling, contribution_poly, maip, propagate_labels,
+                            resolve_singular, structured_maip, vassiliev_eval,
+                            weight_table)
 
-
-def sym(i):
-    return AffineInt.symbol(i)
-
-
-def aff(const=0, **coeffs):
-    return AffineInt.of(const, {int(k[1:]): v for k, v in coeffs.items()})
-
-
-def mono(var, exp, coeff=1):
-    return LaurentPoly.monomial(var, exp, coeff)
+from conftest import aff, const, mono, sym
 
 
 # ---------------------------------------------------------------------------
@@ -42,12 +33,6 @@ def test_labels_kink(kink):
     lab = propagate_labels(kink)
     assert lab.delta == {1: 0}
     assert lab.labels[1] == (sym(1), sym(1) - 1, sym(1))
-
-
-def test_labels_custom_starts(ex3):
-    lab = propagate_labels(ex3, starts={1: 5, 2: AffineInt(0), 3: 2})
-    assert lab.labels[1][0] == AffineInt(5)
-    assert lab.delta == {1: -1, 2: 1, 3: 0}
 
 
 def test_self_crossing_only_components_have_zero_delta():
@@ -93,7 +78,7 @@ def test_kink_weight_is_zero(kink):
 def test_weight_requires_classical(singular, ex2):
     # only classical crossings carry a weight; singular crossing 1 has none
     assert weight_table(singular, propagate_labels(singular)) == {}
-    assert list(weight_table(ex2)) == ex2.classical_ids()
+    assert list(weight_table(ex2, propagate_labels(ex2))) == ex2.classical_ids()
 
 
 # ---------------------------------------------------------------------------
@@ -107,13 +92,13 @@ def test_maip_ex3(ex3):
 
 
 def test_maip_ex2(ex2):
-    expected = (LaurentPoly.constant(1) + mono(1, -1, -1)
+    expected = (const(1) + mono(1, -1, -1)
                 + mono(1, aff(-1, c1=1, c2=-1)) + mono(1, 1, -1))
     assert maip(ex2) == expected
 
 
 def test_maip_ex1(ex1):
-    expected = (LaurentPoly.constant(1) + mono(1, -1, -1) + mono(1, aff(0, c1=1, c2=-1))
+    expected = (const(1) + mono(1, -1, -1) + mono(1, aff(0, c1=1, c2=-1))
                 + mono(1, 1, -1) + mono(2, aff(-1, c1=-1, c2=1))
                 + mono(2, aff(0, c1=-1, c2=1), -1))
     assert maip(ex1) == expected
@@ -135,7 +120,17 @@ def test_maip_commutes_with_symbol_substitution():
         d = random_diagram(seed, seed % 2, 1 + seed % 2, seed % 10)
         assignment = {i: (i * 3 - 2) for i in range(1, len(d.components) + 1)}
         via_poly = substitute_symbols(maip(d), assignment)
-        via_labels = maip(d, propagate_labels(d, starts=assignment))
+        # Walk the labels from the integer starts: -sign over, +sign under.
+        labels = {}
+        for ci, comp in enumerate(d.components, start=1):
+            arcs = [AffineInt(assignment[ci])]
+            for ev in comp.events:
+                sign = d.sign(ev.crossing)
+                arcs.append(arcs[-1] + (-sign if ev.role == OVER else sign))
+            labels[ci] = tuple(arcs)
+        delta = {ci: (arcs[-1] - arcs[0]).const for ci, arcs in labels.items()}
+        numeric = Labeling(labels, delta)
+        via_labels = contribution_poly(tuple(weight_table(d, numeric).values()), delta)
         assert via_poly == via_labels
 
 

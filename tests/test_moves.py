@@ -65,7 +65,7 @@ def test_r2_insert_across_strands_cancels():
             assert validate(d) == []
             assert len(d.classical_ids()) == 2
             assert maip(d).is_zero()
-            w = weight_table(d)
+            w = weight_table(d, propagate_labels(d))
             assert w[1].weight == w[2].weight
 
 
@@ -158,8 +158,8 @@ def _untouched_preserved(d, moved, touched_components):
 def test_moves_preserve_untouched_deltas_and_weights(ex1):
     d = r1_insert(ex1, (1, 2), -1)
     _untouched_preserved(ex1, d, {1})
-    before = weight_table(ex1)
-    after = weight_table(d)
+    before = weight_table(ex1, propagate_labels(ex1))
+    after = weight_table(d, propagate_labels(d))
     for cid, entry in before.items():
         assert after[cid] == entry
 
@@ -176,11 +176,11 @@ def test_every_move_kind_preserves_untouched_weights():
         "R2+": r2_insert(base, (1, 0), (4, 2), -1, False),
         "R3": r3_apply(base, find_r3_sites(base)[0]),
     }
-    original = weight_table(base)
+    original = weight_table(base, propagate_labels(base))
     for kind, d in moved.items():
         assert validate(d) == [], kind
         assert maip(d) == maip(base), kind
-        table = weight_table(d)
+        table = weight_table(d, propagate_labels(d))
         for cid, entry in original.items():
             assert table[cid] == entry, (kind, cid)
 
