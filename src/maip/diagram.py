@@ -262,11 +262,14 @@ def parse(text: str) -> TangleDiagram:
         m = _COMPONENT_RE.match(line)
         if not m:
             raise DiagramParseError("expected a 'component ...' line", lineno, 1)
-        idx = _number(m.group(1), lineno, 11)
+        indent = len(raw) - len(raw.lstrip())
+        idx_col = indent + m.start(1) + 1
+        idx = _number(m.group(1), lineno, idx_col)
         if idx != len(components) + 1:
             raise DiagramParseError(
-                f"component index {idx} out of order (expected {len(components) + 1})", lineno, 11)
-        col = len(raw) - len(raw.lstrip()) + m.start(5) + 1  # where the token list begins
+                f"component index {idx} out of order (expected {len(components) + 1})",
+                lineno, idx_col)
+        col = indent + m.start(5) + 1  # where the token list begins
         tokens = ((t.group(), col + t.start()) for t in _WORD_RE.finditer(m.group(5)))
         events = _read_tokens(tokens, crossings, lineno)
         if m.group(2) == "closed":

@@ -20,14 +20,28 @@ smoothed crossing has no passage in the class.  So "the other passage
 is in the complement" means "the other passage is not in the class",
 and the pairing needs the class alone.
 
-These homological weights satisfy, for every classical crossing,
+The pairing of a class is the sum of the label increments (-s at an
+Over, +s at an Under) of its classical passages: a crossing with both
+passages in the class adds -s + s = 0, one with a single passage there
+the very term the pairing counts.  Without singular crossings these sums
+telescope.  Let a crossing of sign s have over-incoming label a at
+offset p on component i and under-incoming label b at offset q on
+component j, so W = a - b - s.  In general the class is i's events
+before p and j's after q, summing to (a - c_i) + (c_j + delta_j - b - s);
+for a self-crossing met Under-first (q < p) it is the events before q
+and after p, summing to (b - c_i) + (c_i + delta_i - a + s).  Adding
+c_i - c_j gives, for every classical crossing,
 
     W = +(W_h - delta_j)   in general,
     W = -(W_h - delta_i)   for a self-crossing met Under-first,
 
 which is what :func:`check_prop2` verifies and what lets
 :func:`maip_via_homology` rebuild the invariant without ever reading the
-labeling-derived weights.
+labeling-derived weights.  As a telescoped identity, prop2 and the
+corollary still catch faults in the class boundaries, the sign
+conventions (the delta adjustment, the Under-first case, c_i - c_j) and
+the position index, not a fault shared by the labeling's increments and
+the pairing's signs.
 """
 
 from __future__ import annotations

@@ -73,7 +73,7 @@ def _insert(events: tuple[Passage, ...], pos: int, new: tuple[Passage, ...]) -> 
 
 
 def r1_insert(d: TangleDiagram, pos: tuple[int, int], sign: int,
-              order: str = OVER_FIRST) -> TangleDiagram:
+              order: str) -> TangleDiagram:
     """Add a kink: a fresh crossing with both passages adjacent at pos."""
     ci, k = pos
     if not 1 <= ci <= len(d.components):
@@ -119,7 +119,7 @@ def r1_delete(d: TangleDiagram, site: MoveSite) -> TangleDiagram:
 
 
 def r2_insert(d: TangleDiagram, pos_a: tuple[int, int], pos_b: tuple[int, int],
-              sign: int, same_direction: bool = True) -> TangleDiagram:
+              sign: int, same_direction: bool) -> TangleDiagram:
     """Slide strand A over strand B: two fresh crossings of opposite signs.
 
     Strand A receives the adjacent pair (O_x, O_y); strand B receives
@@ -278,13 +278,13 @@ def _arc_positions(d: TangleDiagram) -> list[tuple[int, int]]:
 
 
 def random_walk(d: TangleDiagram, n_moves: int, seed: int,
-                log: list[str] | None = None) -> TangleDiagram:
+                log: list[str]) -> TangleDiagram:
     """Apply n_moves uniformly chosen applicable moves, deterministically.
 
     The move kind is drawn uniformly among kinds with at least one
     applicable site, then the site (or insertion position, sign, and
     variant) uniformly within the kind.  Each applied move's description
-    is appended to ``log`` when given.
+    is appended to ``log``.
     """
     rng = random.Random(seed)
     out = d
@@ -327,6 +327,5 @@ def random_walk(d: TangleDiagram, n_moves: int, seed: int,
         else:
             site = rng.choice(r3_sites)
             out = r3_apply(out, site)
-        if log is not None:
-            log.append(site.describe())
+        log.append(site.describe())
     return out

@@ -1,34 +1,46 @@
 """Building diagrams from generator words.
 
-A generator word is a stack of rows, each row a left-to-right tensor of
-basic atoms: identity strands, cups, caps, classical crossings and
-virtual crossings.  Rows are listed top to bottom; adjacent rows must
-agree on strand count and strand direction at their shared interface.
+A generator word is a stack of rows, each a left-to-right tensor of
+atoms: identity strands, cups, caps, classical and virtual crossings.
+Rows are listed top to bottom; adjacent rows must agree on strand count
+and direction.  Directions are ``"u"`` (upward) and ``"d"`` (downward).
+In a crossing atom, strand A runs bottom-left to top-right and is the
+overstrand of a ``positive`` atom; the sign follows from the two
+directions, so a positive atom on two upward strands is a +1 crossing.
+A virtual crossing only reroutes strands and leaves no passage.
 
-Directions are written ``"u"`` (flow upward through the interface) and
-``"d"`` (downward).  In a crossing atom, strand A occupies bottom-left
-and top-right and is the overstrand of a ``positive`` atom; the recorded
-crossing sign is computed from the two strand directions, so a positive
-atom on two upward strands yields a +1 crossing.
-
-Virtual-crossing atoms only reroute strands: they produce no passage in
-the resulting diagram.
+Each atom's ``tangle()`` is an elementary tangle, a row is the
+:func:`~maip.tangle_ops.tensor` of its atoms' tangles, and the word is
+the :func:`~maip.tangle_ops.compose` of its rows from the top down.  So
+the word over ``rows`` equals the composite of the word over
+``rows[:-1]`` with its last row, and it is numbered as those operations
+number it: crossing ids run 1..k over the classical atoms in row-major
+order, and each composition numbers components by their lead part (a
+chain's free head, a loop's lowest-numbered part, upper rows first) and
+bases a loop it closes at the start of that part.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 from .diagram import OVER, UNDER, Component, CrossingRecord, Passage, TangleDiagram
-from .errors import ArityMismatch, DirectionMismatch
+from .errors import DirectionMismatch, OrientationMismatch
+from .tangle_ops import compose, tensor
 
 _DIRS = ("u", "d")
 
 
-def _check_dir(d: str) -> str:
+def _check_dir(d: str) -> None:
     if d not in _DIRS:
         raise ValueError(f"direction must be 'u' or 'd', got {d!r}")
-    return d
+
+
+def _strand(a: str, b: str, direction_at_a: str, events=()) -> Component:
+    """The strand joining slots a and b; it starts at a T slot going "d", a B slot going "u"."""
+    starts_at_a = direction_at_a == ("d" if a[0] == "T" else "u")
+    return Component("long", events, *((a, b) if starts_at_a else (b, a)))
 
 
 @dataclass(frozen=True)
@@ -38,13 +50,8 @@ class Identity:
     def __post_init__(self):
         _check_dir(self.direction)
 
-    @property
-    def bottom(self):
-        return (self.direction,)
-
-    @property
-    def top(self):
-        return (self.direction,)
+    def tangle(self) -> TangleDiagram:
+        return TangleDiagram(1, 1, (_strand("B1", "T1", self.direction),))
 
 
 @dataclass(frozen=True)
@@ -57,13 +64,8 @@ class Cup:
         if sorted(self.dirs) != ["d", "u"]:
             raise ValueError(f"cup needs one 'u' and one 'd' leg, got {self.dirs}")
 
-    @property
-    def bottom(self):
-        return ()
-
-    @property
-    def top(self):
-        return self.dirs
+    def tangle(self) -> TangleDiagram:
+        return TangleDiagram(2, 0, (_strand("T1", "T2", self.dirs[0]),))
 
 
 @dataclass(frozen=True)
@@ -76,13 +78,8 @@ class Cap:
         if sorted(self.dirs) != ["d", "u"]:
             raise ValueError(f"cap needs one 'u' and one 'd' leg, got {self.dirs}")
 
-    @property
-    def bottom(self):
-        return self.dirs
-
-    @property
-    def top(self):
-        return ()
+    def tangle(self) -> TangleDiagram:
+        return TangleDiagram(0, 2, (_strand("B1", "B2", self.dirs[0]),))
 
 
 @dataclass(frozen=True)
@@ -103,25 +100,19 @@ class Crossing:
         _check_dir(self.dir_a)
         _check_dir(self.dir_b)
 
-    @property
-    def bottom(self):
-        return (self.dir_a, self.dir_b)
-
-    @property
-    def top(self):
-        return (self.dir_b, self.dir_a)
-
-    @property
-    def is_classical(self) -> bool:
-        return self.kind != "virtual"
-
     def sign(self) -> int:
-        vec = {"u": {"a": (1, 1), "b": (-1, 1)}, "d": {"a": (-1, -1), "b": (1, -1)}}
-        va = vec[self.dir_a]["a"]
-        vb = vec[self.dir_b]["b"]
-        over, under = (va, vb) if self.kind == "positive" else (vb, va)
-        crossp = over[0] * under[1] - over[1] * under[0]
-        return 1 if crossp > 0 else -1
+        return (1 if self.dir_a == self.dir_b else -1) * (1 if self.kind == "positive" else -1)
+
+    def tangle(self) -> TangleDiagram:
+        """Strand A then strand B; a classical atom is crossing 1."""
+        if self.kind == "virtual":
+            events_a, events_b, crossings = (), (), {}
+        else:
+            role_a, role_b = (OVER, UNDER) if self.kind == "positive" else (UNDER, OVER)
+            events_a, events_b = (Passage(1, role_a),), (Passage(1, role_b),)
+            crossings = {1: CrossingRecord.classical(self.sign())}
+        return TangleDiagram(2, 2, (_strand("B1", "T2", self.dir_a, events_a),
+                                    _strand("B2", "T1", self.dir_b, events_b)), crossings)
 
 
 Atom = Identity | Cup | Cap | Crossing
@@ -132,146 +123,17 @@ class GeneratorWord:
     rows: tuple[tuple[Atom, ...], ...]
 
 
-# A port is (row, side, position); side is "top" or "bot".  Flow enters an
-# atom at a bottom port directed "u" or a top port directed "d".
-
-
-def _row_layout(row):
-    """Per-atom port offsets plus the row's bottom/top direction lists."""
-    bots, tops, spans = [], [], []
-    for atom in row:
-        spans.append((len(bots), len(tops)))
-        bots.extend(atom.bottom)
-        tops.extend(atom.top)
-    return bots, tops, spans
+def _row(atoms) -> TangleDiagram:
+    return reduce(tensor, (atom.tangle() for atom in atoms), TangleDiagram(0, 0, (), {}))
 
 
 def from_generator_word(word: GeneratorWord) -> TangleDiagram:
-    """Trace strands through the rows and read off the Gauss code."""
-    rows = word.rows
-    layouts = [_row_layout(r) for r in rows]
-    for i in range(len(rows) - 1):
-        below_top = layouts[i + 1][1]
-        above_bot = layouts[i][0]
-        if len(above_bot) != len(below_top):
-            raise ArityMismatch(
-                f"row {i} has {len(above_bot)} bottom strands, row {i + 1} has {len(below_top)} top strands")
-        if above_bot != below_top:
-            raise DirectionMismatch(f"rows {i} and {i + 1} disagree on strand directions")
-
-    # internal connections: partner port within the same atom, plus passage
-    # metadata for classical crossing atoms
-    partner: dict[tuple, tuple] = {}
-    conn_meta: dict[frozenset, tuple[int, str] | None] = {}
-    crossings: dict[int, CrossingRecord] = {}
-    next_id = 1
-    for ri, row in enumerate(rows):
-        _, _, spans = layouts[ri]
-        for ai, atom in enumerate(row):
-            boff, toff = spans[ai]
-            if isinstance(atom, Identity):
-                pairs = [(("bot", boff), ("top", toff), None)]
-            elif isinstance(atom, Cup):
-                pairs = [(("top", toff), ("top", toff + 1), None)]
-            elif isinstance(atom, Cap):
-                pairs = [(("bot", boff), ("bot", boff + 1), None)]
-            else:
-                meta_a = meta_b = None
-                if atom.is_classical:
-                    cid = next_id
-                    next_id += 1
-                    crossings[cid] = CrossingRecord.classical(atom.sign())
-                    over_a = atom.kind == "positive"
-                    meta_a = (cid, OVER if over_a else UNDER)
-                    meta_b = (cid, UNDER if over_a else OVER)
-                pairs = [
-                    (("bot", boff), ("top", toff + 1), meta_a),
-                    (("bot", boff + 1), ("top", toff), meta_b),
-                ]
-            for (s1, p1), (s2, p2), meta in pairs:
-                a, b = (ri, s1, p1), (ri, s2, p2)
-                partner[a] = b
-                partner[b] = a
-                conn_meta[frozenset((a, b))] = meta
-
-    def port_dir(port):
-        ri, side, pos = port
-        bots, tops, _ = layouts[ri]
-        return bots[pos] if side == "bot" else tops[pos]
-
-    def enters_atom(port):
-        _, side, _ = port
-        return port_dir(port) == ("u" if side == "bot" else "d")
-
-    def hop(port):
-        """Leave the diagram region through an interface; None if outer."""
-        ri, side, pos = port
-        if side == "top":
-            return None if ri == 0 else (ri - 1, "bot", pos)
-        return None if ri == len(rows) - 1 else (ri + 1, "top", pos)
-
-    m = len(layouts[0][1]) if rows else 0
-    n = len(layouts[-1][0]) if rows else 0
-
-    def outer_slot(port):
-        ri, side, pos = port
-        return f"T{pos + 1}" if side == "top" else f"B{pos + 1}"
-
-    visited: set[tuple] = set()
-
-    def walk(entry):
-        """Follow flow from an atom-entry port; return (events, exit port)."""
-        events = []
-        port = entry
-        while True:
-            visited.add(port)
-            out = partner[port]
-            visited.add(out)
-            meta = conn_meta[frozenset((port, out))]
-            if meta is not None:
-                events.append(Passage(*meta))
-            nxt = hop(out)
-            if nxt is None:
-                return events, out
-            port = nxt
-
-    components = []
-    entry_ports = []
-    for pos in range(m):
-        if port_dir((0, "top", pos)) == "d":
-            entry_ports.append((0, "top", pos))
-    for pos in range(n):
-        if port_dir((len(rows) - 1, "bot", pos)) == "u":
-            entry_ports.append((len(rows) - 1, "bot", pos))
-    for entry in entry_ports:
-        events, exit_port = walk(entry)
-        components.append(Component("long", tuple(events), outer_slot(entry), outer_slot(exit_port)))
-
-    side_rank = {"top": 0, "bot": 1}
-    leftovers = sorted(
-        (p for p in partner if p not in visited),
-        key=lambda p: (p[0], side_rank[p[1]], p[2]),
-    )
-    for port in leftovers:
-        if port in visited:
-            continue
-        start = port if enters_atom(port) else hop(port)
-        if start is None:
-            raise DirectionMismatch(f"dead-end strand at outer port {port}")
-        events = []
-        cur = start
-        while True:
-            visited.add(cur)
-            out = partner[cur]
-            visited.add(out)
-            meta = conn_meta[frozenset((cur, out))]
-            if meta is not None:
-                events.append(Passage(*meta))
-            cur = hop(out)
-            if cur is None:
-                raise DirectionMismatch(f"open strand reached the boundary from {port}")
-            if cur == start:
-                break
-        components.append(Component("closed", tuple(events)))
-
-    return TangleDiagram(m, n, tuple(components), crossings)
+    """Tensor each row's atoms, then compose the rows from the top down."""
+    rows = [_row(r) for r in word.rows] or [_row(())]
+    diagram = rows[0]
+    for i, lower in enumerate(rows[1:]):
+        try:
+            diagram = compose(diagram, lower)
+        except OrientationMismatch:
+            raise DirectionMismatch(f"rows {i} and {i + 1} disagree on strand directions") from None
+    return diagram

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,6 +8,8 @@ from maip.diagram import (Component, CrossingRecord, Passage, TangleDiagram,
                           from_json, parse, random_diagram, serialize, to_json,
                           validate)
 from maip.errors import ArityMismatch, DiagramParseError, DirectionMismatch
+from maip.invariant import maip, propagate_labels
+from maip.tangle_ops import compose
 from maip.words import (Cap, Crossing, Cup, GeneratorWord, Identity,
                         from_generator_word)
 
@@ -80,7 +84,12 @@ def test_parse_reports_position():
     ("tangle m=1 n=1\ncomponent 1 long from T1 to B1 : O1+ U1+ T1\n", 42),
     # X1 clashes with O1+; the text "X1" first occurs inside "X12"
     ("tangle m=0 n=0\ncomponent 1 closed : O1+ X12 U1+ Y12 X1\n", 38),
-], ids=["same-text-as-a-slot", "same-text-inside-a-token"])
+    # component indices out of order, and one too long to convert
+    ("tangle m=0 n=0\ncomponent  2 closed :\n", 12),
+    ("tangle m=0 n=0\n    component 2 closed :\n", 15),
+    ("tangle m=0 n=0\n  component " + "1" * 5000 + " closed :\n", 13),
+], ids=["same-text-as-a-slot", "same-text-inside-a-token", "index-after-two-spaces",
+        "indented-index", "indented-over-long-index"])
 def test_parse_error_points_at_the_token(text, column):
     with pytest.raises(DiagramParseError) as err:
         parse(text)
@@ -163,14 +172,16 @@ def test_word_positive_crossing_on_upward_strands():
     assert d.components[1].start == "B2" and d.components[1].end == "T1"
 
 
-def test_word_negative_crossing_sign():
-    d = from_generator_word(GeneratorWord(((Crossing("negative", "u", "u"),),)))
-    assert d.crossings[1].sign == -1
-
-
-def test_word_reversed_strand_flips_sign():
-    d = from_generator_word(GeneratorWord(((Crossing("positive", "u", "d"),),)))
-    assert d.crossings[1].sign == -1
+@pytest.mark.parametrize("kind, dir_a, dir_b, sign", [
+    ("positive", "u", "u", 1), ("positive", "u", "d", -1),
+    ("positive", "d", "u", -1), ("positive", "d", "d", 1),
+    ("negative", "u", "u", -1), ("negative", "u", "d", 1),
+    ("negative", "d", "u", 1), ("negative", "d", "d", -1),
+])
+def test_word_crossing_sign(kind, dir_a, dir_b, sign):
+    atom = Crossing(kind, dir_a, dir_b)
+    d = from_generator_word(GeneratorWord(((atom,),)))
+    assert atom.sign() == d.crossings[1].sign == sign
 
 
 def test_word_virtual_crossing_leaves_no_trace():
@@ -211,3 +222,82 @@ def test_word_tensor_rows_concatenate_boundaries():
     double = from_generator_word(GeneratorWord(((Identity("u"), Identity("u")),)))
     assert (single.m, single.n) == (1, 1)
     assert (double.m, double.n) == (2, 2)
+
+
+def random_rows(rng, n_rows):
+    """Rows of a random valid word, top to bottom: each row's bottom is the next one's top."""
+    top = [rng.choice("ud") for _ in range(rng.randrange(5))]
+    rows = []
+    for _ in range(n_rows):
+        row, bottom, i = [], [], 0
+        while i < len(top) or rng.random() < 0.2:  # caps may widen the row
+            r = rng.random()
+            if r < 0.15 or i == len(top):
+                dirs = rng.choice((("u", "d"), ("d", "u")))
+                row.append(Cap(dirs))
+                bottom += dirs
+            elif i + 1 < len(top) and r < 0.6:
+                dir_b, dir_a = top[i], top[i + 1]
+                if dir_a != dir_b and r < 0.3:
+                    row.append(Cup((dir_b, dir_a)))
+                else:
+                    row.append(Crossing(rng.choice(("positive", "negative", "virtual")),
+                                        dir_a, dir_b))
+                    bottom += (dir_a, dir_b)
+                i += 2
+            else:
+                row.append(Identity(top[i]))
+                bottom.append(top[i])
+                i += 1
+        rows.append(tuple(row))
+        top = bottom
+    return tuple(rows)
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=150, deadline=None)
+def test_random_word_valid_with_row_major_crossing_ids(seed):
+    rng = random.Random(seed)
+    rows = random_rows(rng, rng.randrange(1, 6))
+    d = from_generator_word(GeneratorWord(rows))
+    assert validate(d) == []
+    classical = [atom for row in rows for atom in row
+                 if isinstance(atom, Crossing) and atom.kind != "virtual"]
+    assert ({cid: rec.sign for cid, rec in d.crossings.items()}
+            == {k: atom.sign() for k, atom in enumerate(classical, start=1)})
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=150, deadline=None)
+def test_word_is_the_composite_of_its_rows(seed):
+    rng = random.Random(seed)
+    rows = random_rows(rng, rng.randrange(2, 6))
+    upper = from_generator_word(GeneratorWord(rows[:-1]))
+    lower = from_generator_word(GeneratorWord(rows[-1:]))
+    assert from_generator_word(GeneratorWord(rows)) == compose(upper, lower)
+
+
+def trefoil_rows(long):
+    """The 2-strand closure of sigma_1^3, its return strand on the right.
+
+    The long closure leaves strand 1 open (a 1-1 tangle); the closed one
+    joins it to an outer return strand.
+    """
+    cap, cup = Cap(("u", "d")), Cup(("u", "d"))
+    twist = (Crossing("positive", "u", "u"), Identity("d"))
+    rows = ((Identity("u"), cap),) + (twist,) * 3 + ((Identity("u"), cup),)
+    if long:
+        return rows
+    return ((cap,),) + tuple(row + (Identity("d"),) for row in rows) + ((cup,),)
+
+
+@pytest.mark.parametrize("long", [False, True], ids=["closed", "long"])
+def test_trefoil_closure_has_zero_polynomial(long):
+    # one-component classical diagrams have maip == 0 (Kauffman 2013)
+    d = from_generator_word(GeneratorWord(trefoil_rows(long)))
+    assert validate(d) == []
+    assert (d.m, d.n) == ((1, 1) if long else (0, 0))
+    assert [c.kind for c in d.components] == ["long" if long else "closed"]
+    assert len(d.classical_ids()) == 3
+    assert propagate_labels(d).delta == {1: 0}
+    assert maip(d).is_zero()

@@ -85,6 +85,23 @@ def test_pairing_over_the_class_equals_the_two_set_pairing(seed, n_closed, n_lon
         assert pairing(class_, d) == two_set_pairing(rest, class_, d)
 
 
+@given(st.integers(0, 10**6), st.integers(0, 2), st.integers(0, 2),
+       st.integers(0, 12), st.integers(0, 2))
+@settings(max_examples=150, deadline=None)
+def test_pairing_of_a_smoothing_is_its_class_increment_sum(seed, n_closed, n_long,
+                                                          n_crossings, n_singular):
+    """The pairing lemma that Prop 2 telescopes from (see the homology docstring)."""
+    if n_closed + n_long == 0:
+        n_long = 1
+    d = random_diagram(seed, n_closed, n_long, n_crossings, n_singular)
+    increment = {OVER: -1, UNDER: 1}  # times the sign; singular passages are left out
+    positions = d.passage_positions()
+    for cid in d.classical_ids():
+        class_ = smoothing(d, cid, positions)
+        total = sum(increment[role] * d.sign(c) for c, role in class_ if role in increment)
+        assert pairing(class_, d) == total
+
+
 # ---------------------------------------------------------------------------
 # smoothing classes
 

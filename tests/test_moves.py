@@ -21,7 +21,7 @@ def crossing_free_loop():
 
 
 def test_r1_insert_makes_kink(kink):
-    d = r1_insert(crossing_free_loop(), (1, 0), 1)
+    d = r1_insert(crossing_free_loop(), (1, 0), 1, "over_first")
     assert d == kink
     assert maip(d).is_zero()
 
@@ -156,7 +156,7 @@ def _untouched_preserved(d, moved, touched_components):
 
 
 def test_moves_preserve_untouched_deltas_and_weights(ex1):
-    d = r1_insert(ex1, (1, 2), -1)
+    d = r1_insert(ex1, (1, 2), -1, "over_first")
     _untouched_preserved(ex1, d, {1})
     before = weight_table(ex1, propagate_labels(ex1))
     after = weight_table(d, propagate_labels(d))
@@ -172,7 +172,7 @@ def test_every_move_kind_preserves_untouched_weights():
         "component 3 long from B3 to T3 : U2+ U3+\n"
         "component 4 closed : O4- U4-\n")
     moved = {
-        "R1+": r1_insert(base, (4, 1), 1),
+        "R1+": r1_insert(base, (4, 1), 1, "over_first"),
         "R2+": r2_insert(base, (1, 0), (4, 2), -1, False),
         "R3": r3_apply(base, find_r3_sites(base)[0]),
     }
@@ -187,7 +187,7 @@ def test_every_move_kind_preserves_untouched_weights():
 
 def test_walk_stress_large_move_count():
     d = random_diagram(123, 1, 2, 10)
-    walked = random_walk(d, 200, 321)
+    walked = random_walk(d, 200, 321, [])
     assert validate(walked) == []
     assert maip(walked) == maip(d)
 
@@ -197,12 +197,12 @@ def test_walk_stress_large_move_count():
 
 
 def test_random_walk_zero_moves(ex3):
-    assert random_walk(ex3, 0, 1) == ex3
+    assert random_walk(ex3, 0, 1, []) == ex3
 
 
 def test_random_walk_deterministic(ex1):
-    a = random_walk(ex1, 25, 42)
-    b = random_walk(ex1, 25, 42)
+    a = random_walk(ex1, 25, 42, [])
+    b = random_walk(ex1, 25, 42, [])
     assert a == b
 
 
@@ -217,7 +217,7 @@ def test_random_walk_logs_moves(ex1):
 @settings(max_examples=60, deadline=None)
 def test_random_walk_preserves_polynomial(seed, n_moves):
     d = random_diagram(seed, seed % 2, 1 + seed % 3, seed % 13)
-    walked = random_walk(d, n_moves, seed + 1)
+    walked = random_walk(d, n_moves, seed + 1, [])
     assert validate(walked) == [], serialize(walked)
     assert maip(walked) == maip(d)
 
@@ -226,6 +226,6 @@ def test_random_walk_preserves_polynomial(seed, n_moves):
 @settings(max_examples=30, deadline=None)
 def test_random_walk_preserves_resolved_sum_on_singular_diagrams(seed):
     d = random_diagram(seed, seed % 2, 1 + seed % 2, seed % 8, n_singular=1)
-    walked = random_walk(d, 1 + seed % 25, seed + 1)
+    walked = random_walk(d, 1 + seed % 25, seed + 1, [])
     assert validate(walked) == []
     assert vassiliev_eval(walked) == vassiliev_eval(d)
