@@ -360,6 +360,8 @@ def random_diagram(seed: int, n_closed: int, n_long: int, n_crossings: int,
     """
     if n_crossings < 0 or n_singular < 0:
         raise ValueError("crossing counts must be >= 0")
+    if n_closed < 0 or n_long < 0:
+        raise ValueError("component counts must be >= 0")
     total = n_closed + n_long
     if total == 0 and (n_crossings or n_singular):
         raise ValueError("crossings need at least one component")

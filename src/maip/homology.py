@@ -116,51 +116,49 @@ class Prop2Report:
         return [e for e in self.entries if not e.ok]
 
 
+def _predicted_weights(d: TangleDiagram, delta: dict[int, int]):
+    """Per classical crossing, ascending: (cid, i, j, W_h, early_under, W).
+
+    W is the weight Prop 2 predicts from W_h alone, +(W_h - delta_j) in
+    general and -(W_h - delta_i) for a self-crossing met Under-first.
+    """
+    if d.singular_ids():
+        raise HasSingular("resolve singular crossings first")
+    positions = d.passage_positions()
+    for cid in d.classical_ids():
+        ci, p = positions[(cid, OVER)]
+        cj, q = positions[(cid, UNDER)]
+        wh = homological_weight(d, cid, positions)
+        early_under = ci == cj and q < p
+        adjusted = wh - delta[cj]
+        yield cid, ci, cj, wh, early_under, -adjusted if early_under else adjusted
+
+
 def check_prop2(d: TangleDiagram) -> Prop2Report:
     """Verify W = +/-(W_h - delta) for every classical crossing.
 
     W is read from :func:`weight_table`, the table the polynomial is
     built from, so a fault there shows here.
     """
-    if d.singular_ids():
-        raise HasSingular("resolve singular crossings first")
     labeling = propagate_labels(d)
-    positions = d.passage_positions()
+    table = weight_table(d, labeling)
     entries = []
-    for cid, rec in weight_table(d, labeling).items():
-        ci, p = positions[(cid, OVER)]
-        cj, q = positions[(cid, UNDER)]
-        wh = homological_weight(d, cid, positions)
-        early_under = ci == cj and q < p
-        adjusted = wh - AffineInt(labeling.delta[cj])
-        expected = -adjusted if early_under else adjusted
-        entries.append(Prop2Entry(cid, rec.weight, wh, expected, early_under,
-                                  rec.weight == expected))
+    for cid, _, _, wh, early_under, expected in _predicted_weights(d, labeling.delta):
+        weight = table[cid].weight
+        entries.append(Prop2Entry(cid, weight, wh, expected, early_under, weight == expected))
     return Prop2Report(tuple(entries))
 
 
 def maip_via_homology(d: TangleDiagram) -> LaurentPoly:
     """Rebuild the invariant from homological weights alone.
 
-    Early undercrossings contribute sign * t_i^(-W_h + 2 delta_i), early
-    overcrossings and mixed crossings sign * t_i^(W_h), and the constant
-    parts are restored by subtracting sign * t_i^(delta_j) over all
-    classical crossings.
+    Each classical crossing contributes sign * (t_i^(W + delta_j) -
+    t_i^(delta_j)), with W the weight Prop 2 predicts from W_h.
     """
-    if d.singular_ids():
-        raise HasSingular("resolve singular crossings first")
     delta = propagate_labels(d).delta
-    positions = d.passage_positions()
     terms: dict[tuple[int, AffineInt], int] = {}
-    for cid in d.classical_ids():
-        ci, p = positions[(cid, OVER)]
-        cj, q = positions[(cid, UNDER)]
+    for cid, ci, cj, _, _, w in _predicted_weights(d, delta):
         sign = d.sign(cid)
-        wh = homological_weight(d, cid, positions)
-        if ci == cj and q < p:
-            exponent = -wh + 2 * AffineInt(delta[ci])
-        else:
-            exponent = wh
-        for key, coeff in (((ci, exponent), sign), ((ci, AffineInt(delta[cj])), -sign)):
+        for key, coeff in (((ci, w + delta[cj]), sign), ((ci, AffineInt(delta[cj])), -sign)):
             terms[key] = terms.get(key, 0) + coeff
     return LaurentPoly(terms)

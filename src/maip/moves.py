@@ -14,6 +14,15 @@ the top, middle and bottom strands, or the mirror image produced by
 applying the move once.  The three crossings must share one sign; with
 mixed signs the pair swap shifts the middle labels and is not
 weight-preserving, so such sites are never offered.
+
+Insertions (R1+, R2+) take a position and fresh crossing parameters.
+Every other site is found by :func:`find_sites`, one pass over the
+adjacent passage pairs of each component with one passage-position
+index; each pattern is written there and nowhere else.
+:func:`apply_site` applies exactly the sites that scan offers on the
+given diagram and raises :class:`NotApplicable` for anything else; an
+R3 site swaps each of its three pairs, an R1- or R2- site drops its
+pairs and their crossings.
 """
 
 from __future__ import annotations
@@ -69,7 +78,7 @@ def _insert(events: tuple[Passage, ...], pos: int, new: tuple[Passage, ...]) -> 
 
 
 # ---------------------------------------------------------------------------
-# R1
+# insertions
 
 
 def r1_insert(d: TangleDiagram, pos: tuple[int, int], sign: int,
@@ -87,35 +96,6 @@ def r1_insert(d: TangleDiagram, pos: tuple[int, int], sign: int,
     crossings = dict(d.crossings)
     crossings[cid] = CrossingRecord.classical(sign)
     return _with_events(d, ci, _insert(d.components[ci - 1].events, k, pair), crossings)
-
-
-def find_r1_delete_sites(d: TangleDiagram) -> list[MoveSite]:
-    sites = []
-    for ci, comp in enumerate(d.components, start=1):
-        for k in range(len(comp.events) - 1):
-            a, b = comp.events[k], comp.events[k + 1]
-            if a.crossing == b.crossing and {a.role, b.role} == {OVER, UNDER}:
-                sites.append(MoveSite("R1-", ((ci, k),)))
-    return sites
-
-
-def r1_delete(d: TangleDiagram, site: MoveSite) -> TangleDiagram:
-    ((ci, k),) = site.anchors
-    if not 1 <= ci <= len(d.components):
-        raise NotApplicable("R1 site out of range")
-    comp = d.components[ci - 1]
-    if not 0 <= k <= len(comp.events) - 2:
-        raise NotApplicable("R1 site out of range")
-    a, b = comp.events[k], comp.events[k + 1]
-    if a.crossing != b.crossing or {a.role, b.role} != {OVER, UNDER}:
-        raise NotApplicable("no kink at the given site")
-    crossings = dict(d.crossings)
-    del crossings[a.crossing]
-    return _with_events(d, ci, comp.events[:k] + comp.events[k + 2:], crossings)
-
-
-# ---------------------------------------------------------------------------
-# R2
 
 
 def r2_insert(d: TangleDiagram, pos_a: tuple[int, int], pos_b: tuple[int, int],
@@ -145,73 +125,26 @@ def r2_insert(d: TangleDiagram, pos_a: tuple[int, int], pos_b: tuple[int, int],
     return _with_events(out, cb, _insert(out.components[cb - 1].events, kb, unders))
 
 
-def find_r2_delete_sites(d: TangleDiagram) -> list[MoveSite]:
-    """Adjacent (O_x, O_y) paired with adjacent under passages of x and y.
-
-    x and y must carry opposite signs; the under pair may appear in
-    either order (parallel or antiparallel strands).
-    """
-    positions = d.passage_positions()
-    sites = []
-    for ci, comp in enumerate(d.components, start=1):
-        for k in range(len(comp.events) - 1):
-            a, b = comp.events[k], comp.events[k + 1]
-            if a.role != OVER or b.role != OVER or a.crossing == b.crossing:
-                continue
-            if d.sign(a.crossing) != -d.sign(b.crossing):
-                continue
-            cu, ku = positions[(a.crossing, UNDER)]
-            cv, kv = positions[(b.crossing, UNDER)]
-            if cu == cv and abs(ku - kv) == 1:
-                sites.append(MoveSite("R2-", ((ci, k), (cu, min(ku, kv)))))
-    return sites
-
-
-def r2_delete(d: TangleDiagram, site: MoveSite) -> TangleDiagram:
-    (co, ko), (cu, ku) = site.anchors
-    for ci, k in site.anchors:
-        if not (1 <= ci <= len(d.components)
-                and 0 <= k <= len(d.components[ci - 1].events) - 2):
-            raise NotApplicable("R2 site out of range")
-    over_pair = d.components[co - 1].events[ko:ko + 2]
-    under_pair = d.components[cu - 1].events[ku:ku + 2]
-    if ({p.role for p in over_pair} != {OVER}
-            or {p.role for p in under_pair} != {UNDER}
-            or {p.crossing for p in over_pair} != {p.crossing for p in under_pair}
-            or d.sign(over_pair[0].crossing) != -d.sign(over_pair[1].crossing)):
-        raise NotApplicable("no parallel-strand pattern at the given site")
-    doomed = {p.crossing for p in over_pair}
-    crossings = {cid: rec for cid, rec in d.crossings.items() if cid not in doomed}
-    comps = list(d.components)
-    for ci, k in sorted(((co, ko), (cu, ku)), reverse=True):
-        comp = comps[ci - 1]
-        comps[ci - 1] = replace(comp, events=comp.events[:k] + comp.events[k + 2:])
-    return TangleDiagram(d.m, d.n, tuple(comps), crossings)
-
-
 # ---------------------------------------------------------------------------
-# R3
+# site scan and rewrite
 
 
 def _r3_pattern(d: TangleDiagram, anchors) -> bool:
     """True when the three adjacent pairs form the slide configuration.
 
-    Either chirality is accepted: top (O_x, O_y) with middle (U_x, O_z)
-    and bottom (U_y, U_z), or the mirror image top (O_y, O_x) with
-    middle (O_z, U_x) and bottom (U_z, U_y).  All six passages involve
-    exactly three crossings sharing one sign.
+    The top pair is the scan's (O_x, O_y) with x != y.  Either chirality
+    is accepted: top (O_x, O_y) with middle (U_x, O_z) and bottom
+    (U_y, U_z), or the mirror image top (O_y, O_x) with middle (O_z, U_x)
+    and bottom (U_z, U_y).  All six passages involve exactly three
+    crossings sharing one sign.
     """
     pairs = []
     for ci, k in anchors:
-        if not 1 <= ci <= len(d.components):
-            return False
         events = d.components[ci - 1].events
         if not 0 <= k <= len(events) - 2:
             return False
         pairs.append((events[k], events[k + 1]))
     (t1, t2), (m1, m2), (b1, b2) = pairs
-    if t1.role != OVER or t2.role != OVER or t1.crossing == t2.crossing:
-        return False
     if m1.role == UNDER and m2.role == OVER:
         x, y = t1.crossing, t2.crossing
         z = m2.crossing
@@ -228,40 +161,72 @@ def _r3_pattern(d: TangleDiagram, anchors) -> bool:
             and d.sign(x) == d.sign(y) == d.sign(z))
 
 
-def find_r3_sites(d: TangleDiagram) -> list[MoveSite]:
-    """Triples of equal-sign crossings in the slide configuration.
+def find_sites(d: TangleDiagram) -> dict[str, list[MoveSite]]:
+    """Every R1-, R2- and R3 site, from one pass over adjacent passage pairs.
 
-    Anchors are the (component, offset) of the top, middle and bottom
-    adjacent pairs.  Both chiralities are offered, so applying a move
-    leaves the same anchors applicable and a second application undoes
-    the first.
+    A kink (one crossing met as O and U in a row) is an R1- site.  An
+    adjacent (O_x, O_y) pair with x != y is the top of an R2- site when
+    x and y carry opposite signs and their under passages are adjacent
+    on one component, in either order (parallel or antiparallel
+    strands).  The same pair, with the same two under positions, names
+    the two R3 candidates, one per chirality, kept when they match
+    :func:`_r3_pattern`; their anchors are the top, middle and bottom
+    pairs, so an applied R3 leaves its anchors a site and a second
+    application undoes the first.  Each list runs in component, then
+    offset order.
     """
     positions = d.passage_positions()
-    sites = []
+    sites: dict[str, list[MoveSite]] = {"R1-": [], "R2-": [], "R3": []}
     for ci, comp in enumerate(d.components, start=1):
         for k in range(len(comp.events) - 1):
             a, b = comp.events[k], comp.events[k + 1]
-            if a.role != OVER or b.role != OVER or a.crossing == b.crossing:
+            if a.crossing == b.crossing:
+                if {a.role, b.role} == {OVER, UNDER}:
+                    sites["R1-"].append(MoveSite("R1-", ((ci, k),)))
                 continue
-            for x, y, mid_offset in ((a.crossing, b.crossing, 0), (b.crossing, a.crossing, -1)):
-                cm, km = positions[(x, UNDER)]
-                cb_, kb = positions[(y, UNDER)]
-                anchors = ((ci, k), (cm, km + mid_offset), (cb_, kb + mid_offset))
+            if a.role != OVER or b.role != OVER:
+                continue
+            cu, ku = positions[(a.crossing, UNDER)]
+            cv, kv = positions[(b.crossing, UNDER)]
+            if d.sign(a.crossing) == -d.sign(b.crossing) and cu == cv and abs(ku - kv) == 1:
+                sites["R2-"].append(MoveSite("R2-", ((ci, k), (cu, min(ku, kv)))))
+            for anchors in (((ci, k), (cu, ku), (cv, kv)), ((ci, k), (cv, kv - 1), (cu, ku - 1))):
                 if _r3_pattern(d, anchors):
-                    sites.append(MoveSite("R3", anchors))
+                    sites["R3"].append(MoveSite("R3", anchors))
     return sites
 
 
-def r3_apply(d: TangleDiagram, site: MoveSite) -> TangleDiagram:
-    """Swap the order within each of the three adjacent passage pairs."""
-    if site.kind != "R3" or len(site.anchors) != 3 or not _r3_pattern(d, site.anchors):
-        raise NotApplicable("not an R3 site")
-    out = d
-    for ci, k in site.anchors:
-        comp = out.components[ci - 1]
-        a, b = comp.events[k], comp.events[k + 1]
-        out = _with_events(out, ci, comp.events[:k] + (b, a) + comp.events[k + 2:])
-    return out
+def find_r1_delete_sites(d: TangleDiagram) -> list[MoveSite]:
+    return find_sites(d)["R1-"]
+
+
+def find_r2_delete_sites(d: TangleDiagram) -> list[MoveSite]:
+    return find_sites(d)["R2-"]
+
+
+def find_r3_sites(d: TangleDiagram) -> list[MoveSite]:
+    return find_sites(d)["R3"]
+
+
+def apply_site(d: TangleDiagram, site: MoveSite) -> TangleDiagram:
+    """Apply an R1-, R2- or R3 site that :func:`find_sites` offers on d."""
+    if site not in find_sites(d).get(site.kind, ()):
+        raise NotApplicable(f"not a site of this diagram: {site.describe()}")
+    return _rewrite(d, site)
+
+
+def _rewrite(d: TangleDiagram, site: MoveSite) -> TangleDiagram:
+    """R3 swaps each anchored pair; R1-/R2- drop them and their crossings."""
+    comps = list(d.components)
+    doomed = set()
+    if site.kind != "R3":
+        doomed = {ev.crossing for ci, k in site.anchors for ev in comps[ci - 1].events[k:k + 2]}
+    for ci, k in sorted(site.anchors, reverse=True):
+        events = comps[ci - 1].events
+        kept = (events[k + 1], events[k]) if site.kind == "R3" else ()
+        comps[ci - 1] = replace(comps[ci - 1], events=events[:k] + kept + events[k + 2:])
+    crossings = {cid: rec for cid, rec in d.crossings.items() if cid not in doomed}
+    return TangleDiagram(d.m, d.n, tuple(comps), crossings)
 
 
 # ---------------------------------------------------------------------------
@@ -289,18 +254,9 @@ def random_walk(d: TangleDiagram, n_moves: int, seed: int,
     rng = random.Random(seed)
     out = d
     for _ in range(n_moves):
-        kinds: list[str] = []
-        if out.components:
-            kinds.extend(_INSERT_KINDS)
-        r1_sites = find_r1_delete_sites(out)
-        if r1_sites:
-            kinds.append("R1-")
-        r2_sites = find_r2_delete_sites(out)
-        if r2_sites:
-            kinds.append("R2-")
-        r3_sites = find_r3_sites(out)
-        if r3_sites:
-            kinds.append("R3")
+        sites = find_sites(out)
+        kinds = list(_INSERT_KINDS) if out.components else []
+        kinds += [kind for kind, found in sites.items() if found]
         if not kinds:
             break
         kind = rng.choice(kinds)
@@ -318,14 +274,8 @@ def random_walk(d: TangleDiagram, n_moves: int, seed: int,
             same = rng.choice((True, False))
             site = MoveSite("R2+", (pos_a, pos_b), sign=sign, same_direction=same)
             out = r2_insert(out, pos_a, pos_b, sign, same)
-        elif kind == "R1-":
-            site = rng.choice(r1_sites)
-            out = r1_delete(out, site)
-        elif kind == "R2-":
-            site = rng.choice(r2_sites)
-            out = r2_delete(out, site)
         else:
-            site = rng.choice(r3_sites)
-            out = r3_apply(out, site)
+            site = rng.choice(sites[kind])
+            out = _rewrite(out, site)
         log.append(site.describe())
     return out

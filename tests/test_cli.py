@@ -1,4 +1,5 @@
 import json
+import shlex
 import subprocess
 import sys
 import time
@@ -356,3 +357,29 @@ def test_compute_never_raises(tmp_path, text):
     path = tmp_path / "fuzz.tangle"
     path.write_text(text, encoding="utf-8")
     assert cli.main(["compute", str(path)]) in (0, 2)
+
+
+def readme_examples():
+    """(command, shown output) for each `$ maip ...` example in README's CLI section."""
+    text = (FIXTURES.parent / "README.md").read_text()
+    block = text.split("Examples, from the repository root:", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for chunk in block.split("$ maip ")[1:]:
+        command, _, shown = chunk.partition("\n")
+        examples.append((command, shown.rstrip("\n") + "\n"))
+    return examples
+
+
+README_EXAMPLES = readme_examples()
+
+
+def test_readme_shows_an_example_of_each_main_command():
+    assert [c.split()[0] for c, _ in README_EXAMPLES] == ["compute", "resolve", "compose", "check"]
+
+
+@pytest.mark.parametrize("command,shown", README_EXAMPLES, ids=[c.split()[0] for c, _ in README_EXAMPLES])
+def test_readme_example_prints_what_it_shows(monkeypatch, capsys, command, shown):
+    monkeypatch.chdir(FIXTURES.parent)
+    assert cli.main(shlex.split(command)) == 0
+    assert capsys.readouterr().out == shown

@@ -130,6 +130,13 @@ def test_random_diagram_trivial():
     assert d == TangleDiagram(0, 0, (Component("closed", ()),), {})
 
 
+@pytest.mark.parametrize("counts", [(-1, 2, 3), (2, -1, 3), (0, 0, -1)],
+                         ids=["closed", "long", "crossings"])
+def test_random_diagram_rejects_negative_counts(counts):
+    with pytest.raises(ValueError):
+        random_diagram(0, *counts)
+
+
 def test_round_trip_with_two_digit_ids_and_slots():
     d = random_diagram(17, 2, 8, 14, n_singular=2)
     assert max(d.crossings) >= 10

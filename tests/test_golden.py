@@ -3,6 +3,10 @@
 The digests pin the exact text and JSON the package prints, so a change
 to how polynomials are assembled must leave every byte of output alone.
 They were taken from the quadratic, one-crossing-at-a-time assembly.
+
+The walk digest pins the seeded random walk: its move logs, the walked
+diagrams and the order of the deletion and R3 sites found on them, which
+``rng.choice`` reads.  It was taken from the three separate site scans.
 """
 
 import hashlib
@@ -10,8 +14,10 @@ import json
 
 from maip.algebra import poly_to_json, render
 from maip.checks import random_composable_pair
-from maip.diagram import random_diagram
+from maip.diagram import random_diagram, serialize
 from maip.invariant import maip, structured_maip
+from maip.moves import (find_r1_delete_sites, find_r2_delete_sites,
+                        find_r3_sites, random_walk)
 from maip.tangle_ops import predict_composed
 
 
@@ -37,6 +43,18 @@ def compose_corpus():
         yield predict_composed(structured_maip(upper), structured_maip(lower), plan)
 
 
+def walk_digest():
+    h = hashlib.sha256()
+    for seed in range(400):
+        d = random_diagram(seed, seed % 3, 1 + seed % 3, seed % 14, n_singular=seed % 2)
+        log = []
+        walked = random_walk(d, 1 + seed % 40, seed + 1, log)
+        h.update("\n".join(log).encode() + b"\0" + serialize(walked).encode() + b"\0")
+        for find in (find_r1_delete_sites, find_r2_delete_sites, find_r3_sites):
+            h.update(" | ".join(s.describe() for s in find(walked)).encode() + b"\0")
+    return h.hexdigest()
+
+
 MAIP_DIGESTS = (
     "4c9c045c2d71c2aa470b8722a8a77415174f29c8aff465256aa3049b61cfb498",
     "78ac1abf5a00b46926a5bc84086410f3ad60109474a285fc872ad4df0b22a237",
@@ -45,6 +63,7 @@ COMPOSE_DIGESTS = (
     "06b3813805b865bb399bbfdfb1b1577463ef5708b0f7022db9d5daf61bddcb05",
     "11077b417fb20ed92f995c24246cd8b4a60450d8932629ef1b18cfb0f2122d72",
 )
+WALK_DIGEST = "2f3dddf58a70e2fe5e35ef8a755de0115b8f8d235204028278e5fb98d8f7d9f7"
 
 
 def test_maip_output_is_unchanged():
@@ -53,3 +72,7 @@ def test_maip_output_is_unchanged():
 
 def test_predicted_composite_output_is_unchanged():
     assert digests(compose_corpus()) == COMPOSE_DIGESTS
+
+
+def test_walk_logs_diagrams_and_site_order_are_unchanged():
+    assert walk_digest() == WALK_DIGEST

@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 from maip.diagram import parse, random_diagram, serialize, validate
 from maip.errors import NotApplicable
 from maip.invariant import maip, propagate_labels, vassiliev_eval, weight_table
-from maip.moves import (MoveSite, find_r1_delete_sites, find_r2_delete_sites,
-                        find_r3_sites, r1_delete, r1_insert, r2_delete,
-                        r2_insert, r3_apply, random_walk)
+from maip.moves import (MoveSite, apply_site, find_r1_delete_sites,
+                        find_r2_delete_sites, find_r3_sites, find_sites,
+                        r1_insert, r2_insert, random_walk)
 
 TWO_STRANDS = "tangle m=2 n=2\ncomponent 1 long from B1 to T1 :\ncomponent 2 long from B2 to T2 :\n"
 
@@ -29,7 +29,7 @@ def test_r1_insert_makes_kink(kink):
 def test_r1_round_trip(kink):
     sites = find_r1_delete_sites(kink)
     assert len(sites) == 1
-    assert r1_delete(kink, sites[0]) == crossing_free_loop()
+    assert apply_site(kink, sites[0]) == crossing_free_loop()
 
 
 def test_r1_orders():
@@ -44,7 +44,7 @@ def test_r1_orders():
 
 def test_r1_delete_rejects_non_kink(ex3):
     with pytest.raises(NotApplicable):
-        r1_delete(ex3, MoveSite("R1-", ((3, 0),)))
+        apply_site(ex3, MoveSite("R1-", ((3, 0),)))
 
 
 def test_r1_no_wraparound_sites():
@@ -74,7 +74,7 @@ def test_r2_round_trip():
     d = r2_insert(base, (1, 0), (2, 0), 1, True)
     sites = find_r2_delete_sites(d)
     assert len(sites) == 1
-    assert r2_delete(d, sites[0]) == base
+    assert apply_site(d, sites[0]) == base
 
 
 def test_r2_same_component():
@@ -83,7 +83,7 @@ def test_r2_same_component():
     assert validate(d) == []
     assert maip(d).is_zero()
     sites = find_r2_delete_sites(d)
-    assert sites and r2_delete(d, sites[0]) == base
+    assert sites and apply_site(d, sites[0]) == base
 
 
 def test_r2_delete_rejects_same_sign_pair():
@@ -92,7 +92,7 @@ def test_r2_delete_rejects_same_sign_pair():
               "component 2 long from B2 to T2 : U1+ U2+\n")
     assert find_r2_delete_sites(d) == []
     with pytest.raises(NotApplicable):
-        r2_delete(d, MoveSite("R2-", ((1, 0), (2, 0))))
+        apply_site(d, MoveSite("R2-", ((1, 0), (2, 0))))
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +112,7 @@ def test_r3_site_found_and_preserves():
     d = braid_r3_diagram()
     sites = find_r3_sites(d)
     assert sites
-    moved = r3_apply(d, sites[0])
+    moved = apply_site(d, sites[0])
     assert validate(moved) == []
     assert moved != d
     assert maip(moved) == maip(d)
@@ -121,7 +121,7 @@ def test_r3_site_found_and_preserves():
 def test_r3_involution():
     d = braid_r3_diagram()
     site = find_r3_sites(d)[0]
-    assert r3_apply(r3_apply(d, site), site) == d
+    assert apply_site(apply_site(d, site), site) == d
 
 
 def test_r3_mixed_signs_not_offered():
@@ -140,7 +140,46 @@ def test_r3_sites_on_crossing_free_diagram():
 
 def test_r3_apply_rejects_bad_site():
     with pytest.raises(NotApplicable):
-        r3_apply(braid_r3_diagram(), MoveSite("R3", ((1, 0), (2, 0), (3, 1))))
+        apply_site(braid_r3_diagram(), MoveSite("R3", ((1, 0), (2, 0), (3, 1))))
+
+
+# ---------------------------------------------------------------------------
+# one scan, one applier
+
+
+@pytest.mark.parametrize("site", [
+    MoveSite("R9", ((1, 0),)),
+    MoveSite("R1+", ((1, 0),), sign=1, order="over_first"),
+    MoveSite("R1-", ((0, 0),)),
+    MoveSite("R1-", ((1, -1),)),
+    MoveSite("R1-", ((1, 1),)),
+    MoveSite("R3", ((1, 0),)),
+], ids=["unknown-kind", "insertion-kind", "component-0", "offset-minus-1",
+        "offset-at-end", "kink-labelled-r3"])
+def test_apply_site_rejects_sites_the_scan_does_not_offer(kink, site):
+    with pytest.raises(NotApplicable):
+        apply_site(kink, site)
+
+
+def test_apply_site_rejects_a_kink_removed_twice(kink):
+    (site,) = find_sites(kink)["R1-"]
+    once = apply_site(kink, site)
+    with pytest.raises(NotApplicable):
+        apply_site(once, site)
+
+
+@given(st.integers(min_value=0, max_value=50_000))
+@settings(max_examples=40, deadline=None)
+def test_every_offered_site_applies_and_preserves_the_polynomial(seed):
+    d = random_diagram(seed, seed % 2, 1 + seed % 2, seed % 10)
+    d = random_walk(d, 1 + seed % 30, seed, [])
+    sites = find_sites(d)
+    assert sites == {"R1-": find_r1_delete_sites(d), "R2-": find_r2_delete_sites(d),
+                     "R3": find_r3_sites(d)}
+    for site in sites["R1-"] + sites["R2-"] + sites["R3"]:
+        moved = apply_site(d, site)
+        assert validate(moved) == [], site.describe()
+        assert maip(moved) == maip(d), site.describe()
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +213,7 @@ def test_every_move_kind_preserves_untouched_weights():
     moved = {
         "R1+": r1_insert(base, (4, 1), 1, "over_first"),
         "R2+": r2_insert(base, (1, 0), (4, 2), -1, False),
-        "R3": r3_apply(base, find_r3_sites(base)[0]),
+        "R3": apply_site(base, find_r3_sites(base)[0]),
     }
     original = weight_table(base, propagate_labels(base))
     for kind, d in moved.items():
