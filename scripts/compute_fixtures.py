@@ -2,8 +2,11 @@
 """Print the polynomial of every bundled fixture, plus derived checks.
 
 Usage: python3 scripts/compute_fixtures.py
+
+Exits 1 when a derived check prints False.
 """
 
+import sys
 from pathlib import Path
 
 from maip.algebra import collapse_variables, reindex, render, substitute_symbols
@@ -34,10 +37,12 @@ def main():
 
     composite = compose(diagrams["ex3"], diagrams["ex2"])
     swap = {1: 2, 2: 1}
-    print("compose(ex3, ex2) equals the ex4 fixture:", composite == diagrams["ex4"])
-    print("ex1 equals the composite closed up (components renumbered):",
-          maip(diagrams["ex1"]) == reindex(maip(composite), swap))
+    checks = [composite == diagrams["ex4"],
+              maip(diagrams["ex1"]) == reindex(maip(composite), swap)]
+    print("compose(ex3, ex2) equals the ex4 fixture:", checks[0])
+    print("ex1 equals the composite closed up (components renumbered):", checks[1])
+    return 0 if all(checks) else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 property failure, 2 input error.
+Exit codes: 0 success, 1 property failure, 2 input error, 141 closed stdout.
 
 Subcommands:
   compute   polynomial of a diagram file
@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 
@@ -257,6 +258,10 @@ def main(argv=None) -> int:
     except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader is gone; send the exit flush of stdout nowhere.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

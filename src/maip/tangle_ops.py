@@ -3,14 +3,15 @@
 Tensoring puts the second tangle to the right of the first: component
 indices, crossing ids and boundary slots shift past the first tangle's.
 
-Composition stacks the first tangle above the second, gluing the upper
-tangle's bottom slots to the lower tangle's top slots index by index.
+Composition stacks the first tangle above the second: it is their tensor
+product glued along a plan that joins the upper tangle's bottom slot Bk
+to the lower tangle's top slot Tk.  The plan names the pieces by their
+component indices in ``tensor(upper, lower)``, the upper tangle's first.
 Every glued pair must join a component end to a component start; the
-glued long components merge into chains (one free start, one free end)
-or close into cycles.  Chains keep the head component's basepoint and
-start; a cycle takes its basepoint at the start of its lowest-indexed
-participant, upper tangle first.  Composite components are numbered by
-that same lead order.
+glued long pieces merge into chains (one free start, one free end) or
+close into cycles.  Chains keep the head piece's basepoint and start; a
+cycle takes its basepoint at the start of its lowest-indexed piece.
+Composite components are numbered by their first piece.
 
 predict_composed recovers the composite's polynomial from the factors'
 unsimplified per-crossing records alone: along each chain the next
@@ -30,22 +31,17 @@ from .diagram import Component, Passage, TangleDiagram, require_valid
 from .errors import ArityMismatch, InconsistentPlan, OrientationMismatch
 from .invariant import Contribution, MaipContributions, contribution_poly
 
-UPPER = "U"
-LOWER = "L"
-
-_SIDE_RANK = {UPPER: 0, LOWER: 1}
-
 
 @dataclass(frozen=True)
 class PlanEntry:
-    """One composite component: a chain, a cycle, or a carried closed loop."""
+    """One composite component: a chain, a cycle, or a carried closed loop.
 
-    kind: str                                   # "chain" | "cycle" | "closed"
-    members: tuple[tuple[str, int], ...]        # (side, 1-based component index)
+    Its members are the pieces it is glued from, in order, named by their
+    1-based component indices in ``tensor(upper, lower)``.
+    """
 
-    @property
-    def lead(self) -> tuple[str, int]:
-        return self.members[0]
+    kind: str                   # "chain" | "cycle" | "closed"
+    members: tuple[int, ...]    # component indices of tensor(upper, lower)
 
 
 @dataclass(frozen=True)
@@ -66,54 +62,38 @@ class GluePlan:
         if upper.n != lower.m:
             raise ArityMismatch(
                 f"upper tangle has {upper.n} bottom slots, lower has {lower.m} top slots")
-        upper_slots = upper.slot_map()
-        lower_slots = lower.slot_map()
-        succ: dict[tuple[str, int], tuple[str, int]] = {}
-        pred: dict[tuple[str, int], tuple[str, int]] = {}
+        offset = len(upper.components)
+        upper_slots, lower_slots = upper.slot_map(), lower.slot_map()
+        succ: dict[int, int] = {}
         for k in range(1, upper.n + 1):
             uslot, lslot = f"B{k}", f"T{k}"
             ucomp, uend = upper_slots[uslot]
             lcomp, lend = lower_slots[lslot]
             if uend == "end" and lend == "start":
-                src, dst = (UPPER, ucomp), (LOWER, lcomp)
+                succ[ucomp] = offset + lcomp
             elif uend == "start" and lend == "end":
-                src, dst = (LOWER, lcomp), (UPPER, ucomp)
+                succ[offset + lcomp] = ucomp
             else:
-                raise OrientationMismatch(
-                    f"slots {uslot}/{lslot} would join two {uend}s")
-            succ[src] = dst
-            pred[dst] = src
+                raise OrientationMismatch(f"slots {uslot}/{lslot} would join two {uend}s")
 
+        pieces = upper.components + lower.components
+        glued = set(succ.values())
+        indices = range(1, len(pieces) + 1)
         entries: list[PlanEntry] = []
-        seen: set[tuple[str, int]] = set()
-        nodes = []
-        for side, diag in ((UPPER, upper), (LOWER, lower)):
-            for ci, comp in enumerate(diag.components, start=1):
-                nodes.append((side, ci, comp.kind))
-        for side, ci, kind in nodes:
-            node = (side, ci)
-            if kind == "closed":
-                entries.append(PlanEntry("closed", (node,)))
-                seen.add(node)
-            elif node not in pred:
-                chain = [node]
-                while chain[-1] in succ:
-                    chain.append(succ[chain[-1]])
-                entries.append(PlanEntry("chain", tuple(chain)))
-                seen.update(chain)
-        for side, ci, kind in nodes:
-            node = (side, ci)
-            if node in seen:
+        seen: set[int] = set()
+        # Chains and closed loops from their heads first; what is left lies
+        # on cycles, each met first at its lowest index.
+        for head in [i for i in indices if i not in glued] + list(indices):
+            if head in seen:
                 continue
-            cycle = [node]
-            while succ[cycle[-1]] != node:
-                cycle.append(succ[cycle[-1]])
-            rep = min(cycle, key=lambda m: (_SIDE_RANK[m[0]], m[1]))
-            at = cycle.index(rep)
-            cycle = cycle[at:] + cycle[:at]
-            entries.append(PlanEntry("cycle", tuple(cycle)))
-            seen.update(cycle)
-        entries.sort(key=lambda e: (_SIDE_RANK[e.lead[0]], e.lead[1]))
+            members = [head]
+            while succ.get(members[-1], head) != head:
+                members.append(succ[members[-1]])
+            seen.update(members)
+            kind = ("cycle" if head in glued
+                    else "closed" if pieces[head - 1].kind == "closed" else "chain")
+            entries.append(PlanEntry(kind, tuple(members)))
+        entries.sort(key=lambda e: e.members[0])
         return GluePlan(tuple(entries))
 
 
@@ -138,36 +118,21 @@ def tensor(t: TangleDiagram, t2: TangleDiagram) -> TangleDiagram:
 
 
 def compose(upper: TangleDiagram, lower: TangleDiagram) -> TangleDiagram:
-    """Stack ``upper`` above ``lower``, gluing B-slots to T-slots in order."""
+    """Stack ``upper`` above ``lower``: their tensor product glued along the plan."""
     require_valid(upper)
     require_valid(lower)
     plan = GluePlan.from_tangles(upper, lower)
-    id_offset = max(upper.crossings, default=0)
-
-    def events_of(side, ci):
-        if side == UPPER:
-            return upper.components[ci - 1].events
-        return tuple(Passage(ev.crossing + id_offset, ev.role)
-                     for ev in lower.components[ci - 1].events)
-
-    def comp_of(side, ci):
-        return (upper if side == UPPER else lower).components[ci - 1]
-
+    both = tensor(upper, lower)
+    pieces = upper.components + lower.components    # the free slots keep these names
     components = []
     for entry in plan.entries:
-        events: tuple[Passage, ...] = ()
-        for member in entry.members:
-            events = events + events_of(*member)
-        if entry.kind in ("cycle", "closed"):
-            components.append(Component("closed", events))
-        else:
-            head = comp_of(*entry.lead)
-            tail = comp_of(*entry.members[-1])
+        events = tuple(ev for i in entry.members for ev in both.components[i - 1].events)
+        if entry.kind == "chain":
+            head, tail = pieces[entry.members[0] - 1], pieces[entry.members[-1] - 1]
             components.append(Component("long", events, head.start, tail.end))
-    crossings = dict(upper.crossings)
-    for cid, rec in lower.crossings.items():
-        crossings[cid + id_offset] = rec
-    return TangleDiagram(upper.m, lower.n, tuple(components), crossings)
+        else:
+            components.append(Component("closed", events))
+    return TangleDiagram(upper.m, lower.n, tuple(components), both.crossings)
 
 
 def predict_composed(upper: MaipContributions, lower: MaipContributions,
@@ -176,34 +141,29 @@ def predict_composed(upper: MaipContributions, lower: MaipContributions,
     if plan.has_cycles:
         raise InconsistentPlan("cyclic gluing: no start label survives; "
                                "compute on the composite diagram instead")
-    contribs = {UPPER: upper, LOWER: lower}
-    for entry in plan.entries:
-        for side, ci in entry.members:
-            if ci not in contribs[side].delta:
-                raise InconsistentPlan(f"plan references unknown component {side}{ci}")
-
-    expr_map: dict[tuple[str, int], AffineInt] = {}
-    var_map: dict[tuple[str, int], int] = {}
+    factors = ((0, upper), (len(upper.delta), lower))    # offsets into tensor indices
+    delta = {shift + ci: step for shift, f in factors for ci, step in f.delta.items()}
+    expr_map: dict[int, AffineInt] = {}
+    var_map: dict[int, int] = {}
     merged_delta: dict[int, int] = {}
     for new_index, entry in enumerate(plan.entries, start=1):
         label = AffineInt.symbol(new_index)
-        total = 0
-        for side, ci in entry.members:
-            expr_map[(side, ci)] = label
-            var_map[(side, ci)] = new_index
-            step = contribs[side].delta[ci]
-            label = label + step
-            total += step
-        merged_delta[new_index] = total
+        for i in entry.members:
+            if i not in delta:
+                raise InconsistentPlan(f"plan references unknown component {i}")
+            expr_map[i] = label
+            var_map[i] = new_index
+            label = label + delta[i]
+        merged_delta[new_index] = sum(delta[i] for i in entry.members)
 
     records = []
-    for side in (UPPER, LOWER):
-        symbol_exprs = {ci: expr_map[(side, ci)] for ci in contribs[side].delta}
-        for rec in contribs[side].records:
+    for shift, factor in factors:
+        symbol_exprs = {ci: expr_map[shift + ci] for ci in factor.delta}
+        for rec in factor.records:
             records.append(Contribution(
                 rec.sign,
-                var_map[(side, rec.over_component)],
-                var_map[(side, rec.under_component)],
+                var_map[shift + rec.over_component],
+                var_map[shift + rec.under_component],
                 rec.weight.substitute_affine(symbol_exprs),
             ))
     return contribution_poly(records, merged_delta)

@@ -4,6 +4,11 @@ The digests pin the exact text and JSON the package prints, so a change
 to how polynomials are assembled must leave every byte of output alone.
 They were taken from the quadratic, one-crossing-at-a-time assembly.
 
+The composite digest pins how seeded gluings are grouped and numbered:
+the plan kinds and the serialized composite, cyclic gluings included,
+so a cycle's basepoint and the order of the composite's components are
+both read.
+
 The walk digest pins the seeded random walk: its move logs, the walked
 diagrams and the order of the deletion and R3 sites found on them, which
 ``rng.choice`` reads.  It was taken from the three separate site scans.
@@ -11,14 +16,15 @@ diagrams and the order of the deletion and R3 sites found on them, which
 
 import hashlib
 import json
+import random
 
 from maip.algebra import poly_to_json, render
-from maip.checks import random_composable_pair
+from maip.checks import _MAX_IFACE, _random_side, random_composable_pair
 from maip.diagram import random_diagram, serialize
 from maip.invariant import maip, structured_maip
 from maip.moves import (find_r1_delete_sites, find_r2_delete_sites,
                         find_r3_sites, random_walk)
-from maip.tangle_ops import predict_composed
+from maip.tangle_ops import GluePlan, compose, predict_composed
 
 
 def digests(polys):
@@ -43,6 +49,21 @@ def compose_corpus():
         yield predict_composed(structured_maip(upper), structured_maip(lower), plan)
 
 
+def composite_digest():
+    """Pairs drawn as ``random_composable_pair`` draws them, cycles kept."""
+    h = hashlib.sha256()
+    for seed in range(400):
+        rng = random.Random(seed)
+        flows = [rng.choice(("down", "up")) for _ in range(rng.randint(1, _MAX_IFACE))]
+        upper = _random_side(rng, ["end" if f == "down" else "start" for f in flows],
+                             "B", "T", 12)
+        lower = _random_side(rng, ["start" if f == "down" else "end" for f in flows],
+                             "T", "B", 12)
+        kinds = " ".join(e.kind for e in GluePlan.from_tangles(upper, lower).entries)
+        h.update(kinds.encode() + b"\0" + serialize(compose(upper, lower)).encode() + b"\0")
+    return h.hexdigest()
+
+
 def walk_digest():
     h = hashlib.sha256()
     for seed in range(400):
@@ -63,6 +84,7 @@ COMPOSE_DIGESTS = (
     "06b3813805b865bb399bbfdfb1b1577463ef5708b0f7022db9d5daf61bddcb05",
     "11077b417fb20ed92f995c24246cd8b4a60450d8932629ef1b18cfb0f2122d72",
 )
+COMPOSITE_DIGEST = "65d8a9ea350168c717701771f155c0aaf009234c642b816ad6935968bf0eb6cd"
 WALK_DIGEST = "2f3dddf58a70e2fe5e35ef8a755de0115b8f8d235204028278e5fb98d8f7d9f7"
 
 
@@ -72,6 +94,10 @@ def test_maip_output_is_unchanged():
 
 def test_predicted_composite_output_is_unchanged():
     assert digests(compose_corpus()) == COMPOSE_DIGESTS
+
+
+def test_composite_grouping_and_numbering_are_unchanged():
+    assert composite_digest() == COMPOSITE_DIGEST
 
 
 def test_walk_logs_diagrams_and_site_order_are_unchanged():

@@ -168,6 +168,15 @@ def test_apply_site_rejects_a_kink_removed_twice(kink):
         apply_site(once, site)
 
 
+def test_r3_chiralities_of_one_top_pair_keep_their_order():
+    # The top pair (O1, O2) at 1:0 names both R3 candidates; the walk's
+    # rng.choice reads this order, so a site index must keep it.
+    d = parse("tangle m=1 n=1\n"
+              "component 1 long from B1 to T1 : O1+ O2+ U4+ U1+ O3+ O4+ U2+ U3+\n")
+    assert [s.describe() for s in find_sites(d)["R3"]] == [
+        "R3 1:0 1:3 1:6", "R3 1:0 1:5 1:2", "R3 1:4 1:1 1:6"]
+
+
 @given(st.integers(min_value=0, max_value=50_000))
 @settings(max_examples=40, deadline=None)
 def test_every_offered_site_applies_and_preserves_the_polynomial(seed):

@@ -115,10 +115,7 @@ def test_compose_carries_closed_components():
 
 def test_predict_reproduces_published_composition(ex2, ex3):
     plan = GluePlan.from_tangles(ex3, ex2)
-    assert [e.members for e in plan.entries] == [
-        (("U", 1), ("L", 2), ("U", 2)),
-        (("L", 1), ("U", 3), ("L", 3)),
-    ]
+    assert [e.members for e in plan.entries] == [(1, 5, 2), (4, 3, 6)]
     predicted = predict_composed(structured_maip(ex3), structured_maip(ex2), plan)
     assert predicted == maip(compose(ex3, ex2))
 
@@ -140,12 +137,9 @@ def test_predict_rejects_cycles():
 
 def test_predict_merges_deltas_along_chains(ex2, ex3):
     plan = GluePlan.from_tangles(ex3, ex2)
-    upper_delta = propagate_labels(ex3).delta
-    lower_delta = propagate_labels(ex2).delta
-    merged = {}
-    for idx, entry in enumerate(plan.entries, start=1):
-        merged[idx] = sum((upper_delta if s == "U" else lower_delta)[c]
-                          for s, c in entry.members)
+    delta = propagate_labels(tensor(ex3, ex2)).delta
+    merged = {idx: sum(delta[i] for i in entry.members)
+              for idx, entry in enumerate(plan.entries, start=1)}
     composite_delta = propagate_labels(compose(ex3, ex2)).delta
     assert composite_delta == merged == {1: 1, 2: -1}
 
