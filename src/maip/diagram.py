@@ -120,6 +120,11 @@ class TangleDiagram:
 # validation
 
 
+# The roles a crossing's passages may take, and the name of its kind.
+_ROLES_OF_CLASSICAL = (CLASSICAL_ROLES, "classical")
+_ROLES_OF_SINGULAR = (SINGULAR_ROLES, "singular")
+
+
 def validate(d: TangleDiagram) -> list[str]:
     """Return every violated structural invariant; empty list means valid."""
     errs: list[str] = []
@@ -139,10 +144,9 @@ def validate(d: TangleDiagram) -> list[str]:
             if rec is None:
                 errs.append(f"crossing {ev.crossing}: referenced but not declared")
                 continue
-            if rec.is_classical and ev.role not in CLASSICAL_ROLES:
-                errs.append(f"crossing {ev.crossing}: role {ev.role} on a classical crossing")
-            if not rec.is_classical and ev.role not in SINGULAR_ROLES:
-                errs.append(f"crossing {ev.crossing}: role {ev.role} on a singular crossing")
+            roles, kind = _ROLES_OF_SINGULAR if rec.sign is None else _ROLES_OF_CLASSICAL
+            if ev.role not in roles:
+                errs.append(f"crossing {ev.crossing}: role {ev.role} on a {kind} crossing")
             seen[(ev.crossing, ev.role)] = seen.get((ev.crossing, ev.role), 0) + 1
 
     for cid, rec in sorted(d.crossings.items()):

@@ -4,13 +4,17 @@ extension to diagrams with singular crossings.
 Label propagation: walking a component, the label changes by -sign at an
 Over passage and +sign at an Under passage; singular passages change it
 by -1 on the primary strand and +1 on the secondary, so all resolutions
-of a singular diagram share one labeling.  The index difference delta_i
-of a component is its final label minus its starting label and is always
-a plain integer.
+of a singular diagram share one labeling.  Every step is an integer, so
+each label on component i is its starting symbol c_i plus an integer
+offset, and the walk carries only the offsets.  The index difference
+delta_i of a component is its final label minus its starting label, the
+last offset.
 
 A classical crossing with over-incoming label a, under-incoming label b
 and sign s gets weight W = a - b - s (equivalently over-incoming minus
-under-outgoing).  The invariant is
+under-outgoing).  With i the over and j the under component, W is an
+integer plus the symbol part c_i - c_j, which is 0 when i = j.  The
+invariant is
 
     sum over classical crossings of  sign * t_i^(delta_j) * (t_i^W - 1)
 
@@ -28,40 +32,39 @@ from .diagram import (OVER, SING_PRIMARY, SING_SECONDARY, UNDER, Component,
                       CrossingRecord, Passage, TangleDiagram)
 from .errors import HasSingular, NoSingular
 
-_INCREMENT_BY_ROLE = {SING_PRIMARY: -1, SING_SECONDARY: 1}
-
-
-def _increment(role: str, sign: int | None) -> int:
-    if role == OVER:
-        return -sign
-    if role == UNDER:
-        return sign
-    return _INCREMENT_BY_ROLE[role]
+# The label step at each passage: -sign Over, +sign Under, -1 primary and
+# +1 secondary, keyed by (role, crossing sign).
+_INCREMENT = {(OVER, 1): -1, (OVER, -1): 1, (UNDER, 1): 1, (UNDER, -1): -1,
+              (SING_PRIMARY, None): -1, (SING_SECONDARY, None): 1}
 
 
 @dataclass(frozen=True)
 class Labeling:
-    """Arc labels per component (one more entry than events) and deltas."""
+    """Arc labels and index differences of every component.
 
-    labels: dict[int, tuple[AffineInt, ...]]
+    Each label on component i is the symbol c_i plus an integer, so
+    ``offsets[i]`` holds just those integers, one per arc (one more entry
+    than events, the first 0).  ``delta[i]`` is the last offset.
+    """
+
+    offsets: dict[int, tuple[int, ...]]
     delta: dict[int, int]
-
-    def incoming(self, component: int, position: int) -> AffineInt:
-        return self.labels[component][position]
 
 
 def propagate_labels(d: TangleDiagram) -> Labeling:
     """Propagate labels from each component's start, the symbol c_i."""
-    labels: dict[int, tuple[AffineInt, ...]] = {}
+    signs = {cid: rec.sign for cid, rec in d.crossings.items()}
+    offsets: dict[int, tuple[int, ...]] = {}
     delta: dict[int, int] = {}
     for ci, comp in enumerate(d.components, start=1):
-        arcs = [AffineInt.symbol(ci)]
+        offset = 0
+        arcs = [offset]
         for ev in comp.events:
-            arcs.append(arcs[-1] + _increment(ev.role, d.crossings[ev.crossing].sign))
-        labels[ci] = tuple(arcs)
-        diff = arcs[-1] - arcs[0]
-        delta[ci] = diff.const
-    return Labeling(labels, delta)
+            offset += _INCREMENT[ev.role, signs[ev.crossing]]
+            arcs.append(offset)
+        offsets[ci] = tuple(arcs)
+        delta[ci] = offset
+    return Labeling(offsets, delta)
 
 
 @dataclass(frozen=True)
@@ -74,15 +77,25 @@ class Contribution:
     weight: AffineInt
 
 
+def _symbol_part(i: int, j: int) -> tuple[tuple[int, int], ...]:
+    """The coefficients of c_i - c_j, sorted by symbol index."""
+    if i == j:
+        return ()
+    return ((i, 1), (j, -1)) if i < j else ((j, -1), (i, 1))
+
+
 def _contribution(labeling: Labeling, sign: int, over: tuple[int, int],
                   under: tuple[int, int]) -> Contribution:
     """The summand of a crossing whose over and under passages sit at the
     given (component, offset) places.
 
-    This is the one place the weight W = a - b - s is read off a labeling.
+    This is the one place the weight W = a - b - s is read off a labeling:
+    with a = c_i + k_a and b = c_j + k_b it is the integer k_a - k_b - s
+    plus the symbol part c_i - c_j.
     """
     (oi, opos), (ui, upos) = over, under
-    w = labeling.incoming(oi, opos) - labeling.incoming(ui, upos) - sign
+    offsets = labeling.offsets
+    w = AffineInt(offsets[oi][opos] - offsets[ui][upos] - sign, _symbol_part(oi, ui))
     return Contribution(sign, oi, ui, w)
 
 
@@ -116,13 +129,20 @@ class MaipContributions:
 
 
 def contribution_poly(records, delta: Mapping[int, int]) -> LaurentPoly:
-    """Sum of sign * t_i^(delta_j) * (t_i^W - 1) over the records, in one pass."""
-    terms: dict[tuple[int, AffineInt], int] = {}
+    """Sum of sign * t_i^(delta_j) * (t_i^W - 1) over the records, in one pass.
+
+    Coefficients are summed on plain (variable, exponent constant,
+    exponent symbols) keys; each distinct term then makes one AffineInt.
+    """
+    terms: dict[tuple[int, int, tuple[tuple[int, int], ...]], int] = {}
     for rec in records:
-        var, shift = rec.over_component, delta[rec.under_component]
-        for exp, coeff in ((rec.weight + shift, rec.sign), (AffineInt(shift), -rec.sign)):
-            terms[(var, exp)] = terms.get((var, exp), 0) + coeff
-    return LaurentPoly(terms)
+        var, shift, sign, w = rec.over_component, delta[rec.under_component], rec.sign, rec.weight
+        key = (var, w.const + shift, w.coeffs)
+        terms[key] = terms.get(key, 0) + sign
+        key = (var, shift, ())
+        terms[key] = terms.get(key, 0) - sign
+    return LaurentPoly({(var, AffineInt(const, coeffs)): coeff
+                        for (var, const, coeffs), coeff in terms.items()})
 
 
 def structured_maip(d: TangleDiagram) -> MaipContributions:

@@ -28,6 +28,21 @@ def test_validate_duplicate_role():
     assert any("missing U" in p for p in problems)
 
 
+def test_validate_names_a_role_of_the_other_kind_in_order():
+    events = (Passage(1, "O"), Passage(1, "X"), Passage(2, "Y"), Passage(2, "U"),
+              Passage(3, "Q"), Passage(1, "U"))
+    d = TangleDiagram(0, 0, (Component("closed", events),),
+                      {1: CrossingRecord.classical(-1), 2: CrossingRecord.singular()})
+    assert validate(d) == [
+        "crossing 1: role X on a classical crossing",
+        "crossing 2: role U on a singular crossing",
+        "crossing 3: referenced but not declared",
+        "crossing 2: missing X passage",
+        "crossing 1: unexpected role X",
+        "crossing 2: unexpected role U",
+    ]
+
+
 def test_validate_endpoint_arity():
     d = TangleDiagram(1, 0, (Component("long", (), "T1", None),), {})
     assert any("endpoint arity" in p for p in validate(d))

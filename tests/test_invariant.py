@@ -4,9 +4,9 @@ from hypothesis import strategies as st
 
 from maip import checks
 from maip.algebra import AffineInt, LaurentPoly, render, substitute_symbols
-from maip.diagram import OVER, random_diagram, validate
+from maip.diagram import OVER, UNDER, random_diagram, validate
 from maip.errors import HasSingular, NoSingular
-from maip.invariant import (Labeling, contribution_poly, maip, propagate_labels,
+from maip.invariant import (Contribution, contribution_poly, maip, propagate_labels,
                             resolve_singular, structured_maip, vassiliev_eval,
                             weight_table)
 
@@ -20,19 +20,22 @@ from conftest import aff, const, mono, sym
 def test_labels_ex3(ex3):
     lab = propagate_labels(ex3)
     assert lab.delta == {1: -1, 2: 1, 3: 0}
-    assert lab.labels[3] == (sym(3), sym(3) + 1, sym(3))
+    # c3, c3 + 1, c3
+    assert lab.offsets[3] == (0, 1, 0)
 
 
 def test_labels_ex2(ex2):
     lab = propagate_labels(ex2)
     assert lab.delta == {1: -1, 2: 1, 3: 0}
-    assert lab.labels[1] == (sym(1), sym(1) - 1, sym(1) - 2, sym(1) - 1)
+    # c1, c1 - 1, c1 - 2, c1 - 1
+    assert lab.offsets[1] == (0, -1, -2, -1)
 
 
 def test_labels_kink(kink):
     lab = propagate_labels(kink)
     assert lab.delta == {1: 0}
-    assert lab.labels[1] == (sym(1), sym(1) - 1, sym(1))
+    # c1, c1 - 1, c1
+    assert lab.offsets[1] == (0, -1, 0)
 
 
 def test_self_crossing_only_components_have_zero_delta():
@@ -67,8 +70,9 @@ def test_weight_equals_over_incoming_minus_under_outgoing(ex2, ex3):
         for cid in d.classical_ids():
             oi, op = positions[(cid, "O")]
             ui, up = positions[(cid, "U")]
-            under_outgoing = lab.labels[ui][up + 1]
-            assert table[cid].weight == lab.incoming(oi, op) - under_outgoing
+            over_incoming = sym(oi) + lab.offsets[oi][op]
+            under_outgoing = sym(ui) + lab.offsets[ui][up + 1]
+            assert table[cid].weight == over_incoming - under_outgoing
 
 
 def test_kink_weight_is_zero(kink):
@@ -79,6 +83,73 @@ def test_weight_requires_classical(singular, ex2):
     # only classical crossings carry a weight; singular crossing 1 has none
     assert weight_table(singular, propagate_labels(singular)) == {}
     assert list(weight_table(ex2, propagate_labels(ex2))) == ex2.classical_ids()
+
+
+def reference_assembly(records, delta):
+    """The polynomial summed term by term on AffineInt exponents."""
+    terms = {}
+    for rec in records:
+        var, shift = rec.over_component, delta[rec.under_component]
+        for exp, coeff in ((rec.weight + shift, rec.sign), (AffineInt(shift), -rec.sign)):
+            terms[(var, exp)] = terms.get((var, exp), 0) + coeff
+    return LaurentPoly(terms)
+
+
+@given(st.integers(min_value=0, max_value=100_000), st.integers(min_value=0, max_value=2),
+       st.integers(min_value=1, max_value=2), st.integers(min_value=0, max_value=2),
+       st.integers(min_value=0, max_value=12))
+@settings(max_examples=150, deadline=None)
+def test_integer_weights_follow_affine_arithmetic(seed, n_closed, n_long, n_singular, n_crossings):
+    d = random_diagram(seed, n_closed, n_long, n_crossings, n_singular=n_singular)
+    lab = propagate_labels(d)
+    positions = d.passage_positions()
+    table = weight_table(d, lab)
+    for cid, rec in table.items():
+        (i, p), (j, q) = positions[(cid, OVER)], positions[(cid, UNDER)]
+        a, b = sym(i) + lab.offsets[i][p], sym(j) + lab.offsets[j][q]
+        assert rec.weight == a - b - d.sign(cid)
+        assert (rec.over_component, rec.under_component) == (i, j)
+    assert contribution_poly(tuple(table.values()), lab.delta) == \
+        reference_assembly(table.values(), lab.delta)
+
+
+_SYMBOLS = st.dictionaries(st.integers(min_value=1, max_value=5),
+                           st.integers(min_value=-2, max_value=2), max_size=4)
+
+
+@st.composite
+def composed_records(draw):
+    """Records as predict_composed makes them: any affine weight, and
+    weights that cancel their shift to the constant term."""
+    delta = {ci: draw(st.integers(min_value=-2, max_value=2)) for ci in (1, 2, 3)}
+    records = []
+    for _ in range(draw(st.integers(min_value=0, max_value=12))):
+        i, j = draw(st.integers(min_value=1, max_value=3)), draw(st.integers(min_value=1, max_value=3))
+        if draw(st.booleans()):
+            weight = AffineInt(-delta[j])
+        else:
+            weight = AffineInt.of(draw(st.integers(min_value=-3, max_value=3)), draw(_SYMBOLS))
+        records.append(Contribution(draw(st.sampled_from((1, -1))), i, j, weight))
+    return records, delta
+
+
+@given(composed_records())
+@settings(max_examples=200, deadline=None)
+def test_assembly_of_any_affine_weights_matches_the_reference(case):
+    records, delta = case
+    assert contribution_poly(records, delta) == reference_assembly(records, delta)
+
+
+def test_assembly_reference_sees_three_symbols_and_the_constant_term():
+    delta = {1: 1, 2: 0, 3: -1}
+    records = [Contribution(1, 1, 3, aff(2, c1=1, c2=-2, c4=3)),
+               Contribution(-1, 2, 3, aff(2, c1=1, c2=-2, c4=3)),
+               Contribution(1, 2, 1, AffineInt(-1)),
+               Contribution(1, 3, 2, AffineInt(0))]
+    expected = (mono(1, aff(1, c1=1, c2=-2, c4=3)) + mono(1, -1, -1)
+                - mono(2, aff(1, c1=1, c2=-2, c4=3)) + mono(2, -1)
+                - mono(2, 1) + const(1))
+    assert contribution_poly(records, delta) == expected == reference_assembly(records, delta)
 
 
 # ---------------------------------------------------------------------------
@@ -121,17 +192,22 @@ def test_maip_commutes_with_symbol_substitution():
         assignment = {i: (i * 3 - 2) for i in range(1, len(d.components) + 1)}
         via_poly = substitute_symbols(maip(d), assignment)
         # Walk the labels from the integer starts: -sign over, +sign under.
-        labels = {}
+        incoming = {}
+        delta = {}
         for ci, comp in enumerate(d.components, start=1):
-            arcs = [AffineInt(assignment[ci])]
+            label = assignment[ci]
             for ev in comp.events:
+                incoming[(ev.crossing, ev.role)] = (ci, label)
                 sign = d.sign(ev.crossing)
-                arcs.append(arcs[-1] + (-sign if ev.role == OVER else sign))
-            labels[ci] = tuple(arcs)
-        delta = {ci: (arcs[-1] - arcs[0]).const for ci, arcs in labels.items()}
-        numeric = Labeling(labels, delta)
-        via_labels = contribution_poly(tuple(weight_table(d, numeric).values()), delta)
-        assert via_poly == via_labels
+                label += -sign if ev.role == OVER else sign
+            delta[ci] = label - assignment[ci]
+        # Each crossing's numeric weight a - b - s from those labels.
+        records = []
+        for cid in d.classical_ids():
+            (i, a), (j, b) = incoming[(cid, OVER)], incoming[(cid, UNDER)]
+            s = d.sign(cid)
+            records.append(Contribution(s, i, j, AffineInt(a - b - s)))
+        assert via_poly == contribution_poly(records, delta)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +234,7 @@ def test_resolution_shares_one_labeling(singular):
         reference = propagate_labels(d)
         for term in resolve_singular(d):
             resolved = propagate_labels(term.diagram)
-            assert resolved.labels == reference.labels
+            assert resolved.offsets == reference.offsets
             assert resolved.delta == reference.delta
 
 
