@@ -7,21 +7,20 @@ alone.  Reports carry the offending diagram dumps and move logs.
 
 from __future__ import annotations
 
-import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .algebra import LaurentPoly, reindex, render
-from .diagram import (OVER, UNDER, Component, CrossingRecord, Passage,
-                      TangleDiagram, random_diagram, serialize, validate)
+from .diagram import (Component, Passage, TangleDiagram, random_diagram,
+                      serialize, validate)
 from .homology import check_prop2, maip_via_homology
 from .invariant import maip, resolve_singular, structured_maip, vassiliev_eval
 from .moves import random_walk
-from .tangle_ops import GluePlan, compose, predict_composed, tensor
+from .tangle_ops import GluePlan, compose, cut, predict_composed, tensor
 
 _TRIAL_STRIDE = 1_000_003
 _MAX_MOVES = 50  # longest walk of one moves trial
-_MAX_IFACE = 4   # most glued slots of one composable pair
 
 
 def _trial_seed(seed: int, trial: int) -> int:
@@ -151,90 +150,59 @@ def check_corollary_suite(trials: int, seed: int,
 # composable pairs
 
 
-def _random_side(rng: random.Random, iface_roles: list[str], iface_prefix: str,
-                 outer_prefix: str, max_crossings: int) -> TangleDiagram:
-    """A random valid tangle whose interface slots carry the given roles."""
-    iface_starts = [k for k, r in enumerate(iface_roles, start=1) if r == "start"]
-    iface_ends = [k for k, r in enumerate(iface_roles, start=1) if r == "end"]
-    rng.shuffle(iface_starts)
-    rng.shuffle(iface_ends)
-    comps: list[list[str | None]] = []
-    while iface_starts and iface_ends and rng.random() < 0.45:
-        comps.append([f"{iface_prefix}{iface_starts.pop()}", f"{iface_prefix}{iface_ends.pop()}"])
-    for s in iface_starts:
-        comps.append([f"{iface_prefix}{s}", None])
-    for e in iface_ends:
-        comps.append([None, f"{iface_prefix}{e}"])
-    for _ in range(rng.randint(0, 1)):
-        comps.append([None, None])
-    n_closed = rng.randint(0, 1)
+def random_composable_pair(seed: int, trial: int):
+    """One trial's diagram and a cut of it, (d, upper, lower), cycles kept.
 
-    outer_requests = [(idx, which) for idx, pair in enumerate(comps)
-                      for which in (0, 1) if pair[which] is None]
-    rng.shuffle(outer_requests)
-    for slot_num, (idx, which) in enumerate(outer_requests, start=1):
-        comps[idx][which] = f"{outer_prefix}{slot_num}"
-    rng.shuffle(comps)
-
-    total = len(comps) + n_closed
-    crossings: dict[int, CrossingRecord] = {}
-    buckets: list[list[Passage]] = [[] for _ in range(total)]
-    for cid in range(1, rng.randint(0, max_crossings) + 1):
-        crossings[cid] = CrossingRecord.classical(rng.choice((1, -1)))
-        for role in (OVER, UNDER):
-            buckets[rng.randrange(total)].append(Passage(cid, role))
-    for bucket in buckets:
-        rng.shuffle(bucket)
-
-    components = [Component("long", tuple(buckets[i]), s, e)
-                  for i, (s, e) in enumerate(comps)]
-    components += [Component("closed", tuple(buckets[len(comps) + j]))
-                   for j in range(n_closed)]
-    n_outer = len(outer_requests)
-    if iface_prefix == "B":
-        m, n = n_outer, len(iface_roles)
-    else:
-        m, n = len(iface_roles), n_outer
-    return TangleDiagram(m, n, tuple(components), crossings)
-
-
-def random_composable_pair(seed: int, max_crossings: int = 8):
-    """A deterministic composable (upper, lower, plan) triple.
-
-    Pairs whose gluing closes a cycle are redrawn, since polynomial
-    prediction is only defined for chain gluings.
+    Each crossing of the trial's usual diagram goes up with probability 1/2.
     """
-    for attempt in itertools.count():
-        rng = random.Random(seed * 7919 + attempt)
-        n_iface = rng.randint(1, _MAX_IFACE)
-        flows = [rng.choice(("down", "up")) for _ in range(n_iface)]
-        upper = _random_side(rng, ["end" if f == "down" else "start" for f in flows],
-                             "B", "T", max_crossings)
-        lower = _random_side(rng, ["start" if f == "down" else "end" for f in flows],
-                             "T", "B", max_crossings)
-        plan = GluePlan.from_tangles(upper, lower)
-        if not plan.has_cycles:
-            return upper, lower, plan
+    _tseed, rng, d = _trial(seed, trial)
+    upper, lower = cut(d, {cid for cid in d.crossings if rng.random() < 0.5})
+    return d, upper, lower
+
+
+def _uncut_order(d: TangleDiagram, upper: TangleDiagram,
+                 composite: TangleDiagram) -> dict[int, int] | None:
+    """Map d's component indices to the composite's; None if it is not d again.
+
+    Only empty closed components can repeat, and no polynomial reads their indices.
+    """
+    shift = max(upper.crossings, default=0)    # tensor's shift of the lower ids
+    back = {cid: cid - shift if cid > shift else cid for cid in composite.crossings}
+    comps = [Component(c.kind, tuple(Passage(back[ev.crossing], ev.role) for ev in c.events),
+                       c.start, c.end) for c in composite.components]
+    if ((composite.m, composite.n) != (d.m, d.n) or Counter(comps) != Counter(d.components)
+            or {back[cid]: rec for cid, rec in composite.crossings.items()} != d.crossings):
+        return None
+    index = {comp: i for i, comp in enumerate(comps, start=1)}
+    return {j: index[comp] for j, comp in enumerate(d.components, start=1)}
 
 
 def check_compose_suite(trials: int, seed: int) -> CheckReport:
-    """Tensor additivity and record-level composition prediction, exactly."""
+    """compose must undo cut, and predict the polynomial of both, exactly.
+
+    Tensor additivity is checked on the same pieces.
+    """
     report = CheckReport("compose", trials, seed)
     longest_chain = 0
     multi_chain_trials = 0
+    cyclic_trials = 0
     for trial in range(trials):
-        tseed = _trial_seed(seed, trial)
-        upper, lower, plan = random_composable_pair(tseed)
-        chain_max = max(plan.chain_lengths(), default=0)
+        d, upper, lower = random_composable_pair(seed, trial)
+        plan = GluePlan.from_tangles(upper, lower)
+        chain_max = max((len(e.members) for e in plan.entries if e.kind == "chain"), default=0)
         longest_chain = max(longest_chain, chain_max)
-        if chain_max >= 2:
-            multi_chain_trials += 1
+        multi_chain_trials += chain_max >= 2
+        cyclic_trials += any(e.kind == "cycle" for e in plan.entries)
         problems = []
 
         composite = compose(upper, lower)
-        problems.extend(validate(composite))
-        direct = maip(composite)
+        order = _uncut_order(d, upper, composite)
         predicted = predict_composed(structured_maip(upper), structured_maip(lower), plan)
+        if order is None:
+            problems.append("compose(*cut(d)) is not d")
+        elif predicted != reindex(maip(d), order):
+            problems.append(f"prediction {render(predicted)} != uncut {render(maip(d))}")
+        direct = maip(composite)
         if predicted != direct:
             problems.append(f"prediction {render(predicted)} != direct {render(direct)}")
 
@@ -248,13 +216,15 @@ def check_compose_suite(trials: int, seed: int) -> CheckReport:
         if problems:
             report.failures.append({
                 "trial": trial,
-                "seed": tseed,
+                "seed": _trial_seed(seed, trial),
+                "diagram": serialize(d),
                 "upper": serialize(upper),
                 "lower": serialize(lower),
                 "problems": problems,
             })
     report.stats["longest_chain"] = longest_chain
     report.stats["multi_chain_trials"] = multi_chain_trials
+    report.stats["cyclic_trials"] = cyclic_trials
     return report
 
 

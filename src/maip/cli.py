@@ -23,9 +23,8 @@ import sys
 from . import checks
 from .algebra import collapse_variables, poly_to_json, render, substitute_symbols
 from .diagram import from_json, parse, serialize, to_json
-from .errors import (ArityMismatch, DiagramParseError, InconsistentPlan,
-                     MissingSymbol, OrientationMismatch, SymbolicExponent,
-                     ValidationFailure)
+from .errors import (ArityMismatch, DiagramParseError, MissingSymbol,
+                     OrientationMismatch, SymbolicExponent, ValidationFailure)
 from .invariant import maip, structured_maip, vassiliev_eval
 from .tangle_ops import GluePlan, compose, predict_composed, tensor
 
@@ -150,11 +149,8 @@ def cmd_compose(args) -> int:
     if composite.singular_ids():
         raise _InputError("composite has singular crossings; resolve the factors first")
     poly = maip(composite)
-    try:
-        predicted = predict_composed(structured_maip(upper), structured_maip(lower), plan)
-        verdict = "ok" if predicted == poly else "MISMATCH"
-    except InconsistentPlan:
-        predicted, verdict = None, "skipped (cyclic gluing)"
+    predicted = predict_composed(structured_maip(upper), structured_maip(lower), plan)
+    verdict = "ok" if predicted == poly else "MISMATCH"
     if args.out:
         _write(args.out, serialize(composite))
     if args.json:

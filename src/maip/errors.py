@@ -61,4 +61,4 @@ class NotApplicable(TangleError):
 
 
 class InconsistentPlan(TangleError):
-    """A glue plan cannot be used for polynomial prediction."""
+    """A hand-made glue plan names a component the factors do not have."""

@@ -13,13 +13,15 @@ close into cycles.  Chains keep the head piece's basepoint and start; a
 cycle takes its basepoint at the start of its lowest-indexed piece.
 Composite components are numbered by their first piece.
 
+cut is the inverse of compose, up to the order of the components and
+tensor's shift of the lower crossing ids.
+
 predict_composed recovers the composite's polynomial from the factors'
-unsimplified per-crossing records alone: along each chain the next
-component's start label becomes the previous one's final label, every
-participant's index difference is replaced by the chain total, and
-variables are renamed to the chain's composite index.  Cyclic gluings
-are refused: a cycle has no surviving start label to anchor the
-substitutions, so only the diagram-level polynomial is defined there.
+unsimplified per-crossing records alone: along each chain or cycle the
+next component's start label becomes the previous one's final label,
+every participant's index difference is replaced by the members' total,
+and variables are renamed to the composite index.  A cycle needs no
+surviving start label: its lowest-indexed piece's start symbol anchors it.
 """
 
 from __future__ import annotations
@@ -49,13 +51,6 @@ class GluePlan:
     """The component grouping a composition's slot gluing produces."""
 
     entries: tuple[PlanEntry, ...]
-
-    @property
-    def has_cycles(self) -> bool:
-        return any(e.kind == "cycle" for e in self.entries)
-
-    def chain_lengths(self) -> list[int]:
-        return [len(e.members) for e in self.entries if e.kind == "chain"]
 
     @staticmethod
     def from_tangles(upper: TangleDiagram, lower: TangleDiagram) -> "GluePlan":
@@ -135,12 +130,49 @@ def compose(upper: TangleDiagram, lower: TangleDiagram) -> TangleDiagram:
     return TangleDiagram(upper.m, lower.n, tuple(components), both.crossings)
 
 
+def cut(d: TangleDiagram, upper_ids: set[int]) -> tuple[TangleDiagram, TangleDiagram]:
+    """Split valid ``d`` into (upper, lower): crossings in ``upper_ids`` go up.
+
+    Each component's maximal runs of passages on one side become long
+    pieces there, joined through interface slots numbered in walk order;
+    an empty piece carries the strand across where it has no passage.
+    A closed component that goes down starts with an upper piece, the
+    lowest-indexed of its cycle, so compose bases it where ``d`` does.
+    """
+    pieces: tuple[list[Component], list[Component]] = ([], [])    # upper, lower
+    n_iface = 0
+    for comp in d.components:
+        closed = comp.kind == "closed"
+        if closed and all(ev.crossing in upper_ids for ev in comp.events):
+            pieces[0].append(comp)
+            continue
+        runs: list[tuple[bool, list[Passage]]] = [(closed or comp.start[0] == "T", [])]
+        for ev in comp.events:
+            up = ev.crossing in upper_ids
+            if up != runs[-1][0]:
+                runs.append((up, []))
+            runs[-1][1].append(ev)
+        # A closed component comes back up from below to its basepoint.
+        end_up = not closed and comp.end[0] == "T"
+        if runs[-1][0] != end_up:
+            runs.append((end_up, []))
+        # Slot k follows run k; a closed component's last one leads to its first run.
+        slots = range(n_iface + 1, n_iface + len(runs) + closed)
+        n_iface += len(slots)
+        for k, (up, events) in enumerate(runs):
+            side = "B" if up else "T"
+            start = f"{side}{slots[k - 1]}" if k or closed else comp.start
+            end = f"{side}{slots[k]}" if k < len(slots) else comp.end
+            pieces[not up].append(Component("long", tuple(events), start, end))
+    upper = {cid: rec for cid, rec in d.crossings.items() if cid in upper_ids}
+    lower = {cid: rec for cid, rec in d.crossings.items() if cid not in upper_ids}
+    return (TangleDiagram(d.m, n_iface, tuple(pieces[0]), upper),
+            TangleDiagram(n_iface, d.n, tuple(pieces[1]), lower))
+
+
 def predict_composed(upper: MaipContributions, lower: MaipContributions,
                      plan: GluePlan) -> LaurentPoly:
     """Composite polynomial from the factors' structured records only."""
-    if plan.has_cycles:
-        raise InconsistentPlan("cyclic gluing: no start label survives; "
-                               "compute on the composite diagram instead")
     factors = ((0, upper), (len(upper.delta), lower))    # offsets into tensor indices
     delta = {shift + ci: step for shift, f in factors for ci, step in f.delta.items()}
     expr_map: dict[int, AffineInt] = {}

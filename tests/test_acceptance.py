@@ -12,8 +12,10 @@ it and asserts both that relation and that it differs from the order-one
 value (see README, "Known divergence").
 """
 
+import inspect
 import random
 
+from maip import checks, tangle_ops
 from maip.algebra import (AffineInt, collapse_variables, reindex, render,
                           substitute_symbols)
 from maip.checks import (check_compose_suite, check_corollary_suite,
@@ -124,8 +126,23 @@ def test_criterion_08_vassiliev_order_one():
 
 def test_criterion_09_tensor_and_composition_prediction():
     result = check_compose_suite(200, SEED)
-    chains_ok = result.stats["longest_chain"] >= 3 and result.stats["multi_chain_trials"] >= 100
-    report(9, result.ok and chains_ok, result.summary())
+    stats = result.stats
+    floors_ok = (stats["longest_chain"] >= 3 and stats["multi_chain_trials"] >= 100
+                 and stats["cyclic_trials"] >= 50)
+    report(9, result.ok and floors_ok, result.summary())
+
+
+def test_criterion_09_catches_a_prediction_that_drops_a_delta(monkeypatch):
+    # A copy of predict_composed whose merged delta leaves out each
+    # entry's last member: the suite must fail on it.
+    source = inspect.getsource(tangle_ops.predict_composed)
+    merged = "sum(delta[i] for i in entry.members)"
+    assert merged in source
+    namespace = dict(vars(tangle_ops))
+    exec(source.replace(merged, "sum(delta[i] for i in entry.members[:-1])"), namespace)
+    monkeypatch.setattr(checks, "predict_composed", namespace["predict_composed"])
+    result = check_compose_suite(200, SEED)
+    assert not result.ok, result.summary()
 
 
 def test_criterion_10_knot_reductions():

@@ -116,15 +116,20 @@ def test_compose_published_example():
     assert parse(body) == load("ex4")
 
 
-def test_compose_cyclic_prediction_skipped(tmp_path):
+def test_compose_cyclic_prediction_ok(tmp_path):
     upper = tmp_path / "upper.tangle"
     lower = tmp_path / "lower.tangle"
     upper.write_text("tangle m=0 n=2\ncomponent 1 long from B1 to B2 : O1+ U1+\n")
     lower.write_text("tangle m=2 n=0\ncomponent 1 long from T2 to T1 :\n")
     res = run_cli("compose", str(upper), str(lower))
     assert res.returncode == 0
-    assert "# predict: skipped (cyclic gluing)" in res.stdout
+    assert "# predict: ok" in res.stdout
     assert "# maip: 0" in res.stdout
+    res = run_cli("compose", str(upper), str(lower), "--json")
+    assert res.returncode == 0
+    payload = json.loads(res.stdout)
+    assert payload["predict"] == "ok"
+    assert payload["maip"] == poly_to_json(maip(load("kink")))
 
 
 def test_compose_arity_mismatch_exit_code():

@@ -1,11 +1,16 @@
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maip.algebra import reindex
 from maip.checks import random_composable_pair
-from maip.diagram import TangleDiagram, parse, serialize, validate
+from maip.diagram import (Component, Passage, TangleDiagram, parse, random_diagram,
+                          serialize, validate)
 from maip.errors import ArityMismatch, InconsistentPlan, OrientationMismatch
 from maip.invariant import maip, propagate_labels, structured_maip
-from maip.tangle_ops import GluePlan, compose, predict_composed, tensor
+from maip.tangle_ops import GluePlan, PlanEntry, compose, cut, predict_composed, tensor
 from maip.words import GeneratorWord, Identity, from_generator_word
 
 from conftest import aff, const, mono
@@ -96,7 +101,7 @@ def test_compose_cycle_closes_into_kink(kink):
     composite = compose(upper, lower)
     assert composite == kink
     plan = GluePlan.from_tangles(upper, lower)
-    assert plan.has_cycles
+    assert [e.kind for e in plan.entries] == ["cycle"]
 
 
 def test_compose_carries_closed_components():
@@ -107,6 +112,43 @@ def test_compose_carries_closed_components():
     composite = compose(upper, lower)
     assert [c.kind for c in composite.components] == ["long", "closed"]
     assert len(composite.components[1].events) == 2
+
+
+# ---------------------------------------------------------------------------
+# cut
+
+
+def test_cut_bases_a_closed_component_on_an_upper_piece(kink):
+    upper, lower = cut(kink, set())
+    assert serialize(upper) == "tangle m=0 n=2\ncomponent 1 long from B2 to B1 :\n"
+    assert serialize(lower) == "tangle m=2 n=0\ncomponent 1 long from T1 to T2 : O1+ U1+\n"
+    assert compose(upper, lower) == kink
+
+
+@given(st.integers(0, 10**6), st.integers(0, 2), st.integers(1, 2), st.integers(0, 8),
+       st.integers(0, 2), st.sampled_from(("random", "none", "all")))
+@settings(max_examples=150, deadline=None)
+def test_cut_then_compose_gives_the_diagram_back(seed, n_closed, n_long, n_classical,
+                                                 n_singular, subset):
+    d = random_diagram(seed, n_closed, n_long, n_classical, n_singular)
+    upper_ids = {"random": {cid for cid in d.crossings if (seed >> cid) & 1},
+                 "none": set(), "all": set(d.crossings)}[subset]
+    upper, lower = cut(d, upper_ids)
+    assert validate(upper) == validate(lower) == []
+    assert set(upper.crossings) == upper_ids
+    composite = compose(upper, lower)
+    # tensor shifts the lower crossing ids past the upper ones
+    shift = max(upper.crossings, default=0)
+
+    def unshift(cid):
+        return cid - shift if cid > shift else cid
+
+    components = [Component(c.kind, tuple(Passage(unshift(ev.crossing), ev.role)
+                                          for ev in c.events), c.start, c.end)
+                  for c in composite.components]
+    assert Counter(components) == Counter(d.components)
+    assert {unshift(cid): rec for cid, rec in composite.crossings.items()} == d.crossings
+    assert (composite.m, composite.n) == (d.m, d.n)
 
 
 # ---------------------------------------------------------------------------
@@ -127,12 +169,18 @@ def test_predict_identity_composition(ex3):
     assert predicted == maip(ex3)
 
 
-def test_predict_rejects_cycles():
+def test_predict_covers_cycles(kink):
     upper = parse("tangle m=0 n=2\ncomponent 1 long from B1 to B2 : O1+ U1+\n")
     lower = parse("tangle m=2 n=0\ncomponent 1 long from T2 to T1 :\n")
     plan = GluePlan.from_tangles(upper, lower)
+    predicted = predict_composed(structured_maip(upper), structured_maip(lower), plan)
+    assert predicted == maip(kink)
+
+
+def test_predict_rejects_unknown_component(ex3):
+    plan = GluePlan((PlanEntry("chain", (1, 9)),))
     with pytest.raises(InconsistentPlan):
-        predict_composed(structured_maip(upper), structured_maip(lower), plan)
+        predict_composed(structured_maip(ex3), structured_maip(ex3), plan)
 
 
 def test_predict_merges_deltas_along_chains(ex2, ex3):
@@ -145,8 +193,9 @@ def test_predict_merges_deltas_along_chains(ex2, ex3):
 
 
 def test_predict_on_random_pairs():
-    for seed in range(60):
-        upper, lower, plan = random_composable_pair(seed)
+    for trial in range(60):
+        _d, upper, lower = random_composable_pair(0, trial)
+        plan = GluePlan.from_tangles(upper, lower)
         direct = maip(compose(upper, lower))
         predicted = predict_composed(structured_maip(upper), structured_maip(lower), plan)
         assert predicted == direct, (serialize(upper), serialize(lower))
