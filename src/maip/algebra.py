@@ -95,15 +95,6 @@ class AffineInt:
             raise MissingSymbol(f"no value for {names}")
         return self.const + sum(a * assignment[i] for i, a in self.coeffs)
 
-    def substitute_affine(self, mapping: Mapping[int, "AffineInt"]) -> "AffineInt":
-        """Replace each symbol with an affine expression."""
-        out = AffineInt(self.const)
-        for i, a in self.coeffs:
-            if i not in mapping:
-                raise MissingSymbol(f"no expression for c{i}")
-            out = out + a * mapping[i]
-        return out
-
     def rename_symbols(self, sym_map: Mapping[int, int]) -> "AffineInt":
         merged: dict[int, int] = {}
         for i, a in self.coeffs:

@@ -197,7 +197,8 @@ def check_compose_suite(trials: int, seed: int) -> CheckReport:
 
         composite = compose(upper, lower)
         order = _uncut_order(d, upper, composite)
-        predicted = predict_composed(structured_maip(upper), structured_maip(lower), plan)
+        upper_records, lower_records = structured_maip(upper), structured_maip(lower)
+        predicted = predict_composed(upper_records, lower_records, plan)
         if order is None:
             problems.append("compose(*cut(d)) is not d")
         elif predicted != reindex(maip(d), order):
@@ -209,7 +210,7 @@ def check_compose_suite(trials: int, seed: int) -> CheckReport:
         both = tensor(upper, lower)
         offset_v = len(upper.components)
         shift = {i: i + offset_v for i in range(1, len(lower.components) + 1)}
-        expected = maip(upper) + reindex(maip(lower), shift)
+        expected = upper_records.polynomial() + reindex(lower_records.polynomial(), shift)
         if maip(both) != expected:
             problems.append("tensor additivity failed")
 

@@ -150,6 +150,8 @@ def validate(d: TangleDiagram) -> list[str]:
             seen[(ev.crossing, ev.role)] = seen.get((ev.crossing, ev.role), 0) + 1
 
     for cid, rec in sorted(d.crossings.items()):
+        if cid < 1:
+            errs.append(f"crossing {cid}: ids start at 1")
         roles = CLASSICAL_ROLES if rec.is_classical else SINGULAR_ROLES
         for role in roles:
             count = seen.pop((cid, role), 0)

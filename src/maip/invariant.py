@@ -13,8 +13,9 @@ last offset.
 A classical crossing with over-incoming label a, under-incoming label b
 and sign s gets weight W = a - b - s (equivalently over-incoming minus
 under-outgoing).  With i the over and j the under component, W is an
-integer plus the symbol part c_i - c_j, which is 0 when i = j.  The
-invariant is
+integer k plus the symbol part c_i - c_j, which is 0 when i = j.  A
+crossing's record stores only (s, i, j, k); symbols appear where the
+polynomial is built.  The invariant is
 
     sum over classical crossings of  sign * t_i^(delta_j) * (t_i^W - 1)
 
@@ -24,7 +25,7 @@ with i the overstrand component and j the understrand component.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping
 
 from .algebra import AffineInt, LaurentPoly
@@ -69,12 +70,16 @@ def propagate_labels(d: TangleDiagram) -> Labeling:
 
 @dataclass(frozen=True)
 class Contribution:
-    """One crossing's structured summand, before any simplification."""
+    """One crossing's summand, unsimplified; its weight is k + c_over - c_under."""
 
     sign: int
     over_component: int
     under_component: int
-    weight: AffineInt
+    k: int
+
+    @property
+    def weight(self) -> AffineInt:
+        return AffineInt(self.k, _symbol_part(self.over_component, self.under_component))
 
 
 def _symbol_part(i: int, j: int) -> tuple[tuple[int, int], ...]:
@@ -95,8 +100,7 @@ def _contribution(labeling: Labeling, sign: int, over: tuple[int, int],
     """
     (oi, opos), (ui, upos) = over, under
     offsets = labeling.offsets
-    w = AffineInt(offsets[oi][opos] - offsets[ui][upos] - sign, _symbol_part(oi, ui))
-    return Contribution(sign, oi, ui, w)
+    return Contribution(sign, oi, ui, offsets[oi][opos] - offsets[ui][upos] - sign)
 
 
 def weight_table(d: TangleDiagram, labeling: Labeling) -> dict[int, Contribution]:
@@ -131,18 +135,20 @@ class MaipContributions:
 def contribution_poly(records, delta: Mapping[int, int]) -> LaurentPoly:
     """Sum of sign * t_i^(delta_j) * (t_i^W - 1) over the records, in one pass.
 
-    Coefficients are summed on plain (variable, exponent constant,
-    exponent symbols) keys; each distinct term then makes one AffineInt.
+    Coefficients are summed on plain (i, j, exponent constant) keys, the
+    symbol-free -1 term under (i, i, delta_j); each distinct term then
+    makes one AffineInt.
     """
-    terms: dict[tuple[int, int, tuple[tuple[int, int], ...]], int] = {}
+    terms: dict[tuple[int, int, int], int] = {}
     for rec in records:
-        var, shift, sign, w = rec.over_component, delta[rec.under_component], rec.sign, rec.weight
-        key = (var, w.const + shift, w.coeffs)
+        i, j, sign = rec.over_component, rec.under_component, rec.sign
+        shift = delta[j]
+        key = (i, j, rec.k + shift)
         terms[key] = terms.get(key, 0) + sign
-        key = (var, shift, ())
+        key = (i, i, shift)
         terms[key] = terms.get(key, 0) - sign
-    return LaurentPoly({(var, AffineInt(const, coeffs)): coeff
-                        for (var, const, coeffs), coeff in terms.items()})
+    return LaurentPoly({(i, AffineInt(const, _symbol_part(i, j))): coeff
+                        for (i, j, const), coeff in terms.items()})
 
 
 def structured_maip(d: TangleDiagram) -> MaipContributions:
@@ -225,7 +231,7 @@ def vassiliev_eval(d: TangleDiagram) -> LaurentPoly:
     primary = positions[(sing[0], SING_PRIMARY)]
     secondary = positions[(sing[0], SING_SECONDARY)]
     # P+ puts the primary strand over at a positive crossing, P- under at
-    # a negative one; P- enters the sum with coefficient -1.
+    # a negative one; P- enters with coefficient -1, so its sign becomes +1.
     plus = _contribution(labeling, 1, primary, secondary)
     minus = _contribution(labeling, -1, secondary, primary)
-    return contribution_poly((plus,), labeling.delta) - contribution_poly((minus,), labeling.delta)
+    return contribution_poly((plus, replace(minus, sign=1)), labeling.delta)

@@ -17,18 +17,19 @@ cut is the inverse of compose, up to the order of the components and
 tensor's shift of the lower crossing ids.
 
 predict_composed recovers the composite's polynomial from the factors'
-unsimplified per-crossing records alone: along each chain or cycle the
-next component's start label becomes the previous one's final label,
-every participant's index difference is replaced by the members' total,
-and variables are renamed to the composite index.  A cycle needs no
-surviving start label: its lowest-indexed piece's start symbol anchors it.
+unsimplified per-crossing records alone: along each chain or cycle a
+piece starts at the composite's start symbol plus its prefix, the index
+differences of the members before it, so a record's k gains its over
+piece's prefix minus its under piece's.  Each participant's index
+difference becomes the members' total and each variable the composite
+index.  A cycle's lowest-indexed piece's start symbol anchors it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import AffineInt, LaurentPoly
+from .algebra import LaurentPoly
 from .diagram import Component, Passage, TangleDiagram, require_valid
 from .errors import ArityMismatch, InconsistentPlan, OrientationMismatch
 from .invariant import Contribution, MaipContributions, contribution_poly
@@ -175,27 +176,21 @@ def predict_composed(upper: MaipContributions, lower: MaipContributions,
     """Composite polynomial from the factors' structured records only."""
     factors = ((0, upper), (len(upper.delta), lower))    # offsets into tensor indices
     delta = {shift + ci: step for shift, f in factors for ci, step in f.delta.items()}
-    expr_map: dict[int, AffineInt] = {}
-    var_map: dict[int, int] = {}
+    place: dict[int, tuple[int, int]] = {}    # tensor index -> (composite index, prefix)
     merged_delta: dict[int, int] = {}
     for new_index, entry in enumerate(plan.entries, start=1):
-        label = AffineInt.symbol(new_index)
+        prefix = 0
         for i in entry.members:
             if i not in delta:
                 raise InconsistentPlan(f"plan references unknown component {i}")
-            expr_map[i] = label
-            var_map[i] = new_index
-            label = label + delta[i]
-        merged_delta[new_index] = sum(delta[i] for i in entry.members)
+            place[i] = (new_index, prefix)
+            prefix += delta[i]
+        merged_delta[new_index] = prefix
 
     records = []
     for shift, factor in factors:
-        symbol_exprs = {ci: expr_map[shift + ci] for ci in factor.delta}
         for rec in factor.records:
-            records.append(Contribution(
-                rec.sign,
-                var_map[shift + rec.over_component],
-                var_map[shift + rec.under_component],
-                rec.weight.substitute_affine(symbol_exprs),
-            ))
+            over, a = place[shift + rec.over_component]
+            under, b = place[shift + rec.under_component]
+            records.append(Contribution(rec.sign, over, under, rec.k + a - b))
     return contribution_poly(records, merged_delta)

@@ -136,10 +136,10 @@ def test_criterion_09_catches_a_prediction_that_drops_a_delta(monkeypatch):
     # A copy of predict_composed whose merged delta leaves out each
     # entry's last member: the suite must fail on it.
     source = inspect.getsource(tangle_ops.predict_composed)
-    merged = "sum(delta[i] for i in entry.members)"
+    merged = "merged_delta[new_index] = prefix"
     assert merged in source
     namespace = dict(vars(tangle_ops))
-    exec(source.replace(merged, "sum(delta[i] for i in entry.members[:-1])"), namespace)
+    exec(source.replace(merged, merged + " - delta[entry.members[-1]]"), namespace)
     monkeypatch.setattr(checks, "predict_composed", namespace["predict_composed"])
     result = check_compose_suite(200, SEED)
     assert not result.ok, result.summary()

@@ -132,6 +132,24 @@ def test_compose_cyclic_prediction_ok(tmp_path):
     assert payload["maip"] == poly_to_json(maip(load("kink")))
 
 
+@pytest.mark.parametrize("command", ["tensor", "compose"])
+@pytest.mark.parametrize("suffix, text", [
+    (".tangle", "tangle m=0 n=0\ncomponent 1 closed : O0- U0-\n"),
+    (".json", '{"m": 0, "n": 0, "components": [{"kind": "closed", "events": ["O0-", "U0-"]}]}'),
+])
+def test_crossing_id_0_is_an_input_error(command, suffix, text, tmp_path):
+    # tensor shifts the second factor's ids by the first's largest, so an
+    # id 0 on both sides would collide and lose a crossing.
+    zero = tmp_path / f"zero{suffix}"
+    zero.write_text(text)
+    kink = tmp_path / "kink.tangle"
+    kink.write_text("tangle m=0 n=0\ncomponent 1 closed : O1+ U1+\n")
+    res = run_cli(command, str(kink), str(zero))
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr == f"error: {zero}: invalid diagram\n  - crossing 0: ids start at 1\n"
+
+
 def test_compose_arity_mismatch_exit_code():
     res = run_cli("compose", fx("ex3"), fx("ex3"))
     assert res.returncode == 2

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from maip.diagram import (Component, CrossingRecord, Passage, TangleDiagram,
                           from_json, parse, random_diagram, serialize, to_json,
                           validate)
-from maip.errors import ArityMismatch, DiagramParseError, DirectionMismatch
+from maip.errors import (ArityMismatch, DiagramParseError, DirectionMismatch,
+                         ValidationFailure)
 from maip.invariant import maip, propagate_labels
 from maip.tangle_ops import compose
 from maip.words import (Cap, Crossing, Cup, GeneratorWord, Identity,
@@ -60,6 +61,17 @@ def test_validate_unknown_kind_is_not_called_closed():
     problems = validate(d)
     assert "component 1: unknown kind 'loop'" in problems
     assert not any("closed component" in p for p in problems)
+
+
+def test_validate_ids_start_at_1():
+    d = TangleDiagram(0, 0, (Component("closed", (Passage(0, "O"), Passage(0, "U"))),),
+                      {0: CrossingRecord.classical(1)})
+    assert validate(d) == ["crossing 0: ids start at 1"]
+    for make in (lambda: parse("tangle m=0 n=0\ncomponent 1 closed : O0+ U0+\n"),
+                 lambda: from_json(to_json(d))):
+        with pytest.raises(ValidationFailure) as info:
+            make()
+        assert info.value.violations == ["crossing 0: ids start at 1"]
 
 
 def test_parse_ex3(ex3):

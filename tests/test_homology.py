@@ -172,7 +172,7 @@ def test_prop2_ex3(ex3):
 def test_prop2_checks_the_weights_the_polynomial_uses(ex3, monkeypatch):
     def shifted(d, labeling):
         table = weight_table(d, labeling)
-        return {cid: replace(rec, weight=rec.weight + 1) for cid, rec in table.items()}
+        return {cid: replace(rec, k=rec.k + 1) for cid, rec in table.items()}
 
     monkeypatch.setattr(homology, "weight_table", shifted)
     assert not check_prop2(ex3).ok

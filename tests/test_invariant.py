@@ -52,6 +52,10 @@ def test_weights_ex3(ex3):
     table = weight_table(ex3, propagate_labels(ex3))
     assert table[1].weight == aff(-1, c1=1, c3=-1)
     assert table[2].weight == aff(0, c2=1, c3=-1)
+    # a record stores only the integer part; the symbols follow from i and j
+    assert [(rec.over_component, rec.under_component, rec.k) for rec in table.values()] == \
+        [(1, 3, -1), (2, 3, 0)]
+    assert all(type(rec.k) is int for rec in table.values())
 
 
 def test_weights_ex2_match_displayed_factors(ex2):
@@ -113,42 +117,37 @@ def test_integer_weights_follow_affine_arithmetic(seed, n_closed, n_long, n_sing
         reference_assembly(table.values(), lab.delta)
 
 
-_SYMBOLS = st.dictionaries(st.integers(min_value=1, max_value=5),
-                           st.integers(min_value=-2, max_value=2), max_size=4)
-
-
 @st.composite
 def composed_records(draw):
-    """Records as predict_composed makes them: any affine weight, and
-    weights that cancel their shift to the constant term."""
+    """Records as predict_composed makes them: any integer k, self-crossings,
+    and k = -delta_j, whose term cancels to the constant when i = j."""
     delta = {ci: draw(st.integers(min_value=-2, max_value=2)) for ci in (1, 2, 3)}
     records = []
     for _ in range(draw(st.integers(min_value=0, max_value=12))):
-        i, j = draw(st.integers(min_value=1, max_value=3)), draw(st.integers(min_value=1, max_value=3))
-        if draw(st.booleans()):
-            weight = AffineInt(-delta[j])
-        else:
-            weight = AffineInt.of(draw(st.integers(min_value=-3, max_value=3)), draw(_SYMBOLS))
-        records.append(Contribution(draw(st.sampled_from((1, -1))), i, j, weight))
+        i = draw(st.integers(min_value=1, max_value=3))
+        j = i if draw(st.booleans()) else draw(st.integers(min_value=1, max_value=3))
+        k = -delta[j] if draw(st.booleans()) else draw(st.integers(min_value=-3, max_value=3))
+        records.append(Contribution(draw(st.sampled_from((1, -1))), i, j, k))
     return records, delta
 
 
 @given(composed_records())
 @settings(max_examples=200, deadline=None)
-def test_assembly_of_any_affine_weights_matches_the_reference(case):
+def test_assembly_of_composed_records_matches_the_reference(case):
     records, delta = case
     assert contribution_poly(records, delta) == reference_assembly(records, delta)
 
 
 def test_assembly_reference_sees_three_symbols_and_the_constant_term():
     delta = {1: 1, 2: 0, 3: -1}
-    records = [Contribution(1, 1, 3, aff(2, c1=1, c2=-2, c4=3)),
-               Contribution(-1, 2, 3, aff(2, c1=1, c2=-2, c4=3)),
-               Contribution(1, 2, 1, AffineInt(-1)),
-               Contribution(1, 3, 2, AffineInt(0))]
-    expected = (mono(1, aff(1, c1=1, c2=-2, c4=3)) + mono(1, -1, -1)
-                - mono(2, aff(1, c1=1, c2=-2, c4=3)) + mono(2, -1)
-                - mono(2, 1) + const(1))
+    records = [Contribution(1, 1, 3, 2),
+               Contribution(-1, 2, 3, 2),
+               Contribution(1, 2, 1, -1),
+               Contribution(1, 3, 3, 1)]
+    expected = (mono(1, aff(1, c1=1, c3=-1)) + mono(1, -1, -1)
+                - mono(2, aff(1, c2=1, c3=-1)) + mono(2, -1)
+                + mono(2, aff(0, c1=-1, c2=1)) - mono(2, 1)
+                + const(1) - mono(3, -1))
     assert contribution_poly(records, delta) == expected == reference_assembly(records, delta)
 
 
@@ -201,13 +200,14 @@ def test_maip_commutes_with_symbol_substitution():
                 sign = d.sign(ev.crossing)
                 label += -sign if ev.role == OVER else sign
             delta[ci] = label - assignment[ci]
-        # Each crossing's numeric weight a - b - s from those labels.
+        # Each crossing's numeric weight a - b - s from those labels, less
+        # the value of its symbol part c_i - c_j, is the record's k.
         records = []
         for cid in d.classical_ids():
             (i, a), (j, b) = incoming[(cid, OVER)], incoming[(cid, UNDER)]
             s = d.sign(cid)
-            records.append(Contribution(s, i, j, AffineInt(a - b - s)))
-        assert via_poly == contribution_poly(records, delta)
+            records.append(Contribution(s, i, j, a - b - s - (assignment[i] - assignment[j])))
+        assert via_poly == substitute_symbols(contribution_poly(records, delta), assignment)
 
 
 # ---------------------------------------------------------------------------

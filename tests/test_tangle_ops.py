@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maip.algebra import reindex
+from maip.algebra import AffineInt, LaurentPoly, reindex
 from maip.checks import random_composable_pair
 from maip.diagram import (Component, Passage, TangleDiagram, parse, random_diagram,
                           serialize, validate)
@@ -192,13 +192,58 @@ def test_predict_merges_deltas_along_chains(ex2, ex3):
     assert composite_delta == merged == {1: 1, 2: -1}
 
 
+def substituted_prediction(upper, lower, plan):
+    """The prediction by symbol substitution, in AffineInt arithmetic.
+
+    Each piece's start symbol is replaced by its composite start symbol
+    plus the index differences of the members before it, inside each
+    record's full weight; the terms are then summed one by one.
+    """
+    factors = ((0, upper), (len(upper.delta), lower))
+    delta = {shift + ci: step for shift, f in factors for ci, step in f.delta.items()}
+    label, var, merged = {}, {}, {}
+    for new_index, entry in enumerate(plan.entries, start=1):
+        start = AffineInt.symbol(new_index)
+        for i in entry.members:
+            label[i], var[i] = start, new_index
+            start = start + delta[i]
+        merged[new_index] = sum(delta[i] for i in entry.members)
+    terms = Counter()
+    for shift, factor in factors:
+        for rec in factor.records:
+            weight = AffineInt(rec.weight.const)
+            for ci, a in rec.weight.coeffs:
+                weight = weight + a * label[shift + ci]
+            i, shift_j = var[shift + rec.over_component], merged[var[shift + rec.under_component]]
+            terms[(i, weight + shift_j)] += rec.sign
+            terms[(i, AffineInt(shift_j))] -= rec.sign
+    return LaurentPoly(terms)
+
+
+@given(st.integers(0, 10**6), st.integers(0, 2), st.integers(1, 2), st.integers(0, 10))
+@settings(max_examples=150, deadline=None)
+def test_predict_equals_the_substitution_route(seed, n_closed, n_long, n_classical):
+    d = random_diagram(seed, n_closed, n_long, n_classical)
+    upper, lower = cut(d, {cid for cid in d.crossings if (seed >> cid) & 1})
+    plan = GluePlan.from_tangles(upper, lower)
+    upper_records, lower_records = structured_maip(upper), structured_maip(lower)
+    predicted = predict_composed(upper_records, lower_records, plan)
+    assert predicted == substituted_prediction(upper_records, lower_records, plan)
+    assert predicted == maip(compose(upper, lower))
+
+
 def test_predict_on_random_pairs():
+    cyclic = 0
     for trial in range(60):
         _d, upper, lower = random_composable_pair(0, trial)
         plan = GluePlan.from_tangles(upper, lower)
+        cyclic += any(e.kind == "cycle" for e in plan.entries)
         direct = maip(compose(upper, lower))
-        predicted = predict_composed(structured_maip(upper), structured_maip(lower), plan)
+        upper_records, lower_records = structured_maip(upper), structured_maip(lower)
+        predicted = predict_composed(upper_records, lower_records, plan)
         assert predicted == direct, (serialize(upper), serialize(lower))
+        assert predicted == substituted_prediction(upper_records, lower_records, plan)
+    assert cyclic >= 20
 
 
 def test_compose_associative_when_arities_permit():
