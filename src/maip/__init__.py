@@ -11,8 +11,7 @@ from .invariant import (Labeling, MaipContributions, maip, propagate_labels,
                         resolve_singular, structured_maip, vassiliev_eval,
                         weight_table)
 from .moves import (MoveSite, apply_site, find_r1_delete_sites,
-                    find_r2_delete_sites, find_r3_sites, find_sites, r1_insert,
-                    r2_insert, random_walk)
+                    find_r2_delete_sites, find_r3_sites, find_sites, random_walk)
 from .tangle_ops import GluePlan, compose, predict_composed, tensor
 from .words import Cap, Crossing, Cup, GeneratorWord, Identity, from_generator_word
 

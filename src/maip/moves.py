@@ -15,14 +15,16 @@ applying the move once.  The three crossings must share one sign; with
 mixed signs the pair swap shifts the middle labels and is not
 weight-preserving, so such sites are never offered.
 
-Insertions (R1+, R2+) take a position and fresh crossing parameters.
-Every other site is found by :func:`find_sites`, one pass over the
-adjacent passage pairs of each component with one passage-position
-index; each pattern is written there and nowhere else.
-:func:`apply_site` applies exactly the sites that scan offers on the
-given diagram and raises :class:`NotApplicable` for anything else; an
-R3 site swaps each of its three pairs, an R1- or R2- site drops its
-pairs and their crossings.
+Every move is one edit: replace a few adjacent passages at its anchors
+and update the crossing table, so each kind is one case of one rewrite.
+Insertion sites (R1+, R2+) are arc positions with fresh crossing
+parameters.  Every other site is found by :func:`find_sites`, one pass
+over the adjacent passage pairs of each component with one
+passage-position index; each pattern is written there and nowhere else.
+:func:`apply_site` applies an insertion at in-range anchors and any
+other site only where that scan offers it, and raises
+:class:`NotApplicable` for anything else; an R3 site swaps each of its
+three pairs, an R1- or R2- site drops its pairs and their crossings.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .errors import NotApplicable
 
 OVER_FIRST = "over_first"
 UNDER_FIRST = "under_first"
+_INSERT_KINDS = ("R1+", "R2+")
 
 
 @dataclass(frozen=True)
@@ -62,67 +65,6 @@ class MoveSite:
         if self.same_direction is not None:
             extra.append(f"same_direction={self.same_direction}")
         return " ".join([self.kind, spots] + extra)
-
-
-def _with_events(d: TangleDiagram, comp_idx: int, events: tuple[Passage, ...],
-                 crossings: dict[int, CrossingRecord] | None = None) -> TangleDiagram:
-    comps = list(d.components)
-    comps[comp_idx - 1] = replace(comps[comp_idx - 1], events=events)
-    return TangleDiagram(d.m, d.n, tuple(comps), crossings if crossings is not None else dict(d.crossings))
-
-
-def _insert(events: tuple[Passage, ...], pos: int, new: tuple[Passage, ...]) -> tuple[Passage, ...]:
-    if not 0 <= pos <= len(events):
-        raise NotApplicable(f"arc position {pos} out of range 0..{len(events)}")
-    return events[:pos] + new + events[pos:]
-
-
-# ---------------------------------------------------------------------------
-# insertions
-
-
-def r1_insert(d: TangleDiagram, pos: tuple[int, int], sign: int,
-              order: str) -> TangleDiagram:
-    """Add a kink: a fresh crossing with both passages adjacent at pos."""
-    ci, k = pos
-    if not 1 <= ci <= len(d.components):
-        raise NotApplicable(f"no component {ci}")
-    cid = d.next_crossing_id()
-    pair = (Passage(cid, OVER), Passage(cid, UNDER))
-    if order == UNDER_FIRST:
-        pair = pair[::-1]
-    elif order != OVER_FIRST:
-        raise ValueError(f"order must be {OVER_FIRST!r} or {UNDER_FIRST!r}")
-    crossings = dict(d.crossings)
-    crossings[cid] = CrossingRecord.classical(sign)
-    return _with_events(d, ci, _insert(d.components[ci - 1].events, k, pair), crossings)
-
-
-def r2_insert(d: TangleDiagram, pos_a: tuple[int, int], pos_b: tuple[int, int],
-              sign: int, same_direction: bool) -> TangleDiagram:
-    """Slide strand A over strand B: two fresh crossings of opposite signs.
-
-    Strand A receives the adjacent pair (O_x, O_y); strand B receives
-    (U_x, U_y) when same_direction else (U_y, U_x).
-    """
-    ca, ka = pos_a
-    cb, kb = pos_b
-    for ci in (ca, cb):
-        if not 1 <= ci <= len(d.components):
-            raise NotApplicable(f"no component {ci}")
-    x = d.next_crossing_id()
-    y = x + 1
-    crossings = dict(d.crossings)
-    crossings[x] = CrossingRecord.classical(sign)
-    crossings[y] = CrossingRecord.classical(-sign)
-    overs = (Passage(x, OVER), Passage(y, OVER))
-    unders = (Passage(x, UNDER), Passage(y, UNDER))
-    if not same_direction:
-        unders = unders[::-1]
-    out = _with_events(d, ca, _insert(d.components[ca - 1].events, ka, overs), crossings)
-    if cb == ca and kb >= ka:
-        kb += 2
-    return _with_events(out, cb, _insert(out.components[cb - 1].events, kb, unders))
 
 
 # ---------------------------------------------------------------------------
@@ -209,31 +151,70 @@ def find_r3_sites(d: TangleDiagram) -> list[MoveSite]:
 
 
 def apply_site(d: TangleDiagram, site: MoveSite) -> TangleDiagram:
-    """Apply an R1-, R2- or R3 site that :func:`find_sites` offers on d."""
-    if site not in find_sites(d).get(site.kind, ()):
+    """Apply an insertion at valid anchors, or a site :func:`find_sites` offers on d.
+
+    An insertion has one anchor (R1+) or two (R2+), each naming a
+    component and an arc position 0..len(events) on it; a bad ``order``
+    or sign raises ValueError.
+    """
+    if site.kind in _INSERT_KINDS:
+        if len(site.anchors) != (1 if site.kind == "R1+" else 2):
+            raise NotApplicable(f"wrong number of anchors: {site.describe()}")
+        for ci, k in site.anchors:
+            if not 1 <= ci <= len(d.components):
+                raise NotApplicable(f"no component {ci}")
+            n = len(d.components[ci - 1].events)
+            if not 0 <= k <= n:
+                raise NotApplicable(f"arc position {k} out of range 0..{n}")
+    elif site not in find_sites(d).get(site.kind, ()):
         raise NotApplicable(f"not a site of this diagram: {site.describe()}")
     return _rewrite(d, site)
 
 
 def _rewrite(d: TangleDiagram, site: MoveSite) -> TangleDiagram:
-    """R3 swaps each anchored pair; R1-/R2- drop them and their crossings."""
+    """Replace a few adjacent passages at each anchor and update the crossings.
+
+    Each edit is (component, offset, tie-break, passages replaced, new
+    passages); applied from the last position back, every edit sees its
+    anchor's original offset.  R1+ inserts (O_x, U_x), reversed for
+    under_first.  R2+ inserts (O_x, O_y) at its first anchor and
+    (U_x, U_y), reversed unless same_direction, at its second; at one
+    position the first anchor's pair comes first.  R3 swaps each anchored
+    pair; R1- and R2- drop them and their crossings.
+    """
     comps = list(d.components)
-    doomed = set()
-    if site.kind != "R3":
-        doomed = {ev.crossing for ci, k in site.anchors for ev in comps[ci - 1].events[k:k + 2]}
-    for ci, k in sorted(site.anchors, reverse=True):
+    crossings = dict(d.crossings)
+    edits = []
+    x = d.next_crossing_id() if site.kind in _INSERT_KINDS else None
+    if site.kind == "R1+":
+        if site.order not in (OVER_FIRST, UNDER_FIRST):
+            raise ValueError(f"order must be {OVER_FIRST!r} or {UNDER_FIRST!r}")
+        crossings[x] = CrossingRecord.classical(site.sign)
+        pair = (Passage(x, OVER), Passage(x, UNDER))
+        edits.append((*site.anchors[0], 0, 0, pair if site.order == OVER_FIRST else pair[::-1]))
+    elif site.kind == "R2+":
+        crossings[x] = CrossingRecord.classical(site.sign)
+        crossings[x + 1] = CrossingRecord.classical(-site.sign)
+        unders = (Passage(x, UNDER), Passage(x + 1, UNDER))
+        a, b = site.anchors
+        edits.append((*a, 0, 0, (Passage(x, OVER), Passage(x + 1, OVER))))
+        edits.append((*b, 1, 0, unders if site.same_direction else unders[::-1]))
+    else:
+        for ci, k in site.anchors:
+            pair = comps[ci - 1].events[k:k + 2]
+            if site.kind != "R3":
+                for ev in pair:
+                    crossings.pop(ev.crossing, None)
+            edits.append((ci, k, 0, 2, pair[::-1] if site.kind == "R3" else ()))
+    # Passage has no ordering, so the sort must not reach the last fields.
+    for ci, k, _, n, new in sorted(edits, key=lambda e: e[:3], reverse=True):
         events = comps[ci - 1].events
-        kept = (events[k + 1], events[k]) if site.kind == "R3" else ()
-        comps[ci - 1] = replace(comps[ci - 1], events=events[:k] + kept + events[k + 2:])
-    crossings = {cid: rec for cid, rec in d.crossings.items() if cid not in doomed}
+        comps[ci - 1] = replace(comps[ci - 1], events=events[:k] + new + events[k + n:])
     return TangleDiagram(d.m, d.n, tuple(comps), crossings)
 
 
 # ---------------------------------------------------------------------------
 # random walk
-
-
-_INSERT_KINDS = ("R1+", "R2+")
 
 
 def _arc_positions(d: TangleDiagram) -> list[tuple[int, int]]:
@@ -248,8 +229,9 @@ def random_walk(d: TangleDiagram, n_moves: int, seed: int,
 
     The move kind is drawn uniformly among kinds with at least one
     applicable site, then the site (or insertion position, sign, and
-    variant) uniformly within the kind.  Each applied move's description
-    is appended to ``log``.
+    variant) uniformly within the kind; every kind is applied as a
+    :class:`MoveSite` by the one rewrite :func:`apply_site` uses.  Each
+    applied move's description is appended to ``log``.
     """
     rng = random.Random(seed)
     out = d
@@ -265,7 +247,6 @@ def random_walk(d: TangleDiagram, n_moves: int, seed: int,
             sign = rng.choice((1, -1))
             order = rng.choice((OVER_FIRST, UNDER_FIRST))
             site = MoveSite("R1+", (pos,), sign=sign, order=order)
-            out = r1_insert(out, pos, sign, order)
         elif kind == "R2+":
             arcs = _arc_positions(out)
             pos_a = rng.choice(arcs)
@@ -273,9 +254,8 @@ def random_walk(d: TangleDiagram, n_moves: int, seed: int,
             sign = rng.choice((1, -1))
             same = rng.choice((True, False))
             site = MoveSite("R2+", (pos_a, pos_b), sign=sign, same_direction=same)
-            out = r2_insert(out, pos_a, pos_b, sign, same)
         else:
             site = rng.choice(sites[kind])
-            out = _rewrite(out, site)
+        out = _rewrite(out, site)
         log.append(site.describe())
     return out

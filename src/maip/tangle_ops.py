@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import LaurentPoly
-from .diagram import Component, Passage, TangleDiagram, require_valid
+from .diagram import Component, Passage, TangleDiagram
 from .errors import ArityMismatch, InconsistentPlan, OrientationMismatch
 from .invariant import Contribution, MaipContributions, contribution_poly
 
@@ -114,9 +114,11 @@ def tensor(t: TangleDiagram, t2: TangleDiagram) -> TangleDiagram:
 
 
 def compose(upper: TangleDiagram, lower: TangleDiagram) -> TangleDiagram:
-    """Stack ``upper`` above ``lower``: their tensor product glued along the plan."""
-    require_valid(upper)
-    require_valid(lower)
+    """Stack ``upper`` above ``lower``: their tensor product glued along the plan.
+
+    Like :func:`tensor`, compose does not validate: both inputs must be
+    valid, and then so is the composite.
+    """
     plan = GluePlan.from_tangles(upper, lower)
     both = tensor(upper, lower)
     pieces = upper.components + lower.components    # the free slots keep these names

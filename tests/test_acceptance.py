@@ -24,7 +24,7 @@ from maip.diagram import random_diagram, validate
 from maip.homology import maip_via_homology
 from maip.invariant import (maip, propagate_labels, resolve_singular,
                             structured_maip, vassiliev_eval)
-from maip.moves import r1_insert
+from maip.moves import MoveSite, apply_site
 from maip.tangle_ops import compose
 
 from conftest import aff, const, load, mono
@@ -157,7 +157,8 @@ def test_criterion_10_knot_reductions():
         reduced = collapse_variables(substitute_symbols(base, {1: 0}))
         for _ in range(3):
             pos = (1, rng.randint(0, len(d.components[0].events)))
-            d = r1_insert(d, pos, rng.choice((1, -1)), rng.choice(("over_first", "under_first")))
+            d = apply_site(d, MoveSite("R1+", (pos,), sign=rng.choice((1, -1)),
+                                       order=rng.choice(("over_first", "under_first"))))
         kinked = maip(d)
         if validate(d) or kinked != base:
             ok = False

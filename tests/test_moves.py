@@ -7,7 +7,7 @@ from maip.errors import NotApplicable
 from maip.invariant import maip, propagate_labels, vassiliev_eval, weight_table
 from maip.moves import (MoveSite, apply_site, find_r1_delete_sites,
                         find_r2_delete_sites, find_r3_sites, find_sites,
-                        r1_insert, r2_insert, random_walk)
+                        random_walk)
 
 TWO_STRANDS = "tangle m=2 n=2\ncomponent 1 long from B1 to T1 :\ncomponent 2 long from B2 to T2 :\n"
 
@@ -21,7 +21,7 @@ def crossing_free_loop():
 
 
 def test_r1_insert_makes_kink(kink):
-    d = r1_insert(crossing_free_loop(), (1, 0), 1, "over_first")
+    d = apply_site(crossing_free_loop(), MoveSite("R1+", ((1, 0),), sign=1, order="over_first"))
     assert d == kink
     assert maip(d).is_zero()
 
@@ -33,8 +33,9 @@ def test_r1_round_trip(kink):
 
 
 def test_r1_orders():
-    over_first = r1_insert(crossing_free_loop(), (1, 0), -1, "over_first")
-    under_first = r1_insert(crossing_free_loop(), (1, 0), -1, "under_first")
+    over_first, under_first = (
+        apply_site(crossing_free_loop(), MoveSite("R1+", ((1, 0),), sign=-1, order=order))
+        for order in ("over_first", "under_first"))
     assert [ev.role for ev in over_first.components[0].events] == ["O", "U"]
     assert [ev.role for ev in under_first.components[0].events] == ["U", "O"]
     for d in (over_first, under_first):
@@ -61,7 +62,7 @@ def test_r2_insert_across_strands_cancels():
     base = parse(TWO_STRANDS)
     for same in (True, False):
         for sign in (1, -1):
-            d = r2_insert(base, (1, 0), (2, 0), sign, same)
+            d = apply_site(base, MoveSite("R2+", ((1, 0), (2, 0)), sign=sign, same_direction=same))
             assert validate(d) == []
             assert len(d.classical_ids()) == 2
             assert maip(d).is_zero()
@@ -71,7 +72,7 @@ def test_r2_insert_across_strands_cancels():
 
 def test_r2_round_trip():
     base = parse(TWO_STRANDS)
-    d = r2_insert(base, (1, 0), (2, 0), 1, True)
+    d = apply_site(base, MoveSite("R2+", ((1, 0), (2, 0)), sign=1, same_direction=True))
     sites = find_r2_delete_sites(d)
     assert len(sites) == 1
     assert apply_site(d, sites[0]) == base
@@ -79,7 +80,7 @@ def test_r2_round_trip():
 
 def test_r2_same_component():
     base = crossing_free_loop()
-    d = r2_insert(base, (1, 0), (1, 0), -1, False)
+    d = apply_site(base, MoveSite("R2+", ((1, 0), (1, 0)), sign=-1, same_direction=False))
     assert validate(d) == []
     assert maip(d).is_zero()
     sites = find_r2_delete_sites(d)
@@ -149,15 +150,42 @@ def test_r3_apply_rejects_bad_site():
 
 @pytest.mark.parametrize("site", [
     MoveSite("R9", ((1, 0),)),
-    MoveSite("R1+", ((1, 0),), sign=1, order="over_first"),
     MoveSite("R1-", ((0, 0),)),
     MoveSite("R1-", ((1, -1),)),
     MoveSite("R1-", ((1, 1),)),
     MoveSite("R3", ((1, 0),)),
-], ids=["unknown-kind", "insertion-kind", "component-0", "offset-minus-1",
+], ids=["unknown-kind", "component-0", "offset-minus-1",
         "offset-at-end", "kink-labelled-r3"])
 def test_apply_site_rejects_sites_the_scan_does_not_offer(kink, site):
     with pytest.raises(NotApplicable):
+        apply_site(kink, site)
+
+
+# The kink has one component with two passages: arc positions 1:0..1:2.
+_BAD_ANCHORS = {"component-0": (0, 0), "component-past-end": (2, 0),
+                "offset-minus-1": (1, -1), "offset-past-end": (1, 3)}
+
+
+@pytest.mark.parametrize("site", [
+    *(MoveSite("R1+", (bad,), sign=1, order="over_first") for bad in _BAD_ANCHORS.values()),
+    *(MoveSite("R2+", (bad, (1, 1)), sign=1, same_direction=True) for bad in _BAD_ANCHORS.values()),
+    *(MoveSite("R2+", ((1, 1), bad), sign=1, same_direction=True) for bad in _BAD_ANCHORS.values()),
+    MoveSite("R1+", ((1, 0), (1, 1)), sign=1, order="over_first"),
+    MoveSite("R2+", ((1, 0),), sign=1, same_direction=True),
+], ids=[*(f"{kind}-{name}" for kind in ("r1", "r2-first", "r2-second") for name in _BAD_ANCHORS),
+        "r1-two-anchors", "r2-one-anchor"])
+def test_apply_site_range_checks_insertion_anchors(kink, site):
+    with pytest.raises(NotApplicable):
+        apply_site(kink, site)
+
+
+@pytest.mark.parametrize("site", [
+    MoveSite("R1+", ((1, 0),), sign=1, order="sideways"),
+    MoveSite("R1+", ((1, 0),), sign=2, order="over_first"),
+    MoveSite("R2+", ((1, 0), (1, 1)), sign=0, same_direction=True),
+], ids=["unknown-order", "r1-bad-sign", "r2-bad-sign"])
+def test_apply_site_rejects_bad_insertion_parameters(kink, site):
+    with pytest.raises(ValueError):
         apply_site(kink, site)
 
 
@@ -204,7 +232,7 @@ def _untouched_preserved(d, moved, touched_components):
 
 
 def test_moves_preserve_untouched_deltas_and_weights(ex1):
-    d = r1_insert(ex1, (1, 2), -1, "over_first")
+    d = apply_site(ex1, MoveSite("R1+", ((1, 2),), sign=-1, order="over_first"))
     _untouched_preserved(ex1, d, {1})
     before = weight_table(ex1, propagate_labels(ex1))
     after = weight_table(d, propagate_labels(d))
@@ -220,8 +248,8 @@ def test_every_move_kind_preserves_untouched_weights():
         "component 3 long from B3 to T3 : U2+ U3+\n"
         "component 4 closed : O4- U4-\n")
     moved = {
-        "R1+": r1_insert(base, (4, 1), 1, "over_first"),
-        "R2+": r2_insert(base, (1, 0), (4, 2), -1, False),
+        "R1+": apply_site(base, MoveSite("R1+", ((4, 1),), sign=1, order="over_first")),
+        "R2+": apply_site(base, MoveSite("R2+", ((1, 0), (4, 2)), sign=-1, same_direction=False)),
         "R3": apply_site(base, find_r3_sites(base)[0]),
     }
     original = weight_table(base, propagate_labels(base))
