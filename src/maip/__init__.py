@@ -6,7 +6,7 @@ from .diagram import (Component, CrossingRecord, Passage, TangleDiagram,
                       from_json, parse, random_diagram, serialize, to_json,
                       validate)
 from .homology import (check_prop2, homological_weight, maip_via_homology,
-                       pairing, smoothing)
+                       pairing, passage_index, smoothing)
 from .invariant import (Labeling, MaipContributions, maip, propagate_labels,
                         resolve_singular, structured_maip, vassiliev_eval,
                         weight_table)

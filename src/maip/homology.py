@@ -6,19 +6,30 @@ counts, over every classical crossing with exactly one passage in the
 class, +sign when that passage is an Under and -sign when it is an Over.
 Crossings internal to a class are self-intersections and do not count.
 
+The passages are indexed once per diagram as flat integer slots,
+components in order (:class:`PassageIndex`).  Each slot holds the slot
+of its crossing's other passage and its own count, -s at an Over and +s
+at an Under, 0 at a singular passage.  Those counts are written here from
+the crossing signs, apart from the labeling's increment table, so a
+fault in that table alone shows as a disagreement.
+
 For a self-crossing the retained class is the one containing the
 component's basepoint.  For a mixed crossing (overstrand i, understrand
 j) the retained class is the one containing the overstrand's initial
 segment; when a closed component is involved the two components are
 first spliced into one cycle by a bridge placed right after both
 starting points.  A bridge adds only virtual crossings, which the
-pairing cannot see, so its routing never changes the answer.
+pairing cannot see, so its routing never changes the answer.  Either
+way the class is two slot ranges: i's events before the crossing and
+j's after it, the two slots sorted for a self-crossing.
 
 The smoothing partitions every passage other than the smoothed
 crossing's own two into the retained class and its complement, and the
 smoothed crossing has no passage in the class.  So "the other passage
 is in the complement" means "the other passage is not in the class",
-and the pairing needs the class alone.
+and the pairing needs the class alone: a range test on each partner.
+The oracle stays quadratic by design, one pass over a class per
+crossing, and never reads the label offsets.
 
 The pairing of a class is the sum of the label increments (-s at an
 Over, +s at an Under) of its classical passages: a crossing with both
@@ -39,59 +50,110 @@ which is what :func:`check_prop2` verifies and what lets
 :func:`maip_via_homology` rebuild the invariant without ever reading the
 labeling-derived weights.  As a telescoped identity, prop2 and the
 corollary still catch faults in the class boundaries, the sign
-conventions (the delta adjustment, the Under-first case, c_i - c_j) and
-the position index, not a fault shared by the labeling's increments and
-the pairing's signs.
+conventions (the delta adjustment, the Under-first case, c_i - c_j),
+the passage index and the labeling's increments, not a fault made
+identically in those increments and the counts here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import AffineInt, LaurentPoly
-from .diagram import OVER, UNDER, TangleDiagram
+from .diagram import OVER, TangleDiagram
 from .errors import HasSingular, NotClassical
 from .invariant import propagate_labels, weight_table
 
-PassageRef = tuple[int, str]  # (crossing id, role)
-Positions = dict[PassageRef, tuple[int, int]]  # as d.passage_positions() returns
+SlotRange = tuple[int, int]  # half-open [lo, hi) of passage slots
 
 
-def pairing(class_: frozenset[PassageRef] | set[PassageRef], d: TangleDiagram) -> int:
-    """Intersection count of a passage class against the rest of the diagram."""
+class PassageIndex(NamedTuple):
+    """Every passage of a diagram as one flat slot, components in order.
+
+    ``partner[s]`` is the slot of the same crossing's other passage and
+    ``count[s]`` what the pairing counts at s: -sign at an Over, +sign at
+    an Under, 0 at a singular passage.  ``span[ci]`` is component ci's
+    slot range and ``place[cid]`` = (i, over slot, j, under slot) for each
+    classical crossing, i and j its over and under components.
+    """
+
+    partner: list[int]
+    count: list[int]
+    span: dict[int, SlotRange]
+    place: dict[int, tuple[int, int, int, int]]
+
+
+def passage_index(d: TangleDiagram) -> PassageIndex:
+    """Index every passage of ``d``; the counts come from the crossing signs."""
+    partner: list[int] = []
+    count: list[int] = []
+    span: dict[int, SlotRange] = {}
+    over: dict[int, tuple[int, int]] = {}
+    under: dict[int, tuple[int, int]] = {}
+    first: dict[int, int] = {}
+    for ci, comp in enumerate(d.components, start=1):
+        lo = len(count)
+        for ev in comp.events:
+            slot = len(count)
+            sign = d.sign(ev.crossing)
+            if sign is None:
+                count.append(0)
+            elif ev.role == OVER:
+                count.append(-sign)
+                over[ev.crossing] = (ci, slot)
+            else:
+                count.append(sign)
+                under[ev.crossing] = (ci, slot)
+            other = first.pop(ev.crossing, None)
+            if other is None:
+                first[ev.crossing] = slot
+                partner.append(slot)
+            else:
+                partner.append(other)
+                partner[other] = slot
+        span[ci] = (lo, len(count))
+    place = {cid: over[cid] + under[cid] for cid in over}
+    return PassageIndex(partner, count, span, place)
+
+
+def pairing(index: PassageIndex, class_: tuple[SlotRange, SlotRange]) -> int:
+    """Intersection count of a class, two disjoint slot ranges, against the rest.
+
+    Every slot of the class whose partner lies outside both ranges adds
+    its count.
+    """
+    (a, b), (c, e) = class_
+    partner, count = index.partner, index.count
     total = 0
-    for cid, role in class_:
-        if role == OVER and (cid, UNDER) not in class_:
-            total -= d.sign(cid)
-        elif role == UNDER and (cid, OVER) not in class_:
-            total += d.sign(cid)
+    for lo, hi in class_:
+        for t, k in zip(partner[lo:hi], count[lo:hi]):
+            if (t < a or t >= b) and (t < c or t >= e):
+                total += k
     return total
 
 
-def smoothing(d: TangleDiagram, cid: int, positions: Positions) -> frozenset[PassageRef]:
-    """The retained class of the smoothing at ``cid``, as a passage set.
+def smoothing(index: PassageIndex, cid: int) -> tuple[SlotRange, SlotRange]:
+    """The retained class of the smoothing at classical crossing ``cid``.
 
     It is the overstrand's events before the crossing together with the
-    understrand's events after it, the two offsets taken in order along
+    understrand's events after it, the two slots taken in order along
     the component for a self-crossing.
     """
-    ci, p = positions[(cid, OVER)]
-    cj, q = positions[(cid, UNDER)]
+    ci, o, cj, u = index.place[cid]
     if ci == cj:
-        p, q = sorted((p, q))
-    return frozenset((ev.crossing, ev.role) for ev in
-                     d.components[ci - 1].events[:p] + d.components[cj - 1].events[q + 1:])
+        o, u = sorted((o, u))
+    return (index.span[ci][0], o), (u + 1, index.span[cj][1])
 
 
-def homological_weight(d: TangleDiagram, cid: int, positions: Positions) -> AffineInt:
+def homological_weight(index: PassageIndex, cid: int) -> AffineInt:
     """W_h = c_i - c_j + the pairing of the crossing's smoothing (i == j: the pairing)."""
-    rec = d.crossings.get(cid)
-    if rec is None or not rec.is_classical:
+    place = index.place.get(cid)
+    if place is None:
         raise NotClassical(f"crossing {cid} is not a classical crossing")
-    ci, _ = positions[(cid, OVER)]
-    cj, _ = positions[(cid, UNDER)]
+    ci, _, cj, _ = place
     return (AffineInt.symbol(ci) - AffineInt.symbol(cj)
-            + pairing(smoothing(d, cid, positions), d))
+            + pairing(index, smoothing(index, cid)))
 
 
 @dataclass(frozen=True)
@@ -124,12 +186,11 @@ def _predicted_weights(d: TangleDiagram, delta: dict[int, int]):
     """
     if d.singular_ids():
         raise HasSingular("resolve singular crossings first")
-    positions = d.passage_positions()
+    index = passage_index(d)
     for cid in d.classical_ids():
-        ci, p = positions[(cid, OVER)]
-        cj, q = positions[(cid, UNDER)]
-        wh = homological_weight(d, cid, positions)
-        early_under = ci == cj and q < p
+        ci, o, cj, u = index.place[cid]
+        wh = homological_weight(index, cid)
+        early_under = ci == cj and u < o
         adjusted = wh - delta[cj]
         yield cid, ci, cj, wh, early_under, -adjusted if early_under else adjusted
 

@@ -15,7 +15,7 @@ value (see README, "Known divergence").
 import inspect
 import random
 
-from maip import checks, tangle_ops
+from maip import checks, homology, invariant, tangle_ops
 from maip.algebra import (AffineInt, collapse_variables, reindex, render,
                           substitute_symbols)
 from maip.checks import (check_compose_suite, check_corollary_suite,
@@ -116,6 +116,39 @@ def test_criterion_06_homological_weight_oracle():
 def test_criterion_07_corollary_identity_same_corpus():
     result = check_corollary_suite(500, SEED)
     report(7, result.ok, result.summary())
+
+
+def failing_trials_of_criteria_06_07():
+    """(prop2 failures, corollary failures, trials with a classical crossing)."""
+    prop2 = {f["trial"] for f in check_prop2_suite(200, SEED).failures}
+    corollary = {f["trial"] for f in check_corollary_suite(200, SEED).failures}
+    crossed = {trial for trial in range(200) if checks._trial(SEED, trial)[2].classical_ids()}
+    return prop2, corollary, crossed
+
+
+def test_criteria_06_07_catch_an_under_range_that_starts_one_slot_early(monkeypatch):
+    # A copy of smoothing whose under range takes in the crossing's own
+    # later passage: every trial with a classical crossing must fail both.
+    source = inspect.getsource(homology.smoothing)
+    under_range = "(u + 1, index.span[cj][1])"
+    assert under_range in source
+    namespace = dict(vars(homology))
+    exec(source.replace(under_range, "(u, index.span[cj][1])"), namespace)
+    monkeypatch.setattr(homology, "smoothing", namespace["smoothing"])
+    prop2, corollary, crossed = failing_trials_of_criteria_06_07()
+    assert len(crossed) == 174
+    assert prop2 == corollary == crossed
+
+
+def test_criteria_06_07_catch_negated_label_steps(monkeypatch):
+    # The oracle writes its counts from the crossing signs, not from the
+    # labeling's step table, so negating every classical step must show.
+    negated = {(role, sign): step if sign is None else -step
+               for (role, sign), step in invariant._INCREMENT.items()}
+    monkeypatch.setattr(invariant, "_INCREMENT", negated)
+    prop2, corollary, crossed = failing_trials_of_criteria_06_07()
+    assert len(crossed) == 174
+    assert prop2 == corollary == crossed
 
 
 def test_criterion_08_vassiliev_order_one():

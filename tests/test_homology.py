@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 
 import pytest
@@ -9,14 +10,86 @@ from maip.algebra import AffineInt
 from maip.diagram import OVER, UNDER, parse, random_diagram
 from maip.errors import NotClassical
 from maip.homology import (check_prop2, homological_weight, maip_via_homology,
-                           pairing, smoothing)
+                           pairing, passage_index, smoothing)
 from maip.invariant import maip, propagate_labels, weight_table
 
 from conftest import aff
 
 
+# ---------------------------------------------------------------------------
+# the set-based definition, kept as the reference for the slot ranges
+
+
+def reference_pairing(class_, d):
+    """Intersection count of a passage set against the rest of the diagram."""
+    total = 0
+    for cid, role in class_:
+        if role == OVER and (cid, UNDER) not in class_:
+            total -= d.sign(cid)
+        elif role == UNDER and (cid, OVER) not in class_:
+            total += d.sign(cid)
+    return total
+
+
+def reference_smoothing(d, cid, positions):
+    """The retained class of the smoothing at ``cid``, as a passage set.
+
+    It is the overstrand's events before the crossing together with the
+    understrand's events after it, the two offsets taken in order along
+    the component for a self-crossing.
+    """
+    ci, p = positions[(cid, OVER)]
+    cj, q = positions[(cid, UNDER)]
+    if ci == cj:
+        p, q = sorted((p, q))
+    return frozenset((ev.crossing, ev.role) for ev in
+                     d.components[ci - 1].events[:p] + d.components[cj - 1].events[q + 1:])
+
+
+def slot_refs(d):
+    """The (crossing, role) of every slot, in the passage index's order."""
+    return [(ev.crossing, ev.role) for comp in d.components for ev in comp.events]
+
+
+def refs_of(d, class_):
+    """The passages of a class given as slot ranges."""
+    refs = slot_refs(d)
+    return {refs[s] for lo, hi in class_ for s in range(lo, hi)}
+
+
 def all_refs(d):
-    return {(ev.crossing, ev.role) for comp in d.components for ev in comp.events}
+    return set(slot_refs(d))
+
+
+def shaped_diagram(seed, n_closed, n_long, n_crossings, n_singular):
+    if n_closed + n_long == 0:
+        n_long = 1
+    return random_diagram(seed, n_closed, n_long, n_crossings, n_singular)
+
+
+# 0-2 closed and 0-2 long components, 0-12 classical and 0-2 singular crossings
+diagrams = st.builds(shaped_diagram, st.integers(0, 10**6), st.integers(0, 2),
+                     st.integers(0, 2), st.integers(0, 12), st.integers(0, 2))
+
+
+# ---------------------------------------------------------------------------
+# the passage index
+
+
+def test_passage_index_ex3(ex3):
+    # slots: O1+ | O2- | U1+ U2-
+    index = passage_index(ex3)
+    assert index.partner == [2, 3, 0, 1]
+    assert index.count == [-1, 1, 1, -1]
+    assert index.span == {1: (0, 1), 2: (1, 2), 3: (2, 4)}
+    assert index.place == {1: (1, 0, 3, 2), 2: (2, 1, 3, 3)}
+
+
+def test_passage_index_counts_nothing_at_a_singular_passage(singular):
+    index = passage_index(singular)
+    assert index.count == [0, 0]
+    assert index.partner == [1, 0]
+    assert index.place == {}
 
 
 # ---------------------------------------------------------------------------
@@ -24,36 +97,48 @@ def all_refs(d):
 
 
 def test_pairing_empty_slice(ex3):
-    assert pairing(frozenset(), ex3) == 0
+    assert pairing(passage_index(ex3), ((0, 0), (0, 0))) == 0
+    assert reference_pairing(frozenset(), ex3) == 0
 
 
 def test_pairing_hand_traced_slice(ex3):
     # smoothing crossing 1 of the three-strand example leaves {U2-} against {O2-}
-    assert pairing(frozenset({(2, UNDER)}), ex3) == -1
+    assert slot_refs(ex3)[3] == (2, UNDER)
+    assert pairing(passage_index(ex3), ((3, 4), (4, 4))) == -1
+    assert reference_pairing(frozenset({(2, UNDER)}), ex3) == -1
 
 
 def test_pairing_whole_diagram_slice(ex3):
-    assert pairing(frozenset(all_refs(ex3)), ex3) == 0
+    n = len(slot_refs(ex3))
+    assert pairing(passage_index(ex3), ((0, n), (n, n))) == 0
+    assert reference_pairing(frozenset(all_refs(ex3)), ex3) == 0
 
 
 def test_pairing_antisymmetric_under_swap():
+    """A prefix range pairs to minus its complement suffix."""
     for seed in range(25):
         d = random_diagram(seed, 1, 2, 6)
-        refs = [(ev.crossing, ev.role) for comp in d.components for ev in comp.events]
-        half = frozenset(refs[: len(refs) // 2])
-        rest = frozenset(refs[len(refs) // 2:])
-        assert pairing(half, d) == -pairing(rest, d)
+        index = passage_index(d)
+        n = len(index.count)
+        half = n // 2
+        assert pairing(index, ((0, half), (half, half))) == -pairing(index, ((half, n), (n, n)))
 
 
 def test_pairing_equals_label_increment_sum():
-    """Straddling contributions telescope to the slice's total label change."""
+    """Straddling contributions telescope to the class's total label change."""
     increments = {OVER: lambda s: -s, UNDER: lambda s: s}
+    rng = random.Random(0)
     for seed in range(25):
         d = random_diagram(seed, 2, 1, 8)
-        refs = [(ev.crossing, ev.role) for comp in d.components for ev in comp.events]
+        refs = slot_refs(d)
         half = frozenset(refs[::2])
         total = sum(increments[role](d.sign(cid)) for cid, role in half)
-        assert pairing(half, d) == total
+        assert reference_pairing(half, d) == total
+        index = passage_index(d)
+        a, b, c, e = sorted(rng.randint(0, len(refs)) for _ in range(4))
+        class_ = ((a, b), (c, e))
+        total = sum(increments[role](d.sign(cid)) for cid, role in refs_of(d, class_))
+        assert pairing(index, class_) == total
 
 
 def two_set_pairing(rest, slice_, d):
@@ -69,37 +154,42 @@ def two_set_pairing(rest, slice_, d):
     return total
 
 
-@given(st.integers(0, 10**6), st.integers(0, 2), st.integers(0, 2),
-       st.integers(0, 12), st.integers(0, 2))
+@given(diagrams)
 @settings(max_examples=150, deadline=None)
-def test_pairing_over_the_class_equals_the_two_set_pairing(seed, n_closed, n_long,
-                                                            n_crossings, n_singular):
-    if n_closed + n_long == 0:
-        n_long = 1
-    d = random_diagram(seed, n_closed, n_long, n_crossings, n_singular)
+def test_pairing_over_the_class_equals_the_two_set_pairing(d):
     refs = all_refs(d)
-    positions = d.passage_positions()
+    index = passage_index(d)
     for cid in d.classical_ids():
-        class_ = smoothing(d, cid, positions)
+        ranges = smoothing(index, cid)
+        class_ = refs_of(d, ranges)
         rest = refs - class_ - {(cid, OVER), (cid, UNDER)}
-        assert pairing(class_, d) == two_set_pairing(rest, class_, d)
+        assert pairing(index, ranges) == two_set_pairing(rest, class_, d)
 
 
-@given(st.integers(0, 10**6), st.integers(0, 2), st.integers(0, 2),
-       st.integers(0, 12), st.integers(0, 2))
+@given(diagrams)
 @settings(max_examples=150, deadline=None)
-def test_pairing_of_a_smoothing_is_its_class_increment_sum(seed, n_closed, n_long,
-                                                          n_crossings, n_singular):
-    """The pairing lemma that Prop 2 telescopes from (see the homology docstring)."""
-    if n_closed + n_long == 0:
-        n_long = 1
-    d = random_diagram(seed, n_closed, n_long, n_crossings, n_singular)
-    increment = {OVER: -1, UNDER: 1}  # times the sign; singular passages are left out
+def test_slot_ranges_equal_the_set_reference(d):
+    """The range class is the reference passage set, and pairs the same."""
+    index = passage_index(d)
     positions = d.passage_positions()
     for cid in d.classical_ids():
-        class_ = smoothing(d, cid, positions)
-        total = sum(increment[role] * d.sign(c) for c, role in class_ if role in increment)
-        assert pairing(class_, d) == total
+        ranges = smoothing(index, cid)
+        reference = reference_smoothing(d, cid, positions)
+        assert refs_of(d, ranges) == reference
+        assert pairing(index, ranges) == reference_pairing(reference, d)
+
+
+@given(diagrams)
+@settings(max_examples=150, deadline=None)
+def test_pairing_of_a_smoothing_is_its_class_increment_sum(d):
+    """The pairing lemma that Prop 2 telescopes from (see the homology docstring)."""
+    increment = {OVER: -1, UNDER: 1}  # times the sign; singular passages are left out
+    index = passage_index(d)
+    for cid in d.classical_ids():
+        class_ = smoothing(index, cid)
+        total = sum(increment[role] * d.sign(c) for c, role in refs_of(d, class_)
+                    if role in increment)
+        assert pairing(index, class_) == total
 
 
 # ---------------------------------------------------------------------------
@@ -107,36 +197,42 @@ def test_pairing_of_a_smoothing_is_its_class_increment_sum(seed, n_closed, n_lon
 
 
 def test_self_smoothing_slices(kink):
-    assert smoothing(kink, 1, kink.passage_positions()) == frozenset()
+    assert smoothing(passage_index(kink), 1) == ((0, 0), (2, 2))
+    assert refs_of(kink, smoothing(passage_index(kink), 1)) == set()
 
 
 def test_self_smoothing_keeps_basepoint_half():
     d = parse("tangle m=0 n=0\ncomponent 1 closed : O2+ O1+ U1+ U2+\n")
-    assert smoothing(d, 1, d.passage_positions()) == frozenset({(2, OVER), (2, UNDER)})
+    class_ = smoothing(passage_index(d), 1)
+    assert class_ == ((0, 1), (3, 4))
+    assert refs_of(d, class_) == {(2, OVER), (2, UNDER)}
 
 
 def test_mixed_smoothing_slices(ex3):
-    positions = ex3.passage_positions()
-    assert smoothing(ex3, 1, positions) == frozenset({(2, UNDER)})
-    assert smoothing(ex3, 2, positions) == frozenset()
+    index = passage_index(ex3)
+    assert refs_of(ex3, smoothing(index, 1)) == {(2, UNDER)}
+    assert refs_of(ex3, smoothing(index, 2)) == set()
 
 
 def test_slices_partition_all_other_passages():
     """The class and its complement partition the passages of the other crossings.
 
     That holds exactly when the class avoids the smoothed crossing's own
-    two passages and draws only on the others, which is what lets
+    two slots and its two ranges are disjoint, which is what lets
     :func:`pairing` read the complement as "not in the class".
     """
     for seed in range(20):
         d = random_diagram(seed, 1, 2, 7, n_singular=seed % 3)
-        refs = all_refs(d)
-        positions = d.passage_positions()
+        index = passage_index(d)
+        n = len(index.count)
         for cid in d.classical_ids():
-            own = {(cid, OVER), (cid, UNDER)}
-            class_ = smoothing(d, cid, positions)
-            assert not (class_ & own)
-            assert class_ <= refs - own
+            _, o, _, u = index.place[cid]
+            (a, b), (c, e) = smoothing(index, cid)
+            assert 0 <= a <= b <= n and 0 <= c <= e <= n
+            assert b <= c or e <= a
+            slots = set(range(a, b)) | set(range(c, e))
+            assert not slots & {o, u}
+            assert refs_of(d, ((a, b), (c, e))) <= all_refs(d) - {(cid, OVER), (cid, UNDER)}
 
 
 # ---------------------------------------------------------------------------
@@ -144,18 +240,20 @@ def test_slices_partition_all_other_passages():
 
 
 def test_homological_weights_ex3(ex3):
-    positions = ex3.passage_positions()
-    assert homological_weight(ex3, 1, positions) == aff(-1, c1=1, c3=-1)
-    assert homological_weight(ex3, 2, positions) == aff(0, c2=1, c3=-1)
+    index = passage_index(ex3)
+    assert homological_weight(index, 1) == aff(-1, c1=1, c3=-1)
+    assert homological_weight(index, 2) == aff(0, c2=1, c3=-1)
 
 
 def test_homological_weight_kink(kink):
-    assert homological_weight(kink, 1, kink.passage_positions()) == AffineInt(0)
+    assert homological_weight(passage_index(kink), 1) == AffineInt(0)
 
 
 def test_homological_weight_requires_classical(singular):
-    with pytest.raises(NotClassical):
-        homological_weight(singular, 1, singular.passage_positions())
+    index = passage_index(singular)
+    for cid in (1, 2):  # singular, and no crossing at all
+        with pytest.raises(NotClassical):
+            homological_weight(index, cid)
 
 
 def test_early_undercrossing_flag():
