@@ -17,7 +17,7 @@ from .diagram import (Component, Passage, TangleDiagram, random_diagram,
 from .homology import check_prop2, maip_via_homology
 from .invariant import maip, resolve_singular, structured_maip, vassiliev_eval
 from .moves import random_walk
-from .tangle_ops import GluePlan, compose, cut, predict_composed, tensor
+from .tangle_ops import GluePlan, cut, predict_composed, tensor
 
 _TRIAL_STRIDE = 1_000_003
 _MAX_MOVES = 50  # longest walk of one moves trial
@@ -195,7 +195,7 @@ def check_compose_suite(trials: int, seed: int) -> CheckReport:
         cyclic_trials += any(e.kind == "cycle" for e in plan.entries)
         problems = []
 
-        composite = compose(upper, lower)
+        composite = plan.glue(upper, lower)
         order = _uncut_order(d, upper, composite)
         upper_records, lower_records = structured_maip(upper), structured_maip(lower)
         predicted = predict_composed(upper_records, lower_records, plan)

@@ -26,7 +26,7 @@ from .diagram import from_json, parse, serialize, to_json
 from .errors import (ArityMismatch, DiagramParseError, MissingSymbol,
                      OrientationMismatch, SymbolicExponent, ValidationFailure)
 from .invariant import maip, structured_maip, vassiliev_eval
-from .tangle_ops import GluePlan, compose, predict_composed, tensor
+from .tangle_ops import GluePlan, predict_composed, tensor
 
 
 DEFAULT_TRIALS = 200
@@ -142,10 +142,10 @@ def cmd_compose(args) -> int:
     upper = _load(args.upper)
     lower = _load(args.lower)
     try:
-        composite = compose(upper, lower)
         plan = GluePlan.from_tangles(upper, lower)
     except (ArityMismatch, OrientationMismatch) as exc:
         raise _InputError(f"cannot compose: {exc}") from exc
+    composite = plan.glue(upper, lower)
     if composite.singular_ids():
         raise _InputError("composite has singular crossings; resolve the factors first")
     poly = maip(composite)

@@ -6,16 +6,18 @@ Over passage and +sign at an Under passage; singular passages change it
 by -1 on the primary strand and +1 on the secondary, so all resolutions
 of a singular diagram share one labeling.  Every step is an integer, so
 each label on component i is its starting symbol c_i plus an integer
-offset, and the walk carries only the offsets.  The index difference
-delta_i of a component is its final label minus its starting label, the
-last offset.
+offset, and the walk carries only the offsets.  As it goes, the walk
+records each passage's place: its component and the offset of its
+incoming label.  The index difference delta_i of a component is its
+final label minus its starting label, the last offset.
 
 A classical crossing with over-incoming label a, under-incoming label b
 and sign s gets weight W = a - b - s (equivalently over-incoming minus
 under-outgoing).  With i the over and j the under component, W is an
 integer k plus the symbol part c_i - c_j, which is 0 when i = j.  A
-crossing's record stores only (s, i, j, k); symbols appear where the
-polynomial is built.  The invariant is
+crossing's record is four integers (s, i, j, k), read off the two
+passages' places; symbols appear where the polynomial is built.  The
+invariant is
 
     sum over classical crossings of  sign * t_i^(delta_j) * (t_i^W - 1)
 
@@ -25,8 +27,8 @@ with i the overstrand component and j the understrand component.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
-from typing import Mapping
+from dataclasses import dataclass
+from typing import Mapping, NamedTuple
 
 from .algebra import AffineInt, LaurentPoly
 from .diagram import (OVER, SING_PRIMARY, SING_SECONDARY, UNDER, Component,
@@ -41,35 +43,34 @@ _INCREMENT = {(OVER, 1): -1, (OVER, -1): 1, (UNDER, 1): 1, (UNDER, -1): -1,
 
 @dataclass(frozen=True)
 class Labeling:
-    """Arc labels and index differences of every component.
+    """Where each passage sits on the labels, and every index difference.
 
-    Each label on component i is the symbol c_i plus an integer, so
-    ``offsets[i]`` holds just those integers, one per arc (one more entry
-    than events, the first 0).  ``delta[i]`` is the last offset.
+    ``places[role][crossing]`` is the passage's (component i, offset): its
+    incoming label is c_i plus that offset.  ``delta[i]`` is component
+    i's last offset.
     """
 
-    offsets: dict[int, tuple[int, ...]]
+    places: dict[str, dict[int, tuple[int, int]]]
     delta: dict[int, int]
 
 
 def propagate_labels(d: TangleDiagram) -> Labeling:
     """Propagate labels from each component's start, the symbol c_i."""
     signs = {cid: rec.sign for cid, rec in d.crossings.items()}
-    offsets: dict[int, tuple[int, ...]] = {}
+    places: dict[str, dict[int, tuple[int, int]]] = {
+        OVER: {}, UNDER: {}, SING_PRIMARY: {}, SING_SECONDARY: {}}
     delta: dict[int, int] = {}
     for ci, comp in enumerate(d.components, start=1):
         offset = 0
-        arcs = [offset]
         for ev in comp.events:
-            offset += _INCREMENT[ev.role, signs[ev.crossing]]
-            arcs.append(offset)
-        offsets[ci] = tuple(arcs)
+            cid, role = ev.crossing, ev.role
+            places[role][cid] = (ci, offset)
+            offset += _INCREMENT[role, signs[cid]]
         delta[ci] = offset
-    return Labeling(offsets, delta)
+    return Labeling(places, delta)
 
 
-@dataclass(frozen=True)
-class Contribution:
+class Contribution(NamedTuple):
     """One crossing's summand, unsimplified; its weight is k + c_over - c_under."""
 
     sign: int
@@ -89,26 +90,27 @@ def _symbol_part(i: int, j: int) -> tuple[tuple[int, int], ...]:
     return ((i, 1), (j, -1)) if i < j else ((j, -1), (i, 1))
 
 
-def _contribution(labeling: Labeling, sign: int, over: tuple[int, int],
-                  under: tuple[int, int]) -> Contribution:
-    """The summand of a crossing whose over and under passages sit at the
-    given (component, offset) places.
+def weight_table(d: TangleDiagram, labeling: Labeling,
+                 plain: bool = False) -> dict[int, tuple[int, int, int, int]]:
+    """Every classical crossing's summand, keyed by crossing id in ascending order.
 
-    This is the one place the weight W = a - b - s is read off a labeling:
-    with a = c_i + k_a and b = c_j + k_b it is the integer k_a - k_b - s
-    plus the symbol part c_i - c_j.
+    This is where the weight W = a - b - s is read off a labeling: with
+    a = c_i + k_a and b = c_j + k_b it is the integer k = k_a - k_b - s
+    plus the symbol part c_i - c_j.  The summands are
+    :class:`Contribution` records, or with ``plain`` the bare
+    (sign, i, j, k) tuples that :func:`maip` sums.
     """
-    (oi, opos), (ui, upos) = over, under
-    offsets = labeling.offsets
-    return Contribution(sign, oi, ui, offsets[oi][opos] - offsets[ui][upos] - sign)
-
-
-def weight_table(d: TangleDiagram, labeling: Labeling) -> dict[int, Contribution]:
-    """Every classical crossing's summand, keyed by crossing id in ascending order."""
-    positions = d.passage_positions()
-    return {cid: _contribution(labeling, d.crossings[cid].sign,
-                               positions[(cid, OVER)], positions[(cid, UNDER)])
-            for cid in d.classical_ids()}
+    over, under = labeling.places[OVER], labeling.places[UNDER]
+    crossings = d.crossings
+    table = {}
+    for cid in sorted(over):    # the classical crossings: each has one Over passage
+        i, a = over[cid]
+        j, b = under[cid]
+        sign = crossings[cid].sign
+        table[cid] = (sign, i, j, a - b - sign)
+    if plain:
+        return table
+    return {cid: Contribution._make(row) for cid, row in table.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -133,22 +135,21 @@ class MaipContributions:
 
 
 def contribution_poly(records, delta: Mapping[int, int]) -> LaurentPoly:
-    """Sum of sign * t_i^(delta_j) * (t_i^W - 1) over the records, in one pass.
+    """Sum of sign * t_i^(delta_j) * (t_i^W - 1) over (sign, i, j, k) records, in one pass.
 
     Coefficients are summed on plain (i, j, exponent constant) keys, the
-    symbol-free -1 term under (i, i, delta_j); each distinct term then
-    makes one AffineInt.
+    symbol-free -1 term under (i, i, delta_j); each distinct term that
+    does not cancel then makes one AffineInt.
     """
     terms: dict[tuple[int, int, int], int] = {}
-    for rec in records:
-        i, j, sign = rec.over_component, rec.under_component, rec.sign
+    for sign, i, j, k in records:
         shift = delta[j]
-        key = (i, j, rec.k + shift)
+        key = (i, j, k + shift)
         terms[key] = terms.get(key, 0) + sign
         key = (i, i, shift)
         terms[key] = terms.get(key, 0) - sign
     return LaurentPoly({(i, AffineInt(const, _symbol_part(i, j))): coeff
-                        for (i, j, const), coeff in terms.items()})
+                        for (i, j, const), coeff in terms.items() if coeff})
 
 
 def structured_maip(d: TangleDiagram) -> MaipContributions:
@@ -161,7 +162,9 @@ def maip(d: TangleDiagram) -> LaurentPoly:
     """The multi-variable polynomial of a diagram without singular crossings."""
     if d.singular_ids():
         raise HasSingular("diagram has singular crossings; use resolve")
-    return structured_maip(d).polynomial()
+    labeling = propagate_labels(d)
+    records = tuple(weight_table(d, labeling, plain=True).values())
+    return contribution_poly(records, labeling.delta)
 
 
 # ---------------------------------------------------------------------------
@@ -227,11 +230,9 @@ def vassiliev_eval(d: TangleDiagram) -> LaurentPoly:
     if len(sing) > 1:
         return LaurentPoly.zero()
     labeling = propagate_labels(d)
-    positions = d.passage_positions()
-    primary = positions[(sing[0], SING_PRIMARY)]
-    secondary = positions[(sing[0], SING_SECONDARY)]
-    # P+ puts the primary strand over at a positive crossing, P- under at
-    # a negative one; P- enters with coefficient -1, so its sign becomes +1.
-    plus = _contribution(labeling, 1, primary, secondary)
-    minus = _contribution(labeling, -1, secondary, primary)
-    return contribution_poly((plus, replace(minus, sign=1)), labeling.delta)
+    i, a = labeling.places[SING_PRIMARY][sing[0]]
+    j, b = labeling.places[SING_SECONDARY][sing[0]]
+    # P+ puts the primary strand over at a positive crossing: W = a - b - 1.
+    # P- puts it under at a negative one, so the secondary strand is over
+    # and W = b - a + 1; P- enters with coefficient -1, so its sign is +1.
+    return contribution_poly(((1, i, j, a - b - 1), (1, j, i, b - a + 1)), labeling.delta)

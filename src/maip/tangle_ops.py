@@ -11,7 +11,9 @@ Every glued pair must join a component end to a component start; the
 glued long pieces merge into chains (one free start, one free end) or
 close into cycles.  Chains keep the head piece's basepoint and start; a
 cycle takes its basepoint at the start of its lowest-indexed piece.
-Composite components are numbered by their first piece.
+Composite components are numbered by their first piece.  compose is
+``GluePlan.from_tangles(upper, lower).glue(upper, lower)``, so a caller
+that also predicts the polynomial builds the plan once and uses it twice.
 
 cut is the inverse of compose, up to the order of the components and
 tensor's shift of the lower crossing ids.
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 from .algebra import LaurentPoly
 from .diagram import Component, Passage, TangleDiagram
 from .errors import ArityMismatch, InconsistentPlan, OrientationMismatch
-from .invariant import Contribution, MaipContributions, contribution_poly
+from .invariant import MaipContributions, contribution_poly
 
 
 @dataclass(frozen=True)
@@ -92,6 +94,20 @@ class GluePlan:
         entries.sort(key=lambda e: e.members[0])
         return GluePlan(tuple(entries))
 
+    def glue(self, upper: TangleDiagram, lower: TangleDiagram) -> TangleDiagram:
+        """The composite of the two tangles this plan was made from."""
+        both = tensor(upper, lower)
+        pieces = upper.components + lower.components    # the free slots keep these names
+        components = []
+        for entry in self.entries:
+            events = tuple(ev for i in entry.members for ev in both.components[i - 1].events)
+            if entry.kind == "chain":
+                head, tail = pieces[entry.members[0] - 1], pieces[entry.members[-1] - 1]
+                components.append(Component("long", events, head.start, tail.end))
+            else:
+                components.append(Component("closed", events))
+        return TangleDiagram(upper.m, lower.n, tuple(components), both.crossings)
+
 
 def tensor(t: TangleDiagram, t2: TangleDiagram) -> TangleDiagram:
     """Disjoint union with the second tangle's indices shifted past the first's."""
@@ -119,18 +135,7 @@ def compose(upper: TangleDiagram, lower: TangleDiagram) -> TangleDiagram:
     Like :func:`tensor`, compose does not validate: both inputs must be
     valid, and then so is the composite.
     """
-    plan = GluePlan.from_tangles(upper, lower)
-    both = tensor(upper, lower)
-    pieces = upper.components + lower.components    # the free slots keep these names
-    components = []
-    for entry in plan.entries:
-        events = tuple(ev for i in entry.members for ev in both.components[i - 1].events)
-        if entry.kind == "chain":
-            head, tail = pieces[entry.members[0] - 1], pieces[entry.members[-1] - 1]
-            components.append(Component("long", events, head.start, tail.end))
-        else:
-            components.append(Component("closed", events))
-    return TangleDiagram(upper.m, lower.n, tuple(components), both.crossings)
+    return GluePlan.from_tangles(upper, lower).glue(upper, lower)
 
 
 def cut(d: TangleDiagram, upper_ids: set[int]) -> tuple[TangleDiagram, TangleDiagram]:
@@ -191,8 +196,8 @@ def predict_composed(upper: MaipContributions, lower: MaipContributions,
 
     records = []
     for shift, factor in factors:
-        for rec in factor.records:
-            over, a = place[shift + rec.over_component]
-            under, b = place[shift + rec.under_component]
-            records.append(Contribution(rec.sign, over, under, rec.k + a - b))
+        for sign, i, j, k in factor.records:
+            over, a = place[shift + i]
+            under, b = place[shift + j]
+            records.append((sign, over, under, k + a - b))
     return contribution_poly(records, merged_delta)

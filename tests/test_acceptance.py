@@ -151,6 +151,25 @@ def test_criteria_06_07_catch_negated_label_steps(monkeypatch):
     assert prop2 == corollary == crossed
 
 
+def test_tier1_and_criteria_06_07_catch_places_recorded_after_the_step(monkeypatch):
+    # A copy of propagate_labels that records each passage's outgoing
+    # label in place of its incoming one moves every weight by -2s: the
+    # example polynomial changes, and every trial with a classical crossing
+    # must fail both criteria.
+    source = inspect.getsource(invariant.propagate_labels)
+    record = "            places[role][cid] = (ci, offset)\n"
+    step = "            offset += _INCREMENT[role, signs[cid]]\n"
+    assert record + step in source
+    namespace = dict(vars(invariant))
+    exec(source.replace(record + step, step + record), namespace)
+    for module in (invariant, homology):
+        monkeypatch.setattr(module, "propagate_labels", namespace["propagate_labels"])
+    assert maip(load("ex3")) != mono(1, aff(-1, c1=1, c3=-1)) + mono(2, aff(0, c2=1, c3=-1), -1)
+    prop2, corollary, crossed = failing_trials_of_criteria_06_07()
+    assert len(crossed) == 174
+    assert prop2 == corollary == crossed
+
+
 def test_criterion_08_vassiliev_order_one():
     result = check_vassiliev_suite(200, SEED)
     witness = vassiliev_eval(load("singular"))

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -270,7 +269,7 @@ def test_prop2_ex3(ex3):
 def test_prop2_checks_the_weights_the_polynomial_uses(ex3, monkeypatch):
     def shifted(d, labeling):
         table = weight_table(d, labeling)
-        return {cid: replace(rec, k=rec.k + 1) for cid, rec in table.items()}
+        return {cid: rec._replace(k=rec.k + 1) for cid, rec in table.items()}
 
     monkeypatch.setattr(homology, "weight_table", shifted)
     assert not check_prop2(ex3).ok

@@ -4,7 +4,8 @@ from hypothesis import strategies as st
 
 from maip import checks
 from maip.algebra import AffineInt, LaurentPoly, render, substitute_symbols
-from maip.diagram import OVER, UNDER, random_diagram, validate
+from maip.diagram import (OVER, SING_PRIMARY, SING_SECONDARY, UNDER, random_diagram,
+                          validate)
 from maip.errors import HasSingular, NoSingular
 from maip.invariant import (Contribution, contribution_poly, maip, propagate_labels,
                             resolve_singular, structured_maip, vassiliev_eval,
@@ -17,25 +18,42 @@ from conftest import aff, const, mono, sym
 # labeling
 
 
+def arc_offsets(d, lab, ci):
+    """Component ci's label offsets, one per arc: each passage's recorded
+    incoming offset, then delta_i."""
+    places = [lab.places[ev.role][ev.crossing] for ev in d.components[ci - 1].events]
+    assert all(component == ci for component, _ in places)
+    return tuple(offset for _, offset in places) + (lab.delta[ci],)
+
+
 def test_labels_ex3(ex3):
     lab = propagate_labels(ex3)
     assert lab.delta == {1: -1, 2: 1, 3: 0}
     # c3, c3 + 1, c3
-    assert lab.offsets[3] == (0, 1, 0)
+    assert arc_offsets(ex3, lab, 3) == (0, 1, 0)
 
 
 def test_labels_ex2(ex2):
     lab = propagate_labels(ex2)
     assert lab.delta == {1: -1, 2: 1, 3: 0}
     # c1, c1 - 1, c1 - 2, c1 - 1
-    assert lab.offsets[1] == (0, -1, -2, -1)
+    assert arc_offsets(ex2, lab, 1) == (0, -1, -2, -1)
 
 
 def test_labels_kink(kink):
     lab = propagate_labels(kink)
     assert lab.delta == {1: 0}
     # c1, c1 - 1, c1
-    assert lab.offsets[1] == (0, -1, 0)
+    assert arc_offsets(kink, lab, 1) == (0, -1, 0)
+
+
+def test_places_record_incoming_labels(ex2):
+    lab = propagate_labels(ex2)
+    # component 1 reads O1+ O2+ U1+ with incoming labels c1, c1 - 1, c1 - 2;
+    # component 2 reads U2+ with incoming label c2
+    assert lab.places[OVER] == {1: (1, 0), 2: (1, -1)}
+    assert lab.places[UNDER] == {1: (1, -2), 2: (2, 0)}
+    assert lab.places[SING_PRIMARY] == lab.places[SING_SECONDARY] == {}
 
 
 def test_self_crossing_only_components_have_zero_delta():
@@ -74,8 +92,8 @@ def test_weight_equals_over_incoming_minus_under_outgoing(ex2, ex3):
         for cid in d.classical_ids():
             oi, op = positions[(cid, "O")]
             ui, up = positions[(cid, "U")]
-            over_incoming = sym(oi) + lab.offsets[oi][op]
-            under_outgoing = sym(ui) + lab.offsets[ui][up + 1]
+            over_incoming = sym(oi) + arc_offsets(d, lab, oi)[op]
+            under_outgoing = sym(ui) + arc_offsets(d, lab, ui)[up + 1]
             assert table[cid].weight == over_incoming - under_outgoing
 
 
@@ -87,6 +105,62 @@ def test_weight_requires_classical(singular, ex2):
     # only classical crossings carry a weight; singular crossing 1 has none
     assert weight_table(singular, propagate_labels(singular)) == {}
     assert list(weight_table(ex2, propagate_labels(ex2))) == ex2.classical_ids()
+
+
+# ---------------------------------------------------------------------------
+# the passage_positions route, kept as the reference for the walk's places
+
+
+def reference_arcs(d):
+    """Each component's label offsets, one per arc, walked apart from
+    propagate_labels: -sign at O, +sign at U, -1 at X and +1 at Y."""
+    steps = {OVER: -1, UNDER: 1, SING_PRIMARY: -1, SING_SECONDARY: 1}
+    arcs = {}
+    for ci, comp in enumerate(d.components, start=1):
+        offsets = [0]
+        for ev in comp.events:
+            offsets.append(offsets[-1] + steps[ev.role] * (d.sign(ev.crossing) or 1))
+        arcs[ci] = offsets
+    return arcs
+
+
+def reference_places(d):
+    """(crossing, role) -> (component, incoming offset), by event position."""
+    arcs = reference_arcs(d)
+    return {ref: (ci, arcs[ci][pos]) for ref, (ci, pos) in d.passage_positions().items()}
+
+
+def reference_weight_table(d):
+    """Every classical crossing's record, W = a - b - s read at the reference places."""
+    places = reference_places(d)
+    table = {}
+    for cid in d.classical_ids():
+        (i, a), (j, b) = places[(cid, OVER)], places[(cid, UNDER)]
+        table[cid] = Contribution(d.sign(cid), i, j, a - b - d.sign(cid))
+    return table
+
+
+@given(st.integers(min_value=0, max_value=100_000), st.integers(min_value=0, max_value=2),
+       st.integers(min_value=0, max_value=2), st.integers(min_value=0, max_value=12),
+       st.integers(min_value=0, max_value=2))
+@settings(max_examples=150, deadline=None)
+def test_walk_records_the_reference_places(seed, n_closed, n_long, n_crossings, n_singular):
+    if n_closed + n_long == 0:
+        n_crossings = n_singular = 0
+    d = random_diagram(seed, n_closed, n_long, n_crossings, n_singular=n_singular)
+    lab = propagate_labels(d)
+    walked = {(cid, role): place for role, by_crossing in lab.places.items()
+              for cid, place in by_crossing.items()}
+    assert walked == reference_places(d)
+    delta = {ci: offsets[-1] for ci, offsets in reference_arcs(d).items()}
+    assert lab.delta == delta
+    reference = reference_weight_table(d)
+    assert weight_table(d, lab) == reference
+    if n_singular == 0:
+        assert maip(d) == contribution_poly(tuple(reference.values()), delta)
+    elif n_singular == 1:
+        plus, minus = resolve_singular(d)
+        assert vassiliev_eval(d) == maip(plus.diagram) - maip(minus.diagram)
 
 
 def reference_assembly(records, delta):
@@ -110,7 +184,7 @@ def test_integer_weights_follow_affine_arithmetic(seed, n_closed, n_long, n_sing
     table = weight_table(d, lab)
     for cid, rec in table.items():
         (i, p), (j, q) = positions[(cid, OVER)], positions[(cid, UNDER)]
-        a, b = sym(i) + lab.offsets[i][p], sym(j) + lab.offsets[j][q]
+        a, b = sym(i) + arc_offsets(d, lab, i)[p], sym(j) + arc_offsets(d, lab, j)[q]
         assert rec.weight == a - b - d.sign(cid)
         assert (rec.over_component, rec.under_component) == (i, j)
     assert contribution_poly(tuple(table.values()), lab.delta) == \
@@ -234,7 +308,8 @@ def test_resolution_shares_one_labeling(singular):
         reference = propagate_labels(d)
         for term in resolve_singular(d):
             resolved = propagate_labels(term.diagram)
-            assert resolved.offsets == reference.offsets
+            for ci in reference.delta:
+                assert arc_offsets(term.diagram, resolved, ci) == arc_offsets(d, reference, ci)
             assert resolved.delta == reference.delta
 
 
