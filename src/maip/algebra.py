@@ -70,13 +70,6 @@ class AffineInt:
     def __sub__(self, other: "AffineInt | int") -> "AffineInt":
         return self + (-other if isinstance(other, AffineInt) else -other)
 
-    def __mul__(self, k: int) -> "AffineInt":
-        if k == 0:
-            return AffineInt(0)
-        return AffineInt(self.const * k, tuple((i, a * k) for i, a in self.coeffs))
-
-    __rmul__ = __mul__
-
     def __bool__(self) -> bool:
         return bool(self.const or self.coeffs)
 
@@ -119,6 +112,17 @@ class AffineInt:
 
 def _norm_coeffs(coeffs: Mapping[int, int]) -> tuple[tuple[int, int], ...]:
     return tuple(sorted((i, a) for i, a in coeffs.items() if a != 0))
+
+
+def affine_weight(i: int, j: int, k: int) -> AffineInt:
+    """k + c_i - c_j, the one exponent shape of a crossing's weight.
+
+    With i the over and j the under component, a crossing's record
+    (sign, i, j, k) has this weight; the symbol part is 0 when i = j.
+    """
+    if i == j:
+        return AffineInt(k)
+    return AffineInt(k, ((i, 1), (j, -1)) if i < j else ((j, -1), (i, 1)))
 
 
 ZERO = AffineInt(0)

@@ -60,7 +60,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .algebra import AffineInt, LaurentPoly
+from .algebra import AffineInt, LaurentPoly, affine_weight
 from .diagram import OVER, TangleDiagram
 from .errors import HasSingular, NotClassical
 from .invariant import propagate_labels, weight_table
@@ -198,14 +198,14 @@ def _predicted_weights(d: TangleDiagram, delta: dict[int, int]):
 def check_prop2(d: TangleDiagram) -> Prop2Report:
     """Verify W = +/-(W_h - delta) for every classical crossing.
 
-    W is read from :func:`weight_table`, the table the polynomial is
-    built from, so a fault there shows here.
+    W is built from the record (sign, i, j, k) of :func:`weight_table`, the
+    table the polynomial is built from, so a fault in k, i or j shows here.
     """
     labeling = propagate_labels(d)
     table = weight_table(d, labeling)
     entries = []
     for cid, _, _, wh, early_under, expected in _predicted_weights(d, labeling.delta):
-        weight = table[cid].weight
+        weight = affine_weight(*table[cid][1:])
         entries.append(Prop2Entry(cid, weight, wh, expected, early_under, weight == expected))
     return Prop2Report(tuple(entries))
 

@@ -28,9 +28,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
-from .algebra import AffineInt, LaurentPoly
+from .algebra import LaurentPoly, affine_weight
 from .diagram import (OVER, SING_PRIMARY, SING_SECONDARY, UNDER, Component,
                       CrossingRecord, Passage, TangleDiagram)
 from .errors import HasSingular, NoSingular
@@ -70,35 +70,12 @@ def propagate_labels(d: TangleDiagram) -> Labeling:
     return Labeling(places, delta)
 
 
-class Contribution(NamedTuple):
-    """One crossing's summand, unsimplified; its weight is k + c_over - c_under."""
-
-    sign: int
-    over_component: int
-    under_component: int
-    k: int
-
-    @property
-    def weight(self) -> AffineInt:
-        return AffineInt(self.k, _symbol_part(self.over_component, self.under_component))
-
-
-def _symbol_part(i: int, j: int) -> tuple[tuple[int, int], ...]:
-    """The coefficients of c_i - c_j, sorted by symbol index."""
-    if i == j:
-        return ()
-    return ((i, 1), (j, -1)) if i < j else ((j, -1), (i, 1))
-
-
-def weight_table(d: TangleDiagram, labeling: Labeling,
-                 plain: bool = False) -> dict[int, tuple[int, int, int, int]]:
-    """Every classical crossing's summand, keyed by crossing id in ascending order.
+def weight_table(d: TangleDiagram, labeling: Labeling) -> dict[int, tuple[int, int, int, int]]:
+    """Every classical crossing's record (sign, i, j, k), keyed by ascending crossing id.
 
     This is where the weight W = a - b - s is read off a labeling: with
     a = c_i + k_a and b = c_j + k_b it is the integer k = k_a - k_b - s
-    plus the symbol part c_i - c_j.  The summands are
-    :class:`Contribution` records, or with ``plain`` the bare
-    (sign, i, j, k) tuples that :func:`maip` sums.
+    plus the symbol part c_i - c_j, which the record keeps as i and j.
     """
     over, under = labeling.places[OVER], labeling.places[UNDER]
     crossings = d.crossings
@@ -108,9 +85,7 @@ def weight_table(d: TangleDiagram, labeling: Labeling,
         j, b = under[cid]
         sign = crossings[cid].sign
         table[cid] = (sign, i, j, a - b - sign)
-    if plain:
-        return table
-    return {cid: Contribution._make(row) for cid, row in table.items()}
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +94,7 @@ def weight_table(d: TangleDiagram, labeling: Labeling,
 
 @dataclass(frozen=True)
 class MaipContributions:
-    """Per-crossing records plus the component index differences.
+    """Per-crossing records (sign, i, j, k) plus the component index differences.
 
     This is the unsimplified form needed to predict composite
     polynomials: the delta rewrites of composition act on the exponent
@@ -127,7 +102,7 @@ class MaipContributions:
     polynomial.
     """
 
-    records: tuple[Contribution, ...]
+    records: tuple[tuple[int, int, int, int], ...]
     delta: dict[int, int]
 
     def polynomial(self) -> LaurentPoly:
@@ -135,11 +110,13 @@ class MaipContributions:
 
 
 def contribution_poly(records, delta: Mapping[int, int]) -> LaurentPoly:
-    """Sum of sign * t_i^(delta_j) * (t_i^W - 1) over (sign, i, j, k) records, in one pass.
+    """Sum of sign * t_i^(delta_j) * (t_i^W - 1) over records (sign, i, j, k), in one pass.
 
-    Coefficients are summed on plain (i, j, exponent constant) keys, the
-    symbol-free -1 term under (i, i, delta_j); each distinct term that
-    does not cancel then makes one AffineInt.
+    Each record is a crossing's sign, over component i, under component j
+    and the integer k of its weight W = k + c_i - c_j.  Coefficients are
+    summed on plain (i, j, exponent constant) keys, the symbol-free -1
+    term under (i, i, delta_j); each distinct term that does not cancel
+    then makes one exponent through :func:`affine_weight`.
     """
     terms: dict[tuple[int, int, int], int] = {}
     for sign, i, j, k in records:
@@ -148,23 +125,22 @@ def contribution_poly(records, delta: Mapping[int, int]) -> LaurentPoly:
         terms[key] = terms.get(key, 0) + sign
         key = (i, i, shift)
         terms[key] = terms.get(key, 0) - sign
-    return LaurentPoly({(i, AffineInt(const, _symbol_part(i, j))): coeff
+    return LaurentPoly({(i, affine_weight(i, j, const)): coeff
                         for (i, j, const), coeff in terms.items() if coeff})
 
 
 def structured_maip(d: TangleDiagram) -> MaipContributions:
+    """The records of :func:`weight_table` in crossing order, with every delta_i."""
     labeling = propagate_labels(d)
     records = tuple(weight_table(d, labeling).values())
-    return MaipContributions(records, dict(labeling.delta))
+    return MaipContributions(records, labeling.delta)
 
 
 def maip(d: TangleDiagram) -> LaurentPoly:
     """The multi-variable polynomial of a diagram without singular crossings."""
-    if d.singular_ids():
+    if any(rec.sign is None for rec in d.crossings.values()):
         raise HasSingular("diagram has singular crossings; use resolve")
-    labeling = propagate_labels(d)
-    records = tuple(weight_table(d, labeling, plain=True).values())
-    return contribution_poly(records, labeling.delta)
+    return structured_maip(d).polynomial()
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,12 @@ def sym(i):
     return AffineInt.symbol(i)
 
 
+def weight(rec):
+    """A record (sign, i, j, k)'s weight k + c_i - c_j, in AffineInt arithmetic."""
+    _, i, j, k = rec
+    return sym(i) - sym(j) + k
+
+
 def aff(const=0, **coeffs):
     """An affine exponent, e.g. ``aff(-1, c1=1, c3=-1)`` for c1 - c3 - 1."""
     return AffineInt.of(const, {int(k[1:]): v for k, v in coeffs.items()})

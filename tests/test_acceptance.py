@@ -27,7 +27,7 @@ from maip.invariant import (maip, propagate_labels, resolve_singular,
 from maip.moves import MoveSite, apply_site
 from maip.tangle_ops import compose
 
-from conftest import aff, const, load, mono
+from conftest import aff, const, load, mono, weight
 
 SEED = 20250810
 
@@ -50,7 +50,7 @@ def test_criterion_02_example2_contributions_and_value():
     d = load("ex2")
     records = structured_maip(d).records
     factors_ok = (
-        [(r.sign, r.over_component, r.under_component, r.weight) for r in records]
+        [(*r[:3], weight(r)) for r in records]
         == [(1, 1, 1, AffineInt(1)),              # c1 - (c1-1)
             (1, 1, 2, aff(-2, c1=1, c2=-1))])     # (c1-1) - (c2+1)
     expected = (const(1) + mono(1, -1, -1)

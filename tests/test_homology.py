@@ -269,10 +269,29 @@ def test_prop2_ex3(ex3):
 def test_prop2_checks_the_weights_the_polynomial_uses(ex3, monkeypatch):
     def shifted(d, labeling):
         table = weight_table(d, labeling)
-        return {cid: rec._replace(k=rec.k + 1) for cid, rec in table.items()}
+        return {cid: (sign, i, j, k + 1) for cid, (sign, i, j, k) in table.items()}
 
     monkeypatch.setattr(homology, "weight_table", shifted)
     assert not check_prop2(ex3).ok
+
+
+def test_prop2_checks_the_components_of_each_record(ex3, monkeypatch):
+    # Swap the over and under components of the first mixed crossing and
+    # keep its k: a comparison that read k alone would still pass.
+    table = weight_table(ex3, propagate_labels(ex3))
+    cid = next(cid for cid, (_, i, j, _) in table.items() if i != j)
+
+    def swapped(d, labeling):
+        table = weight_table(d, labeling)
+        sign, i, j, k = table[cid]
+        return {**table, cid: (sign, j, i, k)}
+
+    monkeypatch.setattr(homology, "weight_table", swapped)
+    report = check_prop2(ex3)
+    assert [e.crossing for e in report.failures()] == [cid]
+    (entry,) = report.failures()
+    assert entry.weight == aff(-1, c1=-1, c3=1)
+    assert entry.expected == aff(-1, c1=1, c3=-1)
 
 
 def test_prop2_kink_early_overcrossing(kink):

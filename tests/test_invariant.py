@@ -7,11 +7,10 @@ from maip.algebra import AffineInt, LaurentPoly, render, substitute_symbols
 from maip.diagram import (OVER, SING_PRIMARY, SING_SECONDARY, UNDER, random_diagram,
                           validate)
 from maip.errors import HasSingular, NoSingular
-from maip.invariant import (Contribution, contribution_poly, maip, propagate_labels,
-                            resolve_singular, structured_maip, vassiliev_eval,
-                            weight_table)
+from maip.invariant import (contribution_poly, maip, propagate_labels, resolve_singular,
+                            structured_maip, vassiliev_eval, weight_table)
 
-from conftest import aff, const, mono, sym
+from conftest import aff, const, mono, sym, weight
 
 
 # ---------------------------------------------------------------------------
@@ -68,20 +67,19 @@ def test_self_crossing_only_components_have_zero_delta():
 
 def test_weights_ex3(ex3):
     table = weight_table(ex3, propagate_labels(ex3))
-    assert table[1].weight == aff(-1, c1=1, c3=-1)
-    assert table[2].weight == aff(0, c2=1, c3=-1)
+    assert weight(table[1]) == aff(-1, c1=1, c3=-1)
+    assert weight(table[2]) == aff(0, c2=1, c3=-1)
     # a record stores only the integer part; the symbols follow from i and j
-    assert [(rec.over_component, rec.under_component, rec.k) for rec in table.values()] == \
-        [(1, 3, -1), (2, 3, 0)]
-    assert all(type(rec.k) is int for rec in table.values())
+    assert [(i, j, k) for _, i, j, k in table.values()] == [(1, 3, -1), (2, 3, 0)]
+    assert all(type(k) is int for *_, k in table.values())
 
 
 def test_weights_ex2_match_displayed_factors(ex2):
     # crossing 1: over-incoming c1 minus under-outgoing (c1 - 1)
     # crossing 2: over-incoming (c1 - 1) minus under-outgoing (c2 + 1)
     table = weight_table(ex2, propagate_labels(ex2))
-    assert table[1].weight == AffineInt(1)
-    assert table[2].weight == aff(-2, c1=1, c2=-1)
+    assert weight(table[1]) == AffineInt(1)
+    assert weight(table[2]) == aff(-2, c1=1, c2=-1)
 
 
 def test_weight_equals_over_incoming_minus_under_outgoing(ex2, ex3):
@@ -94,11 +92,11 @@ def test_weight_equals_over_incoming_minus_under_outgoing(ex2, ex3):
             ui, up = positions[(cid, "U")]
             over_incoming = sym(oi) + arc_offsets(d, lab, oi)[op]
             under_outgoing = sym(ui) + arc_offsets(d, lab, ui)[up + 1]
-            assert table[cid].weight == over_incoming - under_outgoing
+            assert weight(table[cid]) == over_incoming - under_outgoing
 
 
 def test_kink_weight_is_zero(kink):
-    assert weight_table(kink, propagate_labels(kink))[1].weight == AffineInt(0)
+    assert weight(weight_table(kink, propagate_labels(kink))[1]) == AffineInt(0)
 
 
 def test_weight_requires_classical(singular, ex2):
@@ -136,7 +134,7 @@ def reference_weight_table(d):
     table = {}
     for cid in d.classical_ids():
         (i, a), (j, b) = places[(cid, OVER)], places[(cid, UNDER)]
-        table[cid] = Contribution(d.sign(cid), i, j, a - b - d.sign(cid))
+        table[cid] = (d.sign(cid), i, j, a - b - d.sign(cid))
     return table
 
 
@@ -167,8 +165,9 @@ def reference_assembly(records, delta):
     """The polynomial summed term by term on AffineInt exponents."""
     terms = {}
     for rec in records:
-        var, shift = rec.over_component, delta[rec.under_component]
-        for exp, coeff in ((rec.weight + shift, rec.sign), (AffineInt(shift), -rec.sign)):
+        sign, var, j, _ = rec
+        shift = delta[j]
+        for exp, coeff in ((weight(rec) + shift, sign), (AffineInt(shift), -sign)):
             terms[(var, exp)] = terms.get((var, exp), 0) + coeff
     return LaurentPoly(terms)
 
@@ -185,8 +184,8 @@ def test_integer_weights_follow_affine_arithmetic(seed, n_closed, n_long, n_sing
     for cid, rec in table.items():
         (i, p), (j, q) = positions[(cid, OVER)], positions[(cid, UNDER)]
         a, b = sym(i) + arc_offsets(d, lab, i)[p], sym(j) + arc_offsets(d, lab, j)[q]
-        assert rec.weight == a - b - d.sign(cid)
-        assert (rec.over_component, rec.under_component) == (i, j)
+        assert weight(rec) == a - b - d.sign(cid)
+        assert rec[1:3] == (i, j)
     assert contribution_poly(tuple(table.values()), lab.delta) == \
         reference_assembly(table.values(), lab.delta)
 
@@ -201,7 +200,7 @@ def composed_records(draw):
         i = draw(st.integers(min_value=1, max_value=3))
         j = i if draw(st.booleans()) else draw(st.integers(min_value=1, max_value=3))
         k = -delta[j] if draw(st.booleans()) else draw(st.integers(min_value=-3, max_value=3))
-        records.append(Contribution(draw(st.sampled_from((1, -1))), i, j, k))
+        records.append((draw(st.sampled_from((1, -1))), i, j, k))
     return records, delta
 
 
@@ -214,10 +213,7 @@ def test_assembly_of_composed_records_matches_the_reference(case):
 
 def test_assembly_reference_sees_three_symbols_and_the_constant_term():
     delta = {1: 1, 2: 0, 3: -1}
-    records = [Contribution(1, 1, 3, 2),
-               Contribution(-1, 2, 3, 2),
-               Contribution(1, 2, 1, -1),
-               Contribution(1, 3, 3, 1)]
+    records = [(1, 1, 3, 2), (-1, 2, 3, 2), (1, 2, 1, -1), (1, 3, 3, 1)]
     expected = (mono(1, aff(1, c1=1, c3=-1)) + mono(1, -1, -1)
                 - mono(2, aff(1, c2=1, c3=-1)) + mono(2, -1)
                 + mono(2, aff(0, c1=-1, c2=1)) - mono(2, 1)
@@ -280,7 +276,7 @@ def test_maip_commutes_with_symbol_substitution():
         for cid in d.classical_ids():
             (i, a), (j, b) = incoming[(cid, OVER)], incoming[(cid, UNDER)]
             s = d.sign(cid)
-            records.append(Contribution(s, i, j, a - b - s - (assignment[i] - assignment[j])))
+            records.append((s, i, j, a - b - s - (assignment[i] - assignment[j])))
         assert via_poly == substitute_symbols(contribution_poly(records, delta), assignment)
 
 

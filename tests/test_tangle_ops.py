@@ -13,7 +13,7 @@ from maip.invariant import maip, propagate_labels, structured_maip
 from maip.tangle_ops import GluePlan, PlanEntry, compose, cut, predict_composed, tensor
 from maip.words import GeneratorWord, Identity, from_generator_word
 
-from conftest import aff, const, mono
+from conftest import aff, const, mono, weight
 
 
 def empty_tangle():
@@ -211,12 +211,16 @@ def substituted_prediction(upper, lower, plan):
     terms = Counter()
     for shift, factor in factors:
         for rec in factor.records:
-            weight = AffineInt(rec.weight.const)
-            for ci, a in rec.weight.coeffs:
-                weight = weight + a * label[shift + ci]
-            i, shift_j = var[shift + rec.over_component], merged[var[shift + rec.under_component]]
-            terms[(i, weight + shift_j)] += rec.sign
-            terms[(i, AffineInt(shift_j))] -= rec.sign
+            sign, over, under, _ = rec
+            full = weight(rec)
+            substituted = AffineInt(full.const)
+            for ci, a in full.coeffs:
+                assert a in (1, -1)
+                substituted = (substituted + label[shift + ci] if a == 1
+                               else substituted - label[shift + ci])
+            i, shift_j = var[shift + over], merged[var[shift + under]]
+            terms[(i, substituted + shift_j)] += sign
+            terms[(i, AffineInt(shift_j))] -= sign
     return LaurentPoly(terms)
 
 
