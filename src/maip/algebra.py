@@ -1,11 +1,11 @@
-"""Exact arithmetic for arc labels and the invariant polynomial.
+"""Exact arithmetic for the invariant polynomial and its exponents.
 
-Arc labels, index differences and crossing weights are affine integer
-expressions ``k + sum_i a_i*c_i`` over the per-component starting-label
-symbols ``c_1, c_2, ...`` (:class:`AffineInt`).  The invariant is a
-Laurent polynomial in variables ``t_1, t_2, ...`` whose exponents are
-such affine expressions and whose coefficients are plain Python ints,
-so nothing ever overflows or rounds (:class:`LaurentPoly`).
+Every exponent is ``k + c_p - c_q`` (:class:`AffineInt`): a crossing's
+weight k + c_i - c_j over the per-component starting-label symbols
+``c_1, c_2, ...``, shifted by an integer delta_j, or a plain integer.
+The invariant is a Laurent polynomial in variables ``t_1, t_2, ...``
+with such exponents and plain Python int coefficients, so nothing ever
+overflows or rounds (:class:`LaurentPoly`).
 
 A polynomial is stored as a mapping
 
@@ -22,96 +22,90 @@ write them, and nothing reads them back.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import MissingSymbol, SymbolicExponent
 
 
 # ---------------------------------------------------------------------------
-# affine integer expressions
+# exponents
 
 
-@dataclass(frozen=True)
-class AffineInt:
-    """An integer plus an integer combination of label symbols c_i.
+class AffineInt(NamedTuple):
+    """The exponent ``const + c_p - c_q``, with p = q = 0 for a constant.
 
-    ``coeffs`` holds (symbol index, nonzero coefficient) pairs sorted by
-    index; equality and hashing are structural, so two expressions are
-    equal exactly when constant and coefficients agree.
+    A crossing's weight k + c_i - c_j, shifted by an integer delta_j, or
+    delta_j alone: no exponent of the invariant has another shape.  Build
+    a symbolic one with :func:`affine_weight`, which keeps p != q; equality
+    and hashing are those of the three ints.  Only an int can be added or
+    subtracted, and negation swaps p and q.
     """
 
     const: int = 0
-    coeffs: tuple[tuple[int, int], ...] = ()
+    p: int = 0
+    q: int = 0
 
     @staticmethod
     def of(const: int = 0, coeffs: Mapping[int, int] | None = None) -> "AffineInt":
-        return AffineInt(const, _norm_coeffs(coeffs or {}))
+        """``const + sum a_i*c_i``; the nonzero a_i must be {} or {p: 1, q: -1}."""
+        syms = {i: a for i, a in (coeffs or {}).items() if a}
+        if not syms:
+            return AffineInt(const)
+        by_coeff = {a: i for i, a in syms.items()}
+        if len(syms) != 2 or set(by_coeff) != {1, -1} or min(syms) < 1:
+            raise ValueError(f"not an exponent k + c_p - c_q: {syms}")
+        return affine_weight(by_coeff[1], by_coeff[-1], const)
 
-    @staticmethod
-    def symbol(i: int) -> "AffineInt":
-        if i < 1:
-            raise ValueError(f"symbol index must be >= 1, got {i}")
-        return AffineInt(0, ((i, 1),))
-
-    def __add__(self, other: "AffineInt | int") -> "AffineInt":
-        if isinstance(other, int):
-            return AffineInt(self.const + other, self.coeffs)
-        merged = dict(self.coeffs)
-        for i, a in other.coeffs:
-            merged[i] = merged.get(i, 0) + a
-        return AffineInt(self.const + other.const, _norm_coeffs(merged))
+    def __add__(self, other: int) -> "AffineInt":
+        if not isinstance(other, int):
+            return NotImplemented
+        return AffineInt(self.const + other, self.p, self.q)
 
     __radd__ = __add__
 
-    def __neg__(self) -> "AffineInt":
-        return AffineInt(-self.const, tuple((i, -a) for i, a in self.coeffs))
+    def __sub__(self, other: int) -> "AffineInt":
+        return self + -other if isinstance(other, int) else NotImplemented
 
-    def __sub__(self, other: "AffineInt | int") -> "AffineInt":
-        return self + (-other if isinstance(other, AffineInt) else -other)
+    def __mul__(self, other):  # not tuple repetition: an exponent has no product
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __neg__(self) -> "AffineInt":
+        return AffineInt(-self.const, self.q, self.p)
 
     def __bool__(self) -> bool:
-        return bool(self.const or self.coeffs)
+        return self.const != 0 or self.p != 0
 
     @property
     def is_constant(self) -> bool:
-        return not self.coeffs
+        return not self.p
 
     def symbols(self) -> tuple[int, ...]:
-        return tuple(i for i, _ in self.coeffs)
+        return tuple(sorted((self.p, self.q))) if self.p else ()
 
     def substitute(self, assignment: Mapping[int, int]) -> int:
         """Evaluate at integer values for every symbol present."""
-        missing = [i for i, _ in self.coeffs if i not in assignment]
+        const, p, q = self
+        if not p:
+            return const
+        missing = [i for i in self.symbols() if i not in assignment]
         if missing:
             names = ", ".join(f"c{i}" for i in missing)
             raise MissingSymbol(f"no value for {names}")
-        return self.const + sum(a * assignment[i] for i, a in self.coeffs)
+        return const + assignment[p] - assignment[q]
 
     def rename_symbols(self, sym_map: Mapping[int, int]) -> "AffineInt":
-        merged: dict[int, int] = {}
-        for i, a in self.coeffs:
-            j = sym_map.get(i, i)
-            merged[j] = merged.get(j, 0) + a
-        return AffineInt(self.const, _norm_coeffs(merged))
+        if not self.p:
+            return self
+        return affine_weight(sym_map.get(self.p, self.p), sym_map.get(self.q, self.q), self.const)
 
     def __str__(self) -> str:
-        parts = []
-        for i, a in self.coeffs:
-            if a == 1:
-                parts.append(f"+c{i}")
-            elif a == -1:
-                parts.append(f"-c{i}")
-            else:
-                parts.append(f"{a:+d}c{i}")
-        if self.const or not parts:
-            parts.append(f"{self.const:+d}")
-        out = "".join(parts)
-        return out[1:] if out.startswith("+") else out
-
-
-def _norm_coeffs(coeffs: Mapping[int, int]) -> tuple[tuple[int, int], ...]:
-    return tuple(sorted((i, a) for i, a in coeffs.items() if a != 0))
+        const, p, q = self
+        out = "" if not p else f"c{p}-c{q}" if p < q else f"-c{q}+c{p}"
+        if const or not out:
+            out += f"{const:+d}"
+        return out.removeprefix("+")
 
 
 def affine_weight(i: int, j: int, k: int) -> AffineInt:
@@ -120,9 +114,7 @@ def affine_weight(i: int, j: int, k: int) -> AffineInt:
     With i the over and j the under component, a crossing's record
     (sign, i, j, k) has this weight; the symbol part is 0 when i = j.
     """
-    if i == j:
-        return AffineInt(k)
-    return AffineInt(k, ((i, 1), (j, -1)) if i < j else ((j, -1), (i, 1)))
+    return AffineInt(k) if i == j else AffineInt(k, i, j)
 
 
 ZERO = AffineInt(0)
@@ -202,7 +194,8 @@ class LaurentPoly:
 
 
 def _term_key(var: int | None, exp: AffineInt):
-    return (0 if var is None else var, exp.coeffs, exp.const)
+    const, p, q = exp
+    return (0 if var is None else var, min(p, q), p < q, max(p, q), const)
 
 
 def substitute_symbols(p: LaurentPoly, assignment: Mapping[int, int]) -> LaurentPoly:
@@ -264,7 +257,9 @@ def render(p: LaurentPoly) -> str:
 
 
 def affine_to_json(a: AffineInt) -> dict:
-    return {"const": a.const, "syms": {f"c{i}": k for i, k in a.coeffs}}
+    const, p, q = a
+    syms = {} if not p else {f"c{p}": 1, f"c{q}": -1} if p < q else {f"c{q}": -1, f"c{p}": 1}
+    return {"const": const, "syms": syms}
 
 
 def poly_to_json(p: LaurentPoly) -> list[dict]:

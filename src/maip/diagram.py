@@ -23,6 +23,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import DiagramParseError, ValidationFailure
 
@@ -35,8 +36,7 @@ CLASSICAL_ROLES = (OVER, UNDER)
 SINGULAR_ROLES = (SING_PRIMARY, SING_SECONDARY)
 
 
-@dataclass(frozen=True)
-class Passage:
+class Passage(NamedTuple):
     crossing: int
     role: str
 

@@ -152,8 +152,7 @@ def homological_weight(index: PassageIndex, cid: int) -> AffineInt:
     if place is None:
         raise NotClassical(f"crossing {cid} is not a classical crossing")
     ci, _, cj, _ = place
-    return (AffineInt.symbol(ci) - AffineInt.symbol(cj)
-            + pairing(index, smoothing(index, cid)))
+    return affine_weight(ci, cj, pairing(index, smoothing(index, cid)))
 
 
 @dataclass(frozen=True)

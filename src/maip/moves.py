@@ -206,8 +206,7 @@ def _rewrite(d: TangleDiagram, site: MoveSite) -> TangleDiagram:
                 for ev in pair:
                     crossings.pop(ev.crossing, None)
             edits.append((ci, k, 0, 2, pair[::-1] if site.kind == "R3" else ()))
-    # Passage has no ordering, so the sort must not reach the last fields.
-    for ci, k, _, n, new in sorted(edits, key=lambda e: e[:3], reverse=True):
+    for ci, k, _, n, new in sorted(edits, reverse=True):
         events = comps[ci - 1].events
         comps[ci - 1] = replace(comps[ci - 1], events=events[:k] + new + events[k + n:])
     return TangleDiagram(d.m, d.n, tuple(comps), crossings)

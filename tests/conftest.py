@@ -16,15 +16,43 @@ def load(name: str):
     return parse(fixture_text(name))
 
 
+class Affine:
+    """An integer plus any integer combination of the symbols c_i.
+
+    The reference arithmetic for labels and weights, written apart from
+    the package's exponent; :meth:`exponent` hands a result over through
+    ``AffineInt.of``.
+    """
+
+    def __init__(self, const=0, coeffs=None):
+        self.const, self.coeffs = const, dict(coeffs or {})
+
+    def __add__(self, other):
+        other = Affine(other) if isinstance(other, int) else other
+        coeffs = dict(self.coeffs)
+        for i, a in other.coeffs.items():
+            coeffs[i] = coeffs.get(i, 0) + a
+        return Affine(self.const + other.const, coeffs)
+
+    def __neg__(self):
+        return Affine(-self.const, {i: -a for i, a in self.coeffs.items()})
+
+    def __sub__(self, other):
+        return self + -other
+
+    def exponent(self):
+        return AffineInt.of(self.const, self.coeffs)
+
+
 def sym(i):
-    """The start-label symbol c_i."""
-    return AffineInt.symbol(i)
+    """The start-label symbol c_i, in the reference arithmetic."""
+    return Affine(0, {i: 1})
 
 
 def weight(rec):
-    """A record (sign, i, j, k)'s weight k + c_i - c_j, in AffineInt arithmetic."""
+    """A record (sign, i, j, k)'s weight k + c_i - c_j, summed in the reference arithmetic."""
     _, i, j, k = rec
-    return sym(i) - sym(j) + k
+    return (sym(i) - sym(j) + k).exponent()
 
 
 def aff(const=0, **coeffs):

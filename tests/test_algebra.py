@@ -2,22 +2,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from maip.algebra import (AffineInt, LaurentPoly, collapse_variables,
+from maip.algebra import (AffineInt, LaurentPoly, affine_weight, collapse_variables,
                           poly_to_json, reindex, render, substitute_symbols)
 from maip.errors import MissingSymbol, SymbolicExponent
 
-from conftest import aff, const, mono, sym
+from conftest import aff, const, mono
 
 
 # ---------------------------------------------------------------------------
 # strategies
 
-affine_ints = st.builds(
-    lambda const, coeffs: AffineInt.of(const, coeffs),
-    st.integers(min_value=-40, max_value=40),
-    st.dictionaries(st.integers(min_value=1, max_value=11),
-                    st.integers(min_value=-12, max_value=12), max_size=3),
-)
+consts = st.integers(min_value=-40, max_value=40)
+symbol_indices = st.integers(min_value=1, max_value=11)
+affine_ints = st.one_of(consts.map(AffineInt),
+                        st.builds(affine_weight, symbol_indices, symbol_indices, consts))
 
 term_keys = st.tuples(st.integers(min_value=1, max_value=12), affine_ints)
 polys = st.builds(
@@ -29,42 +27,71 @@ polys = st.builds(
 
 
 # ---------------------------------------------------------------------------
-# affine arithmetic
+# exponents
 
 
 def test_affine_add_constant_shift():
-    assert aff(-2, c1=1, c2=-1) + AffineInt(1) == aff(-1, c1=1, c2=-1)
+    assert aff(-2, c1=1, c2=-1) + 1 == aff(-1, c1=1, c2=-1)
+    assert 1 + aff(-2, c1=1, c2=-1) == aff(-1, c1=1, c2=-1)
+    assert aff(-2, c1=1, c2=-1) - 1 == aff(-3, c1=1, c2=-1)
 
 
 def test_affine_add_pairing_shift():
     # the shifted weight that shows up at a positive mixed crossing
-    assert (sym(1) - sym(3)) + AffineInt(-1) == aff(-1, c1=1, c3=-1)
+    assert affine_weight(1, 3, 0) + (-1) == aff(-1, c1=1, c3=-1)
+    assert str(affine_weight(1, 3, 0) - 1) == "c1-c3-1"
+    assert str(affine_weight(3, 1, 0) - 1) == "-c1+c3-1"
 
 
 def test_affine_add_cancellation():
-    assert (sym(1) - sym(2)) + (sym(2) - sym(1)) == AffineInt(0)
-    assert not ((sym(1) - sym(2)) + (sym(2) - sym(1)))
+    # c_i - c_i cancels to the constant, which is false only when it is 0
+    assert affine_weight(2, 2, 0) == AffineInt(0) == aff(0, c2=0)
+    assert not affine_weight(2, 2, 0)
+    assert not AffineInt(3) - 3
+    assert affine_weight(1, 2, 3) - 3
+    assert affine_weight(2, 2, 3) == AffineInt(3)
 
 
-@given(affine_ints, affine_ints, affine_ints)
-def test_affine_group_laws(a, b, c):
-    assert a + b == b + a
-    assert (a + b) + c == a + (b + c)
-    assert a + (-a) == AffineInt(0)
-    assert a + AffineInt(0) == a
+@given(affine_ints, affine_ints, st.integers(-9, 9), st.integers(-9, 9))
+def test_affine_group_laws(a, b, m, n):
+    assert (a + m) + n == a + (m + n)
+    assert a + 0 == a
+    assert a - m == a + (-m)
+    assert (a + m) - m == a
+    assert -(-a) == a
+    assert -(a + m) == -a - m
+    assert bool(a) == (a != AffineInt(0))
+    # exponents do not add: only an int shifts one
+    with pytest.raises(TypeError):
+        a + b
+    with pytest.raises(TypeError):
+        a - b
+    with pytest.raises(TypeError):
+        a * 2
 
 
-@given(affine_ints, affine_ints,
-       st.dictionaries(st.integers(min_value=1, max_value=11),
-                       st.integers(min_value=-10, max_value=10)))
-def test_substitute_is_additive(a, b, assignment):
+def test_of_takes_only_the_weight_shape():
+    for coeffs in ({1: 2}, {1: 1}, {1: 1, 2: 1, 3: -1}, {1: -1}, {0: 1, 2: -1}):
+        with pytest.raises(ValueError):
+            AffineInt.of(0, coeffs)
+    assert AffineInt.of(4, {3: 0}) == AffineInt(4)
+    assert AffineInt.of(4, {3: 1, 2: -1, 5: 0}) == affine_weight(3, 2, 4)
+    assert AffineInt.of(4, {}) == AffineInt.of(4) == AffineInt(4)
+
+
+@given(affine_ints, st.integers(-9, 9),
+       st.dictionaries(symbol_indices, st.integers(min_value=-10, max_value=10)))
+def test_substitute_is_additive(a, m, assignment):
     full = {i: assignment.get(i, 0) for i in range(1, 12)}
-    assert (a + b).substitute(full) == a.substitute(full) + b.substitute(full)
+    assert (a + m).substitute(full) == a.substitute(full) + m
+    assert (-a).substitute(full) == -a.substitute(full)
 
 
 def test_substitute_missing_symbol():
-    with pytest.raises(MissingSymbol):
-        (sym(1) - sym(3)).substitute({1: 0})
+    with pytest.raises(MissingSymbol, match="no value for c3$"):
+        aff(0, c1=1, c3=-1).substitute({1: 0})
+    with pytest.raises(MissingSymbol, match="no value for c1, c3$"):
+        aff(0, c1=-1, c3=1).substitute({})
 
 
 # ---------------------------------------------------------------------------
@@ -146,13 +173,19 @@ def test_collapse_merges_coefficients():
 
 def test_collapse_rejects_symbols():
     with pytest.raises(SymbolicExponent):
-        collapse_variables(mono(1, sym(1)))
+        collapse_variables(mono(1, aff(0, c1=1, c2=-1)))
 
 
 def test_reindex_swaps_variables_and_symbols():
-    p = mono(1, sym(1)) + mono(2, sym(2), -1)
+    p = mono(1, aff(0, c1=1, c3=-1)) + mono(2, aff(2, c2=1, c1=-1), -1)
     q = reindex(p, {1: 2, 2: 1})
-    assert q == mono(2, sym(2)) + mono(1, sym(1), -1)
+    assert q == mono(2, aff(0, c2=1, c3=-1)) + mono(1, aff(2, c1=1, c2=-1), -1)
+    # both symbols of a term sent to one index cancel; the term then
+    # merges with the existing term of the same constant exponent
+    p = mono(1, aff(2, c1=1, c2=-1)) + mono(3, 2, -1) + mono(1, aff(0, c2=1, c1=-1)) + const(-1)
+    assert reindex(p, {2: 1, 3: 1}).is_zero()
+    q = reindex(mono(2, aff(-1, c3=1, c2=-1)), {3: 2})
+    assert q == mono(2, -1) and q.symbols() == ()
 
 
 # ---------------------------------------------------------------------------

@@ -235,13 +235,13 @@ def test_closed_stdout_exits_141_without_a_traceback(tmp_path):
     # still writing when the reader closes its end.
     path = tmp_path / "n3200.tangle"
     path.write_text(serialize(random_diagram(1, 2, 2, 3200)))
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "maip", "tensor", str(path), str(path)],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=FIXTURES.parent)
-    assert proc.stdout.readline() == b"tangle m=6 n=2\n"
-    proc.stdout.close()
-    stderr = proc.stderr.read().decode()
-    assert proc.wait() == 141
+    with subprocess.Popen(
+            [sys.executable, "-m", "maip", "tensor", str(path), str(path)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=FIXTURES.parent) as proc:
+        assert proc.stdout.readline() == b"tangle m=6 n=2\n"
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        assert proc.wait() == 141
     assert "Traceback" not in stderr
 
 

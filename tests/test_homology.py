@@ -310,7 +310,7 @@ def test_prop2_early_undercrossing_sign():
     by_id = {e.crossing: e for e in report.entries}
     assert by_id[1].early_under
     lab = propagate_labels(d)
-    assert by_id[1].weight == -(by_id[1].homological - AffineInt(lab.delta[1]))
+    assert by_id[1].weight == -(by_id[1].homological - lab.delta[1])
 
 
 @given(st.integers(min_value=0, max_value=100_000))

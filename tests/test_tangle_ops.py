@@ -13,7 +13,7 @@ from maip.invariant import maip, propagate_labels, structured_maip
 from maip.tangle_ops import GluePlan, PlanEntry, compose, cut, predict_composed, tensor
 from maip.words import GeneratorWord, Identity, from_generator_word
 
-from conftest import aff, const, mono, weight
+from conftest import aff, const, mono, sym
 
 
 def empty_tangle():
@@ -193,17 +193,18 @@ def test_predict_merges_deltas_along_chains(ex2, ex3):
 
 
 def substituted_prediction(upper, lower, plan):
-    """The prediction by symbol substitution, in AffineInt arithmetic.
+    """The prediction by symbol substitution, in the reference arithmetic.
 
     Each piece's start symbol is replaced by its composite start symbol
     plus the index differences of the members before it, inside each
-    record's full weight; the terms are then summed one by one.
+    record's full weight k + c_over - c_under; the terms are then summed
+    one by one.
     """
     factors = ((0, upper), (len(upper.delta), lower))
     delta = {shift + ci: step for shift, f in factors for ci, step in f.delta.items()}
     label, var, merged = {}, {}, {}
     for new_index, entry in enumerate(plan.entries, start=1):
-        start = AffineInt.symbol(new_index)
+        start = sym(new_index)
         for i in entry.members:
             label[i], var[i] = start, new_index
             start = start + delta[i]
@@ -211,15 +212,10 @@ def substituted_prediction(upper, lower, plan):
     terms = Counter()
     for shift, factor in factors:
         for rec in factor.records:
-            sign, over, under, _ = rec
-            full = weight(rec)
-            substituted = AffineInt(full.const)
-            for ci, a in full.coeffs:
-                assert a in (1, -1)
-                substituted = (substituted + label[shift + ci] if a == 1
-                               else substituted - label[shift + ci])
+            sign, over, under, k = rec
+            substituted = label[shift + over] - label[shift + under] + k
             i, shift_j = var[shift + over], merged[var[shift + under]]
-            terms[(i, substituted + shift_j)] += sign
+            terms[(i, (substituted + shift_j).exponent())] += sign
             terms[(i, AffineInt(shift_j))] -= sign
     return LaurentPoly(terms)
 
