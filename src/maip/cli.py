@@ -23,7 +23,7 @@ import sys
 from . import checks
 from .algebra import collapse_variables, poly_to_json, render, substitute_symbols
 from .diagram import from_json, parse, serialize, to_json
-from .errors import (ArityMismatch, DiagramParseError, MissingSymbol,
+from .errors import (ArityMismatch, DiagramParseError, HasSingular, MissingSymbol,
                      OrientationMismatch, SymbolicExponent, ValidationFailure)
 from .invariant import maip, structured_maip, vassiliev_eval
 from .tangle_ops import GluePlan, predict_composed, tensor
@@ -94,9 +94,10 @@ def _parse_assignment(text: str, symbols) -> dict[int, int]:
 
 def cmd_compute(args) -> int:
     d = _load(args.file)
-    if d.singular_ids():
-        raise _InputError(f"{args.file}: diagram has singular crossings; use resolve")
-    poly = maip(d)
+    try:
+        poly = maip(d)
+    except HasSingular as exc:
+        raise _InputError(f"{args.file}: diagram has singular crossings; use resolve") from exc
     if args.numeric is not None:
         try:
             poly = substitute_symbols(poly, _parse_assignment(args.numeric, poly.symbols()))
@@ -113,7 +114,7 @@ def cmd_compute(args) -> int:
 
 def cmd_resolve(args) -> int:
     d = _load(args.file)
-    if not d.singular_ids():
+    if not d.has_singular():
         raise _InputError(f"{args.file}: no singular crossings; use compute")
     poly = vassiliev_eval(d)
     print(json.dumps(poly_to_json(poly)) if args.json else render(poly))
@@ -124,7 +125,10 @@ def cmd_tensor(args) -> int:
     left = _load(args.left)
     right = _load(args.right)
     product = tensor(left, right)
-    poly = None if product.singular_ids() else maip(product)
+    try:
+        poly = maip(product)
+    except HasSingular:
+        poly = None
     if args.out:
         _write(args.out, serialize(product))
     if args.json:
@@ -146,9 +150,10 @@ def cmd_compose(args) -> int:
     except (ArityMismatch, OrientationMismatch) as exc:
         raise _InputError(f"cannot compose: {exc}") from exc
     composite = plan.glue(upper, lower)
-    if composite.singular_ids():
-        raise _InputError("composite has singular crossings; resolve the factors first")
-    poly = maip(composite)
+    try:
+        poly = maip(composite)
+    except HasSingular as exc:
+        raise _InputError("composite has singular crossings; resolve the factors first") from exc
     predicted = predict_composed(structured_maip(upper), structured_maip(lower), plan)
     verdict = "ok" if predicted == poly else "MISMATCH"
     if args.out:
@@ -179,9 +184,10 @@ def cmd_check(args) -> int:
     trials = DEFAULT_TRIALS if args.trials is None else args.trials
     if args.file:
         diagram = _load(args.file)
-        if diagram.singular_ids():
-            raise _InputError(f"{args.file}: diagram has singular crossings; use resolve")
-        report = suite(trials, args.seed, diagram=diagram)
+        try:  # every suite that takes a file computes the polynomial first
+            report = suite(trials, args.seed, diagram=diagram)
+        except HasSingular as exc:
+            raise _InputError(f"{args.file}: diagram has singular crossings; use resolve") from exc
     else:
         report = suite(trials, args.seed)
     if args.json:

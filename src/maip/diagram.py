@@ -90,6 +90,9 @@ class TangleDiagram:
     def singular_ids(self) -> list[int]:
         return sorted(i for i, r in self.crossings.items() if not r.is_classical)
 
+    def has_singular(self) -> bool:
+        return any(r.sign is None for r in self.crossings.values())
+
     def sign(self, crossing_id: int) -> int | None:
         return self.crossings[crossing_id].sign
 
@@ -125,20 +128,50 @@ _ROLES_OF_CLASSICAL = (CLASSICAL_ROLES, "classical")
 _ROLES_OF_SINGULAR = (SINGULAR_ROLES, "singular")
 
 
+def _component_problems(ci: int, comp: Component):
+    """Component ``ci``'s violations of its kind and endpoints, in validate's order."""
+    if comp.kind not in ("closed", "long"):
+        yield f"component {ci}: unknown kind {comp.kind!r}"
+    if comp.kind == "long":
+        if comp.start is None or comp.end is None:
+            yield f"component {ci}: endpoint arity"
+        elif comp.start == comp.end:
+            yield f"component {ci}: endpoint arity (start and end share slot {comp.start})"
+    elif comp.kind == "closed" and (comp.start is not None or comp.end is not None):
+        yield f"component {ci}: closed component carries boundary slots"
+
+
+def _slot_problems(d: TangleDiagram):
+    """The boundary's violations: every slot used once, and no other slot."""
+    # One line per unused slot is bounded by the input only while the
+    # declared boundary stays within reach of the long components.
+    n_long = sum(comp.kind == "long" for comp in d.components)
+    if d.m + d.n > 3 * n_long:
+        yield (f"boundary: m={d.m}, n={d.n}, but {n_long} long components "
+               f"reach at most {2 * n_long} slots")
+        return
+    expected = [f"T{k}" for k in range(1, d.m + 1)] + [f"B{k}" for k in range(1, d.n + 1)]
+    used: dict[str, int] = {}
+    for comp in d.components:
+        for slot in (comp.start, comp.end):
+            if slot is not None:
+                used[slot] = used.get(slot, 0) + 1
+    for slot in expected:
+        count = used.pop(slot, 0)
+        if count == 0:
+            yield f"slot {slot}: unused"
+        elif count > 1:
+            yield f"slot {slot}: used {count} times"
+    for slot in sorted(used):
+        yield f"slot {slot}: not in boundary (m={d.m}, n={d.n})"
+
+
 def validate(d: TangleDiagram) -> list[str]:
     """Return every violated structural invariant; empty list means valid."""
     errs: list[str] = []
     seen: dict[tuple[int, str], int] = {}
     for ci, comp in enumerate(d.components, start=1):
-        if comp.kind not in ("closed", "long"):
-            errs.append(f"component {ci}: unknown kind {comp.kind!r}")
-        if comp.kind == "long":
-            if comp.start is None or comp.end is None:
-                errs.append(f"component {ci}: endpoint arity")
-            elif comp.start == comp.end:
-                errs.append(f"component {ci}: endpoint arity (start and end share slot {comp.start})")
-        elif comp.kind == "closed" and (comp.start is not None or comp.end is not None):
-            errs.append(f"component {ci}: closed component carries boundary slots")
+        errs.extend(_component_problems(ci, comp))
         for ev in comp.events:
             rec = d.crossings.get(ev.crossing)
             if rec is None:
@@ -161,28 +194,7 @@ def validate(d: TangleDiagram) -> list[str]:
                 errs.append(f"crossing {cid}: duplicate role {role}")
     for (cid, role), _count in sorted(seen.items()):
         errs.append(f"crossing {cid}: unexpected role {role}")
-
-    # One line per unused slot is bounded by the input only while the
-    # declared boundary stays within reach of the long components.
-    n_long = sum(comp.kind == "long" for comp in d.components)
-    if d.m + d.n > 3 * n_long:
-        errs.append(f"boundary: m={d.m}, n={d.n}, but {n_long} long components "
-                    f"reach at most {2 * n_long} slots")
-        return errs
-    expected = [f"T{k}" for k in range(1, d.m + 1)] + [f"B{k}" for k in range(1, d.n + 1)]
-    used: dict[str, int] = {}
-    for comp in d.components:
-        for slot in (comp.start, comp.end):
-            if slot is not None:
-                used[slot] = used.get(slot, 0) + 1
-    for slot in expected:
-        count = used.pop(slot, 0)
-        if count == 0:
-            errs.append(f"slot {slot}: unused")
-        elif count > 1:
-            errs.append(f"slot {slot}: used {count} times")
-    for slot in sorted(used):
-        errs.append(f"slot {slot}: not in boundary (m={d.m}, n={d.n})")
+    errs.extend(_slot_problems(d))
     return errs
 
 
@@ -194,18 +206,25 @@ def require_valid(d: TangleDiagram) -> TangleDiagram:
 
 
 # ---------------------------------------------------------------------------
-# text format
+# reading: text format and JSON mirror
 
 _HEADER_RE = re.compile(r"^tangle\s+m=(\d+)\s+n=(\d+)$")
 _COMPONENT_RE = re.compile(
     r"^component\s+(\d+)\s+(?:(closed)|long\s+from\s+([TB]\d+)\s+to\s+([TB]\d+))\s*:(.*)$"
 )
-_TOKEN_RE = re.compile(r"([OU])(\d+)([+-])|([XY])(\d+)")
-_WORD_RE = re.compile(r"\S+")
+# One match per whitespace-separated word: a classical token (groups 1-3),
+# a singular one (groups 4-5), or any other word (group 6).
+_WORD_RE = re.compile(r"([OU])(\d+)([+-])(?!\S)|([XY])(\d+)(?!\S)|(\S+)")
+# The same for JSON tokens joined by single spaces.  There any other
+# whitespace belongs to a word, and a space that does not stand between
+# two words is a word of its own, so the words are the tokens exactly
+# when there are as many of them.
+_JSON_WORD_RE = re.compile(
+    r"([OU])(\d+)([+-])(?![^ ])|([XY])(\d+)(?![^ ])|([^ ]+|(?<![^ ]) | (?![^ ]))")
 # Shared records, so that a crossing met twice with the same kind and
 # sign finds the very record it declared.
 _TOKEN_RECORDS = {"+": CrossingRecord.classical(1), "-": CrossingRecord.classical(-1),
-                  None: CrossingRecord.singular()}
+                  "": CrossingRecord.singular()}
 
 
 def _number(digits: str, line: int, column: int) -> int:
@@ -215,33 +234,73 @@ def _number(digits: str, line: int, column: int) -> int:
         raise DiagramParseError("number is too long", line, column) from None
 
 
-def _read_tokens(tokens, crossings: dict[int, CrossingRecord],
-                 line: int | None = None) -> tuple[Passage, ...]:
-    """One component's passages; declares each crossing met in ``crossings``.
+def _passages(words: list[tuple[str, ...]],
+              crossings: dict[int, CrossingRecord]) -> tuple[Passage, ...] | None:
+    """One component's passages from the ``findall`` groups of its words.
 
-    ``tokens`` holds (token, 1-based column) pairs; JSON input has no
-    line and passes None for each column.  Both input formats read their
-    tokens here, so they share one set of checks: a classical crossing
-    keeps one sign, and no crossing is both classical and singular.
+    Declares each crossing met in ``crossings``, shared by both input
+    formats: a classical crossing keeps one sign, and no crossing is both
+    classical and singular.  Returns None when a word is not a token, an
+    id is too long or a record clashes; :func:`_token_error` then says
+    which token and why.
     """
     events = []
+    try:
+        for role, digits, sign, sing_role, sing_digits, other in words:
+            if other:
+                return None
+            cid = int(digits or sing_digits)
+            rec = _TOKEN_RECORDS[sign]
+            if crossings.setdefault(cid, rec) is not rec:
+                return None
+            events.append(Passage(cid, role or sing_role))
+    except ValueError:  # more digits than the interpreter converts
+        return None
+    return tuple(events)
+
+
+def _token_error(tokens, crossings: dict[int, CrossingRecord],
+                 line: int | None = None) -> DiagramParseError:
+    """The error of the first bad token in a list that the scan rejected.
+
+    ``tokens`` holds (token, 1-based column) pairs; JSON input has no
+    line and passes None for each column.  Walks the tokens in order with
+    the checks of :func:`_passages`, so the first failing token names the
+    error; a rejected list always holds one.
+    """
     for tok, column in tokens:
-        tm = _TOKEN_RE.fullmatch(tok) if isinstance(tok, str) else None
-        if not tm:
-            raise DiagramParseError(f"bad token {tok!r}", line, column)
+        tm = _WORD_RE.fullmatch(tok) if isinstance(tok, str) else None
+        if not tm or tm.group(6):
+            return DiagramParseError(f"bad token {tok!r}", line, column)
         try:
             cid = int(tm.group(2) or tm.group(5))
         except ValueError:  # more digits than the interpreter converts
-            raise DiagramParseError("crossing id is too long", line, column) from None
-        rec = _TOKEN_RECORDS[tm.group(3)]
+            return DiagramParseError("crossing id is too long", line, column)
+        rec = _TOKEN_RECORDS[tm.group(3) or ""]
         prev = crossings.setdefault(cid, rec)
         if prev is not rec:
             if prev.is_classical != rec.is_classical:
-                raise DiagramParseError(
+                return DiagramParseError(
                     f"crossing {cid} is both classical and singular", line, column)
-            raise DiagramParseError(f"sign mismatch at crossing {cid}", line, column)
-        events.append(Passage(cid, tm.group(1) or tm.group(4)))
-    return tuple(events)
+            return DiagramParseError(f"sign mismatch at crossing {cid}", line, column)
+    raise AssertionError("a rejected token list without a bad token")
+
+
+def _proven_valid(d: TangleDiagram) -> bool:
+    """Whether a diagram fresh from the reader passes :func:`validate`.
+
+    The reader declares each crossing by the first token that names it
+    and rejects any later token of another kind or sign, so every passage
+    has a declared crossing and a role of its kind.  Such a diagram is
+    valid exactly when its passages are distinct and two per crossing,
+    no id is 0, and its components and slots pass validate's checks.
+    """
+    n_passages = sum(len(comp.events) for comp in d.components)
+    return (n_passages == 2 * len(d.crossings) and 0 not in d.crossings
+            and not any(any(_component_problems(ci, comp))
+                        for ci, comp in enumerate(d.components, start=1))
+            and not any(_slot_problems(d))
+            and len(set().union(*(comp.events for comp in d.components))) == n_passages)
 
 
 def parse(text: str) -> TangleDiagram:
@@ -275,9 +334,11 @@ def parse(text: str) -> TangleDiagram:
             raise DiagramParseError(
                 f"component index {idx} out of order (expected {len(components) + 1})",
                 lineno, idx_col)
-        col = indent + m.start(5) + 1  # where the token list begins
-        tokens = ((t.group(), col + t.start()) for t in _WORD_RE.finditer(m.group(5)))
-        events = _read_tokens(tokens, crossings, lineno)
+        events = _passages(_WORD_RE.findall(m.group(5)), crossings)
+        if events is None:
+            col = indent + m.start(5) + 1  # where the token list begins
+            words = ((w.group(), col + w.start()) for w in _WORD_RE.finditer(m.group(5)))
+            raise _token_error(words, crossings, lineno)
         if m.group(2) == "closed":
             components.append(Component("closed", events))
         else:
@@ -286,7 +347,7 @@ def parse(text: str) -> TangleDiagram:
     if header is None:
         raise DiagramParseError("empty input: missing 'tangle' header", 1, 1)
     d = TangleDiagram(header[0], header[1], tuple(components), crossings)
-    return require_valid(d)
+    return d if _proven_valid(d) else require_valid(d)
 
 
 def serialize(d: TangleDiagram) -> str:
@@ -345,10 +406,17 @@ def from_json(data: dict) -> TangleDiagram:
                 and all(slot is None or isinstance(slot, str) for slot in (start, end))):
             raise DiagramParseError(f"component {k}: 'kind' must be a string, 'start' and "
                                     "'end' slot names or null, and 'events' a list")
-        components.append(Component(kind, _read_tokens(((tok, None) for tok in tokens), crossings),
-                                    start, end))
+        try:
+            joined = " ".join(tokens)
+        except TypeError:  # a token that is not a string
+            joined = ""
+        words = _JSON_WORD_RE.findall(joined)
+        events = _passages(words, crossings) if len(words) == len(tokens) else None
+        if events is None:
+            raise _token_error(((tok, None) for tok in tokens), crossings)
+        components.append(Component(kind, events, start, end))
     d = TangleDiagram(data["m"], data["n"], tuple(components), crossings)
-    return require_valid(d)
+    return d if _proven_valid(d) else require_valid(d)
 
 
 # ---------------------------------------------------------------------------

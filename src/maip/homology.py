@@ -183,7 +183,7 @@ def _predicted_weights(d: TangleDiagram, delta: dict[int, int]):
     W is the weight Prop 2 predicts from W_h alone, +(W_h - delta_j) in
     general and -(W_h - delta_i) for a self-crossing met Under-first.
     """
-    if d.singular_ids():
+    if d.has_singular():
         raise HasSingular("resolve singular crossings first")
     index = passage_index(d)
     for cid in d.classical_ids():

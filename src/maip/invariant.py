@@ -138,7 +138,7 @@ def structured_maip(d: TangleDiagram) -> MaipContributions:
 
 def maip(d: TangleDiagram) -> LaurentPoly:
     """The multi-variable polynomial of a diagram without singular crossings."""
-    if any(rec.sign is None for rec in d.crossings.values()):
+    if d.has_singular():
         raise HasSingular("diagram has singular crossings; use resolve")
     return structured_maip(d).polynomial()
 
@@ -200,7 +200,7 @@ def vassiliev_eval(d: TangleDiagram) -> LaurentPoly:
     one linear pass; :func:`resolve_singular` enumerates the resolutions
     only so that the vassiliev suite can check this value against them.
     """
-    sing = d.singular_ids()
+    sing = [cid for cid, rec in d.crossings.items() if rec.sign is None]
     if not sing:
         return maip(d)
     if len(sing) > 1:

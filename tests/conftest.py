@@ -1,9 +1,12 @@
+import re
 from pathlib import Path
 
 import pytest
 
 from maip.algebra import AffineInt, LaurentPoly
-from maip.diagram import parse
+from maip.diagram import (Component, CrossingRecord, Passage, TangleDiagram, parse,
+                          require_valid)
+from maip.errors import DiagramParseError
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -98,3 +101,107 @@ def singular():
 @pytest.fixture
 def kink():
     return load("kink")
+
+
+# ---------------------------------------------------------------------------
+# the reference reader: token by token, then a full validate
+
+
+_REF_HEADER_RE = re.compile(r"^tangle\s+m=(\d+)\s+n=(\d+)$")
+_REF_COMPONENT_RE = re.compile(
+    r"^component\s+(\d+)\s+(?:(closed)|long\s+from\s+([TB]\d+)\s+to\s+([TB]\d+))\s*:(.*)$"
+)
+_REF_TOKEN_RE = re.compile(r"([OU])(\d+)([+-])|([XY])(\d+)")
+_REF_WORD_RE = re.compile(r"\S+")
+_REF_RECORDS = {"+": CrossingRecord.classical(1), "-": CrossingRecord.classical(-1),
+                None: CrossingRecord.singular()}
+
+
+def _ref_number(digits, line, column):
+    try:
+        return int(digits)
+    except ValueError:
+        raise DiagramParseError("number is too long", line, column) from None
+
+
+def _read_tokens(tokens, crossings, line=None):
+    """One component's passages from (token, column) pairs, one token at a time."""
+    events = []
+    for tok, column in tokens:
+        tm = _REF_TOKEN_RE.fullmatch(tok) if isinstance(tok, str) else None
+        if not tm:
+            raise DiagramParseError(f"bad token {tok!r}", line, column)
+        try:
+            cid = int(tm.group(2) or tm.group(5))
+        except ValueError:
+            raise DiagramParseError("crossing id is too long", line, column) from None
+        rec = _REF_RECORDS[tm.group(3)]
+        prev = crossings.setdefault(cid, rec)
+        if prev is not rec:
+            if prev.is_classical != rec.is_classical:
+                raise DiagramParseError(
+                    f"crossing {cid} is both classical and singular", line, column)
+            raise DiagramParseError(f"sign mismatch at crossing {cid}", line, column)
+        events.append(Passage(cid, tm.group(1) or tm.group(4)))
+    return tuple(events)
+
+
+def reference_parse(text):
+    """What ``parse`` returns or raises, read token by token and validated in full."""
+    header = None
+    components, crossings = [], {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if header is None:
+            m = _REF_HEADER_RE.match(line)
+            if not m:
+                raise DiagramParseError("expected header 'tangle m=<int> n=<int>'", lineno, 1)
+            header = (_ref_number(m.group(1), lineno, 1), _ref_number(m.group(2), lineno, 1))
+            continue
+        m = _REF_COMPONENT_RE.match(line)
+        if not m:
+            raise DiagramParseError("expected a 'component ...' line", lineno, 1)
+        indent = len(raw) - len(raw.lstrip())
+        idx_col = indent + m.start(1) + 1
+        idx = _ref_number(m.group(1), lineno, idx_col)
+        if idx != len(components) + 1:
+            raise DiagramParseError(
+                f"component index {idx} out of order (expected {len(components) + 1})",
+                lineno, idx_col)
+        col = indent + m.start(5) + 1
+        tokens = ((t.group(), col + t.start()) for t in _REF_WORD_RE.finditer(m.group(5)))
+        events = _read_tokens(tokens, crossings, lineno)
+        if m.group(2) == "closed":
+            components.append(Component("closed", events))
+        else:
+            components.append(Component("long", events, m.group(3), m.group(4)))
+    if header is None:
+        raise DiagramParseError("empty input: missing 'tangle' header", 1, 1)
+    return require_valid(TangleDiagram(header[0], header[1], tuple(components), crossings))
+
+
+def reference_from_json(data):
+    """What ``from_json`` returns or raises, read token by token and validated in full."""
+    if not isinstance(data, dict):
+        raise DiagramParseError("a diagram must be a JSON object")
+    for key in ("m", "n"):
+        if type(data.get(key)) is not int or data[key] < 0:
+            raise DiagramParseError(f"'{key}' must be a non-negative integer")
+    entries = data.get("components")
+    if not isinstance(entries, list):
+        raise DiagramParseError("'components' must be a list")
+    components, crossings = [], {}
+    for k, entry in enumerate(entries, start=1):
+        if not isinstance(entry, dict):
+            raise DiagramParseError(f"component {k}: must be an object")
+        kind, start, end = entry.get("kind"), entry.get("start"), entry.get("end")
+        tokens = entry.get("events", [])
+        if not (isinstance(kind, str) and isinstance(tokens, list)
+                and all(slot is None or isinstance(slot, str) for slot in (start, end))):
+            raise DiagramParseError(f"component {k}: 'kind' must be a string, 'start' and "
+                                    "'end' slot names or null, and 'events' a list")
+        components.append(Component(kind, _read_tokens(((tok, None) for tok in tokens), crossings),
+                                    start, end))
+    return require_valid(TangleDiagram(data["m"], data["n"], tuple(components), crossings))

@@ -304,6 +304,20 @@ def test_json_input_contract(tmp_path, capsys, text, message):
     assert message in err
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this interpreter converts ids of any length")
+def test_over_long_crossing_id_is_an_input_error(tmp_path, capsys):
+    long_id = "1" * 5000
+    tokens = ["O1+", "U1+", f"O{long_id}+", f"U{long_id}+"]
+    text = "tangle m=0 n=0\ncomponent 1 closed : " + " ".join(tokens) + "\n"
+    code, err = compute_file(tmp_path / "long.tangle", text, capsys)
+    assert (code, err) == (2, f"error: {tmp_path / 'long.tangle'}: "
+                              "line 2, col 30: crossing id is too long\n")
+    data = {"m": 0, "n": 0, "components": [{"kind": "closed", "events": tokens}]}
+    code, err = compute_file(tmp_path / "long.json", json.dumps(data), capsys)
+    assert (code, err) == (2, f"error: {tmp_path / 'long.json'}: crossing id is too long\n")
+
+
 def test_huge_boundary_exits_fast_with_a_short_message(tmp_path, capsys):
     start = time.perf_counter()
     code, err = compute_file(tmp_path / "wide.tangle", "tangle m=4000000 n=0\n", capsys)

@@ -1,7 +1,8 @@
 import random
+import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from maip.diagram import (Component, CrossingRecord, Passage, TangleDiagram,
@@ -14,7 +15,7 @@ from maip.tangle_ops import compose
 from maip.words import (Cap, Crossing, Cup, GeneratorWord, Identity,
                         from_generator_word)
 
-from conftest import FIXTURES, fixture_text
+from conftest import FIXTURES, fixture_text, reference_from_json, reference_parse
 
 
 def test_validate_kink_ok(kink):
@@ -171,6 +172,105 @@ def test_round_trip_with_two_digit_ids_and_slots():
     assert validate(d) == []
     assert parse(serialize(d)) == d
     assert from_json(to_json(d)) == d
+
+
+# ---------------------------------------------------------------------------
+# the reader against the reference reader, one planted fault at a time
+
+
+def mirror_text(data):
+    """The text form of a JSON mirror, faults and all (tokens joined by one space)."""
+    lines = [f"tangle m={data['m']} n={data['n']}"]
+    for idx, comp in enumerate(data["components"], start=1):
+        head = (f"component {idx} closed :" if comp["kind"] == "closed"
+                else f"component {idx} long from {comp['start']} to {comp['end']} :")
+        lines.append(f"{head} {' '.join(comp['events'])}".rstrip())
+    return "\n".join(lines) + "\n"
+
+
+def _pick_token(data, rng):
+    """(component entry, index) of a uniformly drawn token."""
+    places = [(comp, i) for comp in data["components"] for i in range(len(comp["events"]))]
+    return rng.choice(places)
+
+
+def _other_kind(tok):
+    role, rest = tok[0], tok[1:]
+    if role in "OU":
+        return ("X" if role == "O" else "Y") + rest[:-1]
+    return ("O" if role == "X" else "U") + rest + "+"
+
+
+def _rename(data, old, new):
+    pattern = re.compile(rf"(?<=^[OUXY]){old}(?=[+-]?$)")
+    for comp in data["components"]:
+        comp["events"] = [pattern.sub(str(new), tok) for tok in comp["events"]]
+
+
+def plant(data, fault, rng):
+    """Plant one fault of kind ``fault`` in the JSON mirror ``data``, in place."""
+    if fault == "duplicate":
+        comp, i = _pick_token(data, rng)
+        target, _ = _pick_token(data, rng)
+        target["events"].insert(rng.randrange(len(target["events"]) + 1), comp["events"][i])
+    elif fault == "drop":
+        comp, i = _pick_token(data, rng)
+        del comp["events"][i]
+    elif fault == "other_kind":
+        comp, i = _pick_token(data, rng)
+        comp["events"][i] = _other_kind(comp["events"][i])
+    elif fault == "id_0":
+        comp, i = _pick_token(data, rng)
+        _rename(data, re.search(r"\d+", comp["events"][i]).group(), 0)
+    elif fault == "sign_clash":
+        classical = [(comp, i) for comp in data["components"]
+                     for i, tok in enumerate(comp["events"]) if tok[-1] in "+-"]
+        comp, i = rng.choice(classical)
+        tok = comp["events"][i]
+        comp["events"][i] = tok[:-1] + ("-" if tok[-1] == "+" else "+")
+    elif fault == "shared_slot":
+        longs = [comp for comp in data["components"] if comp["kind"] == "long"]
+        rng.choice(longs)["end"] = rng.choice(longs)["start"]
+    elif fault == "unused_slot":
+        data[rng.choice("mn")] += 1
+    elif fault == "inner_space":
+        comp, i = rng.choice([(comp, i) for comp in data["components"]
+                              for i in range(len(comp["events"]) - 1)])
+        comp["events"][i] += rng.choice([" ", "\n", "\t", "\u3000"])
+
+
+def outcome(read, source):
+    """What ``read(source)`` returns, or its error's type, message, place and violations."""
+    try:
+        return read(source)
+    except (DiagramParseError, ValidationFailure) as exc:
+        return (type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None),
+                getattr(exc, "violations", None))
+
+
+FAULTS = ["none", "duplicate", "drop", "other_kind", "id_0", "sign_clash", "shared_slot",
+          "unused_slot", "inner_space"]
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+@given(seed=st.integers(0, 10**6), n_closed=st.integers(0, 2), n_long=st.integers(1, 3),
+       n_cr=st.integers(2, 12), n_sing=st.integers(0, 2))
+@settings(max_examples=30, deadline=None)
+def test_reader_matches_the_reference_reader(fault, seed, n_closed, n_long, n_cr, n_sing):
+    d = random_diagram(seed, n_closed, n_long, n_cr, n_sing)
+    data = to_json(d)
+    assume(fault != "inner_space" or any(len(c["events"]) > 1 for c in data["components"]))
+    if fault != "none":
+        plant(data, fault, random.Random(seed))
+    text = mirror_text(data)
+    for read, reference, source in ((parse, reference_parse, text),
+                                    (from_json, reference_from_json, data)):
+        got = outcome(read, source)
+        assert got == outcome(reference, source)
+        if fault == "none":
+            assert got == d
+        elif fault != "inner_space" or read is from_json:
+            assert isinstance(got, tuple)
 
 
 # ---------------------------------------------------------------------------
