@@ -16,7 +16,7 @@ from .diagram import (Component, Passage, TangleDiagram, random_diagram,
                       serialize, validate)
 from .homology import check_prop2, maip_via_homology
 from .invariant import maip, resolve_singular, structured_maip, vassiliev_eval
-from .moves import random_walk
+from .moves import MOVE_KINDS, random_walk
 from .tangle_ops import GluePlan, cut, predict_composed, tensor
 
 _TRIAL_STRIDE = 1_000_003
@@ -34,6 +34,7 @@ class CheckReport:
     seed: int
     failures: list[dict] = field(default_factory=list)
     stats: dict = field(default_factory=dict)
+    coverage: dict = field(default_factory=dict)  # JSON only; the summary line omits it
 
     @property
     def ok(self) -> bool:
@@ -60,6 +61,7 @@ class CheckReport:
             "seed": self.seed,
             "ok": self.ok,
             "stats": self.stats,
+            **self.coverage,
             "failures": self.failures,
         }
 
@@ -80,13 +82,13 @@ def _trial(seed: int, trial: int, diagram: TangleDiagram | None = None,
 def check_moves(trials: int, seed: int, diagram: TangleDiagram | None = None) -> CheckReport:
     """Random walks of classical moves must preserve the polynomial exactly."""
     report = CheckReport("moves", trials, seed)
-    total_moves = 0
+    kinds: Counter = Counter()
     for trial in range(trials):
         tseed, rng, d = _trial(seed, trial, diagram)
         before = maip(d)
         log: list[str] = []
         walked = random_walk(d, rng.randint(1, _MAX_MOVES), tseed + 1, log)
-        total_moves += len(log)
+        kinds.update(entry.split(" ", 1)[0] for entry in log)
         problems = validate(walked)
         after = maip(walked)
         if problems or after != before:
@@ -99,7 +101,8 @@ def check_moves(trials: int, seed: int, diagram: TangleDiagram | None = None) ->
                 "before": render(before),
                 "after": render(after),
             })
-    report.stats["moves_applied"] = total_moves
+    report.stats["moves_applied"] = sum(kinds.values())
+    report.coverage["moves_by_kind"] = {kind: kinds[kind] for kind in MOVE_KINDS}
     return report
 
 

@@ -19,8 +19,10 @@ Every move is one edit: replace a few adjacent passages at its anchors
 and update the crossing table, so each kind is one case of one rewrite.
 Insertion sites (R1+, R2+) are arc positions with fresh crossing
 parameters.  Every other site is found by :func:`find_sites`, one pass
-over the adjacent passage pairs of each component with one
-passage-position index; each pattern is written there and nowhere else.
+over the adjacent passage pairs of each component with an index of the
+under passages alone; the two signs of an (O_x, O_y) pair decide whether
+it can top an R2- site (opposite) or R3 sites (equal).  Each pattern is
+written there and nowhere else.
 :func:`apply_site` applies an insertion at in-range anchors and any
 other site only where that scan offers it, and raises
 :class:`NotApplicable` for anything else; an R3 site swaps each of its
@@ -30,14 +32,16 @@ three pairs, an R1- or R2- site drops its pairs and their crossings.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import pairwise
 
-from .diagram import OVER, UNDER, CrossingRecord, Passage, TangleDiagram
+from .diagram import OVER, UNDER, Component, CrossingRecord, Passage, TangleDiagram
 from .errors import NotApplicable
 
 OVER_FIRST = "over_first"
 UNDER_FIRST = "under_first"
 _INSERT_KINDS = ("R1+", "R2+")
+MOVE_KINDS = (*_INSERT_KINDS, "R1-", "R2-", "R3")
 
 
 @dataclass(frozen=True)
@@ -107,35 +111,51 @@ def find_sites(d: TangleDiagram) -> dict[str, list[MoveSite]]:
     """Every R1-, R2- and R3 site, from one pass over adjacent passage pairs.
 
     A kink (one crossing met as O and U in a row) is an R1- site.  An
-    adjacent (O_x, O_y) pair with x != y is the top of an R2- site when
-    x and y carry opposite signs and their under passages are adjacent
-    on one component, in either order (parallel or antiparallel
-    strands).  The same pair, with the same two under positions, names
-    the two R3 candidates, one per chirality, kept when they match
-    :func:`_r3_pattern`; their anchors are the top, middle and bottom
-    pairs, so an applied R3 leaves its anchors a site and a second
-    application undoes the first.  Each list runs in component, then
-    offset order.
+    adjacent (O_x, O_y) pair with x != y is looked up in one index of
+    the under passages, ``{crossing: (component, offset)}``, and its two
+    signs decide what it can top.  With opposite signs it is the top of
+    an R2- site when U_x and U_y are adjacent on one component, in
+    either order (parallel or antiparallel strands).  With equal signs
+    the same two under positions name the two R3 candidates, one per
+    chirality, kept when they match :func:`_r3_pattern`; a candidate is
+    only tried when its middle pair can match, that is when an Over
+    follows U_x (the first chirality) or precedes U_y (the mirror).
+    Their anchors are the top, middle and bottom pairs, so an applied R3
+    leaves its anchors a site and a second application undoes the
+    first.  Each list runs in component, then offset order.
     """
-    positions = d.passage_positions()
-    sites: dict[str, list[MoveSite]] = {"R1-": [], "R2-": [], "R3": []}
-    for ci, comp in enumerate(d.components, start=1):
-        for k in range(len(comp.events) - 1):
-            a, b = comp.events[k], comp.events[k + 1]
-            if a.crossing == b.crossing:
-                if {a.role, b.role} == {OVER, UNDER}:
-                    sites["R1-"].append(MoveSite("R1-", ((ci, k),)))
+    lines = [comp.events for comp in d.components]
+    under = {x: (ci, k)
+             for ci, events in enumerate(lines, start=1)
+             for k, (x, role) in enumerate(events) if role == UNDER}
+    records = d.crossings
+    r1: list[MoveSite] = []
+    r2: list[MoveSite] = []
+    r3: list[MoveSite] = []
+    for ci, events in enumerate(lines, start=1):
+        for k, ((x, ra), (y, rb)) in enumerate(pairwise(events)):
+            if x == y:
+                if {ra, rb} == {OVER, UNDER}:
+                    r1.append(MoveSite("R1-", ((ci, k),)))
                 continue
-            if a.role != OVER or b.role != OVER:
+            if ra != OVER or rb != OVER:
                 continue
-            cu, ku = positions[(a.crossing, UNDER)]
-            cv, kv = positions[(b.crossing, UNDER)]
-            if d.sign(a.crossing) == -d.sign(b.crossing) and cu == cv and abs(ku - kv) == 1:
-                sites["R2-"].append(MoveSite("R2-", ((ci, k), (cu, min(ku, kv)))))
-            for anchors in (((ci, k), (cu, ku), (cv, kv)), ((ci, k), (cv, kv - 1), (cu, ku - 1))):
+            cu, ku = under[x]
+            cv, kv = under[y]
+            if records[x].sign != records[y].sign:
+                if cu == cv and abs(ku - kv) == 1:
+                    r2.append(MoveSite("R2-", ((ci, k), (cu, min(ku, kv)))))
+                continue
+            line = lines[cu - 1]
+            if ku + 1 < len(line) and line[ku + 1][1] == OVER:
+                anchors = ((ci, k), (cu, ku), (cv, kv))
                 if _r3_pattern(d, anchors):
-                    sites["R3"].append(MoveSite("R3", anchors))
-    return sites
+                    r3.append(MoveSite("R3", anchors))
+            if kv and lines[cv - 1][kv - 1][1] == OVER:
+                anchors = ((ci, k), (cv, kv - 1), (cu, ku - 1))
+                if _r3_pattern(d, anchors):
+                    r3.append(MoveSite("R3", anchors))
+    return {"R1-": r1, "R2-": r2, "R3": r3}
 
 
 def find_r1_delete_sites(d: TangleDiagram) -> list[MoveSite]:
@@ -154,8 +174,8 @@ def apply_site(d: TangleDiagram, site: MoveSite) -> TangleDiagram:
     """Apply an insertion at valid anchors, or a site :func:`find_sites` offers on d.
 
     An insertion has one anchor (R1+) or two (R2+), each naming a
-    component and an arc position 0..len(events) on it; a bad ``order``
-    or sign raises ValueError.
+    component and an arc position 0..len(events) on it; a bad ``order``,
+    ``same_direction`` or sign raises ValueError.
     """
     if site.kind in _INSERT_KINDS:
         if len(site.anchors) != (1 if site.kind == "R1+" else 2):
@@ -193,6 +213,8 @@ def _rewrite(d: TangleDiagram, site: MoveSite) -> TangleDiagram:
         pair = (Passage(x, OVER), Passage(x, UNDER))
         edits.append((*site.anchors[0], 0, 0, pair if site.order == OVER_FIRST else pair[::-1]))
     elif site.kind == "R2+":
+        if not isinstance(site.same_direction, bool):
+            raise ValueError("same_direction must be True or False")
         crossings[x] = CrossingRecord.classical(site.sign)
         crossings[x + 1] = CrossingRecord.classical(-site.sign)
         unders = (Passage(x, UNDER), Passage(x + 1, UNDER))
@@ -207,8 +229,10 @@ def _rewrite(d: TangleDiagram, site: MoveSite) -> TangleDiagram:
                     crossings.pop(ev.crossing, None)
             edits.append((ci, k, 0, 2, pair[::-1] if site.kind == "R3" else ()))
     for ci, k, _, n, new in sorted(edits, reverse=True):
-        events = comps[ci - 1].events
-        comps[ci - 1] = replace(comps[ci - 1], events=events[:k] + new + events[k + n:])
+        comp = comps[ci - 1]
+        events = comp.events
+        comps[ci - 1] = Component(comp.kind, events[:k] + new + events[k + n:],
+                                  comp.start, comp.end)
     return TangleDiagram(d.m, d.n, tuple(comps), crossings)
 
 
@@ -216,10 +240,14 @@ def _rewrite(d: TangleDiagram, site: MoveSite) -> TangleDiagram:
 # random walk
 
 
-def _arc_positions(d: TangleDiagram) -> list[tuple[int, int]]:
-    return [(ci, k)
-            for ci, comp in enumerate(d.components, start=1)
-            for k in range(len(comp.events) + 1)]
+def _arc_at(d: TangleDiagram, i: int) -> tuple[int, int]:
+    """The i-th arc position (component, offset), counting 0..len(events) per component."""
+    for ci, comp in enumerate(d.components, start=1):
+        n = len(comp.events) + 1
+        if i < n:
+            return ci, i
+        i -= n
+    raise IndexError(f"arc position index {i} out of range")
 
 
 def random_walk(d: TangleDiagram, n_moves: int, seed: int,
@@ -241,18 +269,17 @@ def random_walk(d: TangleDiagram, n_moves: int, seed: int,
         if not kinds:
             break
         kind = rng.choice(kinds)
-        if kind == "R1+":
-            pos = rng.choice(_arc_positions(out))
+        if kind in _INSERT_KINDS:
+            arcs = range(sum(len(comp.events) + 1 for comp in out.components))
+            anchors = tuple(_arc_at(out, rng.choice(arcs))
+                            for _ in range(1 if kind == "R1+" else 2))
             sign = rng.choice((1, -1))
-            order = rng.choice((OVER_FIRST, UNDER_FIRST))
-            site = MoveSite("R1+", (pos,), sign=sign, order=order)
-        elif kind == "R2+":
-            arcs = _arc_positions(out)
-            pos_a = rng.choice(arcs)
-            pos_b = rng.choice(arcs)
-            sign = rng.choice((1, -1))
-            same = rng.choice((True, False))
-            site = MoveSite("R2+", (pos_a, pos_b), sign=sign, same_direction=same)
+            if kind == "R1+":
+                site = MoveSite(kind, anchors, sign=sign,
+                                order=rng.choice((OVER_FIRST, UNDER_FIRST)))
+            else:
+                site = MoveSite(kind, anchors, sign=sign,
+                                same_direction=rng.choice((True, False)))
         else:
             site = rng.choice(sites[kind])
         out = _rewrite(out, site)

@@ -4,9 +4,10 @@ from pathlib import Path
 import pytest
 
 from maip.algebra import AffineInt, LaurentPoly
-from maip.diagram import (Component, CrossingRecord, Passage, TangleDiagram, parse,
-                          require_valid)
+from maip.diagram import (OVER, UNDER, Component, CrossingRecord, Passage, TangleDiagram,
+                          parse, require_valid)
 from maip.errors import DiagramParseError
+from maip.moves import MoveSite, _r3_pattern
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -205,3 +206,35 @@ def reference_from_json(data):
         components.append(Component(kind, _read_tokens(((tok, None) for tok in tokens), crossings),
                                     start, end))
     return require_valid(TangleDiagram(data["m"], data["n"], tuple(components), crossings))
+
+
+# ---------------------------------------------------------------------------
+# the reference site scan: every passage indexed, every (O, O) pair tried
+
+
+def reference_sites(d):
+    """What ``find_sites`` returns, with no under-only index and no sign gate.
+
+    Every passage's position comes from ``passage_positions``, and every
+    adjacent (O_x, O_y) pair with x != y is tried as an R2- top and as
+    both R3 chiralities through ``_r3_pattern``, whatever its signs.
+    """
+    positions = d.passage_positions()
+    sites = {"R1-": [], "R2-": [], "R3": []}
+    for ci, comp in enumerate(d.components, start=1):
+        for k in range(len(comp.events) - 1):
+            a, b = comp.events[k], comp.events[k + 1]
+            if a.crossing == b.crossing:
+                if {a.role, b.role} == {OVER, UNDER}:
+                    sites["R1-"].append(MoveSite("R1-", ((ci, k),)))
+                continue
+            if a.role != OVER or b.role != OVER:
+                continue
+            cu, ku = positions[(a.crossing, UNDER)]
+            cv, kv = positions[(b.crossing, UNDER)]
+            if d.sign(a.crossing) == -d.sign(b.crossing) and cu == cv and abs(ku - kv) == 1:
+                sites["R2-"].append(MoveSite("R2-", ((ci, k), (cu, min(ku, kv)))))
+            for anchors in (((ci, k), (cu, ku), (cv, kv)), ((ci, k), (cv, kv - 1), (cu, ku - 1))):
+                if _r3_pattern(d, anchors):
+                    sites["R3"].append(MoveSite("R3", anchors))
+    return sites

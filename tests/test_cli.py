@@ -209,6 +209,16 @@ def test_check_json_report():
     assert report["trials"] == 5
 
 
+def test_check_moves_json_counts_move_kinds_and_the_summary_does_not():
+    args = ("check", "--what", "moves", "--random", "--trials", "20", "--seed", "7")
+    report = json.loads(run_cli(*args, "--json").stdout)
+    by_kind = report["moves_by_kind"]
+    assert list(by_kind) == ["R1+", "R2+", "R1-", "R2-", "R3"]
+    assert sum(by_kind.values()) == report["stats"]["moves_applied"] > 0
+    summary = run_cli(*args).stdout
+    assert summary == f"what=moves trials=20 seed=7: moves_applied={sum(by_kind.values())} PASS\n"
+
+
 def test_check_requires_input():
     res = run_cli("check", "--what", "moves")
     assert res.returncode == 2

@@ -1,7 +1,11 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from maip import moves
+from maip.checks import check_moves
 from maip.diagram import parse, random_diagram, serialize, validate
 from maip.errors import NotApplicable
 from maip.invariant import maip, propagate_labels, vassiliev_eval, weight_table
@@ -9,7 +13,7 @@ from maip.moves import (MoveSite, apply_site, find_r1_delete_sites,
                         find_r2_delete_sites, find_r3_sites, find_sites,
                         random_walk)
 
-from conftest import weight
+from conftest import reference_sites, weight
 
 TWO_STRANDS = "tangle m=2 n=2\ncomponent 1 long from B1 to T1 :\ncomponent 2 long from B2 to T2 :\n"
 
@@ -185,7 +189,10 @@ def test_apply_site_range_checks_insertion_anchors(kink, site):
     MoveSite("R1+", ((1, 0),), sign=1, order="sideways"),
     MoveSite("R1+", ((1, 0),), sign=2, order="over_first"),
     MoveSite("R2+", ((1, 0), (1, 1)), sign=0, same_direction=True),
-], ids=["unknown-order", "r1-bad-sign", "r2-bad-sign"])
+    *(MoveSite("R2+", ((1, 0), (1, 1)), sign=1, same_direction=bad)
+      for bad in (None, 0, 1, "yes")),
+], ids=["unknown-order", "r1-bad-sign", "r2-bad-sign",
+        *(f"r2-same-direction-{bad!r}" for bad in (None, 0, 1, "yes"))])
 def test_apply_site_rejects_bad_insertion_parameters(kink, site):
     with pytest.raises(ValueError):
         apply_site(kink, site)
@@ -205,6 +212,80 @@ def test_r3_chiralities_of_one_top_pair_keep_their_order():
               "component 1 long from B1 to T1 : O1+ O2+ U4+ U1+ O3+ O4+ U2+ U3+\n")
     assert [s.describe() for s in find_sites(d)["R3"]] == [
         "R3 1:0 1:3 1:6", "R3 1:0 1:5 1:2", "R3 1:4 1:1 1:6"]
+
+
+# ---------------------------------------------------------------------------
+# the scan against its slow reference
+
+
+@given(st.integers(min_value=0, max_value=50_000))
+@settings(max_examples=60, deadline=None)
+def test_scan_matches_reference_on_random_diagrams(seed):
+    d = random_diagram(seed, seed % 3, 1 + seed % 3, seed % 15, n_singular=seed % 2)
+    assert find_sites(d) == reference_sites(d)
+
+
+def test_scan_matches_reference_at_the_ends_of_components():
+    # After one R3 the mirror's middle pair (O3, U1) starts component 2.
+    d = braid_r3_diagram()
+    moved = apply_site(d, find_r3_sites(d)[0])
+    loop = parse("tangle m=1 n=1\n"
+                 "component 1 long from B1 to T1 : O1+ O2+ U4+ U1+ O3+ O4+ U2+ U3+\n")
+    for diagram in (d, moved, loop):
+        assert find_sites(diagram) == reference_sites(diagram)
+        assert find_sites(diagram)["R3"]
+
+
+def test_scan_matches_reference_on_every_walked_diagram(monkeypatch):
+    # Record each diagram a seeded moves suite hands to the scan; R3 sites
+    # mostly appear on walked diagrams, not on freshly drawn ones.
+    seen = []
+
+    def spy(d):
+        seen.append(d)
+        return find_sites(d)
+
+    monkeypatch.setattr(moves, "find_sites", spy)
+    assert check_moves(80, 7).ok
+    monkeypatch.undo()
+    offered = {"R1-": 0, "R2-": 0, "R3": 0}
+    for d in seen:
+        sites = find_sites(d)
+        assert sites == reference_sites(d), serialize(d)
+        for kind, found in sites.items():
+            offered[kind] += len(found)
+    assert len(seen) > 1000 and all(offered.values()), offered
+
+
+def _explicit_arcs(d):
+    return [(ci, k) for ci, comp in enumerate(d.components, start=1)
+            for k in range(len(comp.events) + 1)]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_walk_draws_an_arc_as_a_choice_from_the_explicit_list(seed):
+    # Empty components first, in the middle and last; the kink offers R1-.
+    d = parse("tangle m=2 n=2\n"
+              "component 1 long from B1 to T1 :\n"
+              "component 2 closed : O1+ U2- O2- U1+\n"
+              "component 3 closed :\n"
+              "component 4 long from B2 to T2 : O3+ U3+\n"
+              "component 5 closed :\n")
+    rng = random.Random(seed)
+    kinds = ["R1+", "R2+"] + [kind for kind, found in find_sites(d).items() if found]
+    kind = rng.choice(kinds)
+    log = []
+    random_walk(d, 1, seed, log)
+    arcs = _explicit_arcs(d)
+    if kind == "R1+":
+        expected = MoveSite(kind, (rng.choice(arcs),), sign=rng.choice((1, -1)),
+                            order=rng.choice(("over_first", "under_first")))
+    elif kind == "R2+":
+        expected = MoveSite(kind, (rng.choice(arcs), rng.choice(arcs)),
+                            sign=rng.choice((1, -1)), same_direction=rng.choice((True, False)))
+    else:
+        expected = rng.choice(find_sites(d)[kind])
+    assert log == [expected.describe()]
 
 
 @given(st.integers(min_value=0, max_value=50_000))
