@@ -16,6 +16,9 @@ representation.
 Boundary slots are named ``T1..Tm`` (top, left to right) and ``B1..Bn``
 (bottom); each long component records the slot it begins at and the
 slot it ends at.
+
+Both input formats read a component's tokens with one reader, which stops
+at the first bad token; the text reader adds its line and column.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import NamedTuple
 
 from .errors import DiagramParseError, ValidationFailure
@@ -208,23 +212,22 @@ def require_valid(d: TangleDiagram) -> TangleDiagram:
 # ---------------------------------------------------------------------------
 # reading: text format and JSON mirror
 
-_HEADER_RE = re.compile(r"^tangle\s+m=(\d+)\s+n=(\d+)$")
+_HEADER_RE = re.compile(r"^tangle\s+m=([0-9]+)\s+n=([0-9]+)$")
 _COMPONENT_RE = re.compile(
-    r"^component\s+(\d+)\s+(?:(closed)|long\s+from\s+([TB]\d+)\s+to\s+([TB]\d+))\s*:(.*)$"
+    r"^component\s+([0-9]+)\s+(?:(closed)|long\s+from\s+([TB][0-9]+)\s+to\s+([TB][0-9]+))\s*:(.*)$"
 )
 # One match per whitespace-separated word: a classical token (groups 1-3),
-# a singular one (groups 4-5), or any other word (group 6).
-_WORD_RE = re.compile(r"([OU])(\d+)([+-])(?!\S)|([XY])(\d+)(?!\S)|(\S+)")
-# The same for JSON tokens joined by single spaces.  There any other
-# whitespace belongs to a word, and a space that does not stand between
-# two words is a word of its own, so the words are the tokens exactly
-# when there are as many of them.
-_JSON_WORD_RE = re.compile(
-    r"([OU])(\d+)([+-])(?![^ ])|([XY])(\d+)(?![^ ])|([^ ]+|(?<![^ ]) | (?![^ ]))")
+# a singular one (groups 4-5), or any other word (group 6).  Ids are ASCII
+# digits: ``\d`` would take any script's digits, and ``int`` converts them.
+_WORD_RE = re.compile(r"([OU])([0-9]+)([+-])(?!\S)|([XY])([0-9]+)(?!\S)|(\S+)")
 # Shared records, so that a crossing met twice with the same kind and
 # sign finds the very record it declared.
 _TOKEN_RECORDS = {"+": CrossingRecord.classical(1), "-": CrossingRecord.classical(-1),
                   "": CrossingRecord.singular()}
+
+
+class _BadToken(Exception):
+    """``(index, message)``: a component's first bad token and what is wrong with it."""
 
 
 def _number(digits: str, line: int, column: int) -> int:
@@ -235,55 +238,30 @@ def _number(digits: str, line: int, column: int) -> int:
 
 
 def _passages(words: list[tuple[str, ...]],
-              crossings: dict[int, CrossingRecord]) -> tuple[Passage, ...] | None:
-    """One component's passages from the ``findall`` groups of its words.
+              crossings: dict[int, CrossingRecord]) -> tuple[Passage, ...]:
+    """One component's passages from the ``_WORD_RE.findall`` groups of its words.
 
     Declares each crossing met in ``crossings``, shared by both input
     formats: a classical crossing keeps one sign, and no crossing is both
-    classical and singular.  Returns None when a word is not a token, an
-    id is too long or a record clashes; :func:`_token_error` then says
-    which token and why.
+    classical and singular.  Raises :class:`_BadToken` at the first word
+    that is not a token, whose id is too long or whose record clashes; the
+    caller places it in its input.
     """
     events = []
     try:
         for role, digits, sign, sing_role, sing_digits, other in words:
             if other:
-                return None
+                raise _BadToken(len(events), f"bad token {other!r}")
             cid = int(digits or sing_digits)
             rec = _TOKEN_RECORDS[sign]
             if crossings.setdefault(cid, rec) is not rec:
-                return None
+                raise _BadToken(len(events), f"sign mismatch at crossing {cid}"
+                                if crossings[cid].is_classical == rec.is_classical
+                                else f"crossing {cid} is both classical and singular")
             events.append(Passage(cid, role or sing_role))
     except ValueError:  # more digits than the interpreter converts
-        return None
+        raise _BadToken(len(events), "crossing id is too long") from None
     return tuple(events)
-
-
-def _token_error(tokens, crossings: dict[int, CrossingRecord],
-                 line: int | None = None) -> DiagramParseError:
-    """The error of the first bad token in a list that the scan rejected.
-
-    ``tokens`` holds (token, 1-based column) pairs; JSON input has no
-    line and passes None for each column.  Walks the tokens in order with
-    the checks of :func:`_passages`, so the first failing token names the
-    error; a rejected list always holds one.
-    """
-    for tok, column in tokens:
-        tm = _WORD_RE.fullmatch(tok) if isinstance(tok, str) else None
-        if not tm or tm.group(6):
-            return DiagramParseError(f"bad token {tok!r}", line, column)
-        try:
-            cid = int(tm.group(2) or tm.group(5))
-        except ValueError:  # more digits than the interpreter converts
-            return DiagramParseError("crossing id is too long", line, column)
-        rec = _TOKEN_RECORDS[tm.group(3) or ""]
-        prev = crossings.setdefault(cid, rec)
-        if prev is not rec:
-            if prev.is_classical != rec.is_classical:
-                return DiagramParseError(
-                    f"crossing {cid} is both classical and singular", line, column)
-            return DiagramParseError(f"sign mismatch at crossing {cid}", line, column)
-    raise AssertionError("a rejected token list without a bad token")
 
 
 def _proven_valid(d: TangleDiagram) -> bool:
@@ -334,11 +312,13 @@ def parse(text: str) -> TangleDiagram:
             raise DiagramParseError(
                 f"component index {idx} out of order (expected {len(components) + 1})",
                 lineno, idx_col)
-        events = _passages(_WORD_RE.findall(m.group(5)), crossings)
-        if events is None:
-            col = indent + m.start(5) + 1  # where the token list begins
-            words = ((w.group(), col + w.start()) for w in _WORD_RE.finditer(m.group(5)))
-            raise _token_error(words, crossings, lineno)
+        try:
+            events = _passages(_WORD_RE.findall(m.group(5)), crossings)
+        except _BadToken as bad:
+            index, message = bad.args
+            word = next(islice(_WORD_RE.finditer(m.group(5)), index, None))
+            column = indent + m.start(5) + word.start() + 1
+            raise DiagramParseError(message, lineno, column) from None
         if m.group(2) == "closed":
             components.append(Component("closed", events))
         else:
@@ -410,10 +390,18 @@ def from_json(data: dict) -> TangleDiagram:
             joined = " ".join(tokens)
         except TypeError:  # a token that is not a string
             joined = ""
-        words = _JSON_WORD_RE.findall(joined)
-        events = _passages(words, crossings) if len(words) == len(tokens) else None
-        if events is None:
-            raise _token_error(((tok, None) for tok in tokens), crossings)
+        try:
+            # Joined by single spaces, the tokens split back into themselves
+            # exactly when each is a non-empty string without whitespace.
+            if joined.split() == tokens:
+                events = _passages(_WORD_RE.findall(joined), crossings)
+            else:  # read up to the first token of another shape, then reject it
+                i = next(i for i, tok in enumerate(tokens)
+                         if not isinstance(tok, str) or tok.split() != [tok])
+                _passages(_WORD_RE.findall(" ".join(tokens[:i])), crossings)
+                raise DiagramParseError(f"bad token {tokens[i]!r}")
+        except _BadToken as bad:
+            raise DiagramParseError(bad.args[1]) from None
         components.append(Component(kind, events, start, end))
     d = TangleDiagram(data["m"], data["n"], tuple(components), crossings)
     return d if _proven_valid(d) else require_valid(d)

@@ -10,9 +10,9 @@ so a kink straddling it is not a removable site.
 
 R3 sites are the standard configuration where one strand passes over the
 other two: adjacent passage pairs (O_x, O_y), (U_x, O_z), (U_y, U_z) on
-the top, middle and bottom strands, or the mirror image produced by
-applying the move once.  The three crossings must share one sign; with
-mixed signs the pair swap shifts the middle labels and is not
+the top, middle and bottom strands, or the mirror (O_x, O_y), (O_z, U_y),
+(U_z, U_x) that one application makes.  The three crossings share one
+sign; with mixed signs the pair swap shifts the middle labels and is not
 weight-preserving, so such sites are never offered.
 
 Every move is one edit: replace a few adjacent passages at its anchors
@@ -22,7 +22,8 @@ parameters.  Every other site is found by :func:`find_sites`, one pass
 over the adjacent passage pairs of each component with an index of the
 under passages alone; the two signs of an (O_x, O_y) pair decide whether
 it can top an R2- site (opposite) or R3 sites (equal).  Each pattern is
-written there and nowhere else.
+written there and nowhere else; the tests check the scan against a
+reference of their own.
 :func:`apply_site` applies an insertion at in-range anchors and any
 other site only where that scan offers it, and raises
 :class:`NotApplicable` for anything else; an R3 site swaps each of its
@@ -32,8 +33,8 @@ three pairs, an R1- or R2- site drops its pairs and their crossings.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import pairwise
+from typing import NamedTuple
 
 from .diagram import OVER, UNDER, Component, CrossingRecord, Passage, TangleDiagram
 from .errors import NotApplicable
@@ -44,8 +45,7 @@ _INSERT_KINDS = ("R1+", "R2+")
 MOVE_KINDS = (*_INSERT_KINDS, "R1-", "R2-", "R3")
 
 
-@dataclass(frozen=True)
-class MoveSite:
+class MoveSite(NamedTuple):
     """An applicable rewrite location.
 
     kind is one of "R1+", "R1-", "R2+", "R2-", "R3"; anchors are
@@ -75,38 +75,6 @@ class MoveSite:
 # site scan and rewrite
 
 
-def _r3_pattern(d: TangleDiagram, anchors) -> bool:
-    """True when the three adjacent pairs form the slide configuration.
-
-    The top pair is the scan's (O_x, O_y) with x != y.  Either chirality
-    is accepted: top (O_x, O_y) with middle (U_x, O_z) and bottom
-    (U_y, U_z), or the mirror image top (O_y, O_x) with middle (O_z, U_x)
-    and bottom (U_z, U_y).  All six passages involve exactly three
-    crossings sharing one sign.
-    """
-    pairs = []
-    for ci, k in anchors:
-        events = d.components[ci - 1].events
-        if not 0 <= k <= len(events) - 2:
-            return False
-        pairs.append((events[k], events[k + 1]))
-    (t1, t2), (m1, m2), (b1, b2) = pairs
-    if m1.role == UNDER and m2.role == OVER:
-        x, y = t1.crossing, t2.crossing
-        z = m2.crossing
-        bottom_ok = (b1.crossing, b2.crossing) == (y, z)
-    elif m1.role == OVER and m2.role == UNDER:
-        x, y = t2.crossing, t1.crossing
-        z = m1.crossing
-        bottom_ok = (b1.crossing, b2.crossing) == (z, y)
-    else:
-        return False
-    mid_under = m1 if m1.role == UNDER else m2
-    return (mid_under.crossing == x and z not in (x, y)
-            and b1.role == UNDER and b2.role == UNDER and bottom_ok
-            and d.sign(x) == d.sign(y) == d.sign(z))
-
-
 def find_sites(d: TangleDiagram) -> dict[str, list[MoveSite]]:
     """Every R1-, R2- and R3 site, from one pass over adjacent passage pairs.
 
@@ -117,12 +85,12 @@ def find_sites(d: TangleDiagram) -> dict[str, list[MoveSite]]:
     an R2- site when U_x and U_y are adjacent on one component, in
     either order (parallel or antiparallel strands).  With equal signs
     the same two under positions name the two R3 candidates, one per
-    chirality, kept when they match :func:`_r3_pattern`; a candidate is
-    only tried when its middle pair can match, that is when an Over
-    follows U_x (the first chirality) or precedes U_y (the mirror).
-    Their anchors are the top, middle and bottom pairs, so an applied R3
-    leaves its anchors a site and a second application undoes the
-    first.  Each list runs in component, then offset order.
+    chirality: middle (U_x, O_z) above bottom (U_y, U_z), or the mirror,
+    middle (O_z, U_y) above bottom (U_z, U_x), where z is a third
+    crossing of the same sign and both pairs lie within their
+    components.  Their anchors are the top, middle and bottom pairs, so
+    an applied R3 leaves its anchors a site and a second application
+    undoes the first.  Each list runs in component, then offset order.
     """
     lines = [comp.events for comp in d.components]
     under = {x: (ci, k)
@@ -142,19 +110,22 @@ def find_sites(d: TangleDiagram) -> dict[str, list[MoveSite]]:
                 continue
             cu, ku = under[x]
             cv, kv = under[y]
-            if records[x].sign != records[y].sign:
+            sign = records[x].sign
+            if records[y].sign != sign:
                 if cu == cv and abs(ku - kv) == 1:
                     r2.append(MoveSite("R2-", ((ci, k), (cu, min(ku, kv)))))
                 continue
-            line = lines[cu - 1]
-            if ku + 1 < len(line) and line[ku + 1][1] == OVER:
-                anchors = ((ci, k), (cu, ku), (cv, kv))
-                if _r3_pattern(d, anchors):
-                    r3.append(MoveSite("R3", anchors))
-            if kv and lines[cv - 1][kv - 1][1] == OVER:
-                anchors = ((ci, k), (cv, kv - 1), (cu, ku - 1))
-                if _r3_pattern(d, anchors):
-                    r3.append(MoveSite("R3", anchors))
+            line_x, line_y = lines[cu - 1], lines[cv - 1]
+            if ku + 1 < len(line_x) and kv + 1 < len(line_y):
+                z, role = line_x[ku + 1]
+                if (role == OVER and line_y[kv + 1] == (z, UNDER) and z != x and z != y
+                        and records[z].sign == sign):
+                    r3.append(MoveSite("R3", ((ci, k), (cu, ku), (cv, kv))))
+            if ku and kv:
+                z, role = line_y[kv - 1]
+                if (role == OVER and line_x[ku - 1] == (z, UNDER) and z != x and z != y
+                        and records[z].sign == sign):
+                    r3.append(MoveSite("R3", ((ci, k), (cv, kv - 1), (cu, ku - 1))))
     return {"R1-": r1, "R2-": r2, "R3": r3}
 
 

@@ -7,7 +7,7 @@ from maip.algebra import AffineInt, LaurentPoly
 from maip.diagram import (OVER, UNDER, Component, CrossingRecord, Passage, TangleDiagram,
                           parse, require_valid)
 from maip.errors import DiagramParseError
-from maip.moves import MoveSite, _r3_pattern
+from maip.moves import MoveSite
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -108,11 +108,11 @@ def kink():
 # the reference reader: token by token, then a full validate
 
 
-_REF_HEADER_RE = re.compile(r"^tangle\s+m=(\d+)\s+n=(\d+)$")
+_REF_HEADER_RE = re.compile(r"^tangle\s+m=([0-9]+)\s+n=([0-9]+)$")
 _REF_COMPONENT_RE = re.compile(
-    r"^component\s+(\d+)\s+(?:(closed)|long\s+from\s+([TB]\d+)\s+to\s+([TB]\d+))\s*:(.*)$"
+    r"^component\s+([0-9]+)\s+(?:(closed)|long\s+from\s+([TB][0-9]+)\s+to\s+([TB][0-9]+))\s*:(.*)$"
 )
-_REF_TOKEN_RE = re.compile(r"([OU])(\d+)([+-])|([XY])(\d+)")
+_REF_TOKEN_RE = re.compile(r"([OU])([0-9]+)([+-])|([XY])([0-9]+)")
 _REF_WORD_RE = re.compile(r"\S+")
 _REF_RECORDS = {"+": CrossingRecord.classical(1), "-": CrossingRecord.classical(-1),
                 None: CrossingRecord.singular()}
@@ -212,12 +212,46 @@ def reference_from_json(data):
 # the reference site scan: every passage indexed, every (O, O) pair tried
 
 
+def _r3_pattern(d: TangleDiagram, anchors) -> bool:
+    """True when the three adjacent pairs form the slide configuration.
+
+    The top pair is the scan's (O_x, O_y) with x != y.  Either chirality
+    is accepted: top (O_x, O_y) with middle (U_x, O_z) and bottom
+    (U_y, U_z), or the mirror image top (O_y, O_x) with middle (O_z, U_x)
+    and bottom (U_z, U_y).  All six passages involve exactly three
+    crossings sharing one sign.
+    """
+    pairs = []
+    for ci, k in anchors:
+        events = d.components[ci - 1].events
+        if not 0 <= k <= len(events) - 2:
+            return False
+        pairs.append((events[k], events[k + 1]))
+    (t1, t2), (m1, m2), (b1, b2) = pairs
+    if m1.role == UNDER and m2.role == OVER:
+        x, y = t1.crossing, t2.crossing
+        z = m2.crossing
+        bottom_ok = (b1.crossing, b2.crossing) == (y, z)
+    elif m1.role == OVER and m2.role == UNDER:
+        x, y = t2.crossing, t1.crossing
+        z = m1.crossing
+        bottom_ok = (b1.crossing, b2.crossing) == (z, y)
+    else:
+        return False
+    mid_under = m1 if m1.role == UNDER else m2
+    return (mid_under.crossing == x and z not in (x, y)
+            and b1.role == UNDER and b2.role == UNDER and bottom_ok
+            and d.sign(x) == d.sign(y) == d.sign(z))
+
+
 def reference_sites(d):
     """What ``find_sites`` returns, with no under-only index and no sign gate.
 
     Every passage's position comes from ``passage_positions``, and every
     adjacent (O_x, O_y) pair with x != y is tried as an R2- top and as
-    both R3 chiralities through ``_r3_pattern``, whatever its signs.
+    both R3 chiralities through ``_r3_pattern``, whatever its signs.  The
+    pattern is written here apart from the scan's inline checks, so a
+    fault in either shows up as a difference.
     """
     positions = d.passage_positions()
     sites = {"R1-": [], "R2-": [], "R3": []}

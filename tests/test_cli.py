@@ -328,6 +328,26 @@ def test_over_long_crossing_id_is_an_input_error(tmp_path, capsys):
     assert (code, err) == (2, f"error: {tmp_path / 'long.json'}: crossing id is too long\n")
 
 
+@pytest.mark.parametrize("name, text, message", [
+    ("token.tangle", "tangle m=0 n=0\ncomponent 1 closed : O١+ U1+\n",
+     "line 2, col 22: bad token 'O١+'"),
+    ("token.json", json.dumps({"m": 0, "n": 0, "components": [
+        {"kind": "closed", "events": ["O١+", "U1+"]}]}), "bad token 'O١+'"),
+    ("header.tangle", "tangle m=０ n=0\n",
+     "line 1, col 1: expected header 'tangle m=<int> n=<int>'"),
+    ("index.tangle", "tangle m=0 n=0\ncomponent １ closed :\n",
+     "line 2, col 1: expected a 'component ...' line"),
+    ("slot.tangle", "tangle m=1 n=1\ncomponent 1 long from T١ to B1 :\n",
+     "line 2, col 1: expected a 'component ...' line"),
+], ids=["arabic-indic-id", "arabic-indic-id-json", "full-width-header",
+        "full-width-index", "arabic-indic-slot"])
+def test_ids_are_ascii_digits(tmp_path, capsys, name, text, message):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    assert cli.main(["compute", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
 def test_huge_boundary_exits_fast_with_a_short_message(tmp_path, capsys):
     start = time.perf_counter()
     code, err = compute_file(tmp_path / "wide.tangle", "tangle m=4000000 n=0\n", capsys)

@@ -1,3 +1,4 @@
+import json
 import random
 import re
 
@@ -179,12 +180,16 @@ def test_round_trip_with_two_digit_ids_and_slots():
 
 
 def mirror_text(data):
-    """The text form of a JSON mirror, faults and all (tokens joined by one space)."""
+    """The text form of a JSON mirror, faults and all (tokens joined by one space).
+
+    A token that is not a string is written as its JSON text.
+    """
     lines = [f"tangle m={data['m']} n={data['n']}"]
     for idx, comp in enumerate(data["components"], start=1):
         head = (f"component {idx} closed :" if comp["kind"] == "closed"
                 else f"component {idx} long from {comp['start']} to {comp['end']} :")
-        lines.append(f"{head} {' '.join(comp['events'])}".rstrip())
+        tokens = (tok if isinstance(tok, str) else json.dumps(tok) for tok in comp["events"])
+        lines.append(f"{head} {' '.join(tokens)}".rstrip())
     return "\n".join(lines) + "\n"
 
 
@@ -205,6 +210,9 @@ def _rename(data, old, new):
     pattern = re.compile(rf"(?<=^[OUXY]){old}(?=[+-]?$)")
     for comp in data["components"]:
         comp["events"] = [pattern.sub(str(new), tok) for tok in comp["events"]]
+
+
+_SPACES = [" ", "\n", "\t", "\u3000"]
 
 
 def plant(data, fault, rng):
@@ -236,7 +244,23 @@ def plant(data, fault, rng):
     elif fault == "inner_space":
         comp, i = rng.choice([(comp, i) for comp in data["components"]
                               for i in range(len(comp["events"]) - 1)])
-        comp["events"][i] += rng.choice([" ", "\n", "\t", "\u3000"])
+        comp["events"][i] += rng.choice(_SPACES)
+    elif fault == "non_string":
+        comp, i = _pick_token(data, rng)
+        comp["events"][i] = rng.choice([7, None, ["O1+"]])
+    elif fault == "empty_token":
+        comp, i = _pick_token(data, rng)
+        comp["events"][i] = ""
+    elif fault == "space_after_clash":
+        # a token that clashes with the classical token before it, then a
+        # whitespace-wrapped token later in the same list
+        comp, i = rng.choice([(comp, i) for comp in data["components"]
+                              for i, tok in enumerate(comp["events"]) if tok[-1] in "+-"])
+        tok, events = comp["events"][i], comp["events"]
+        events.insert(i + 1, ("U" if tok[0] == "O" else "O") + tok[1:-1]
+                      + ("-" if tok[-1] == "+" else "+"))
+        space = rng.choice(_SPACES)
+        events.insert(rng.randrange(i + 2, len(events) + 1), space + rng.choice(events) + space)
 
 
 def outcome(read, source):
@@ -249,7 +273,7 @@ def outcome(read, source):
 
 
 FAULTS = ["none", "duplicate", "drop", "other_kind", "id_0", "sign_clash", "shared_slot",
-          "unused_slot", "inner_space"]
+          "unused_slot", "inner_space", "non_string", "empty_token", "space_after_clash"]
 
 
 @pytest.mark.parametrize("fault", FAULTS)
@@ -271,6 +295,8 @@ def test_reader_matches_the_reference_reader(fault, seed, n_closed, n_long, n_cr
             assert got == d
         elif fault != "inner_space" or read is from_json:
             assert isinstance(got, tuple)
+        if fault == "space_after_clash":
+            assert "sign mismatch" in got[1]
 
 
 # ---------------------------------------------------------------------------
