@@ -17,8 +17,12 @@ Boundary slots are named ``T1..Tm`` (top, left to right) and ``B1..Bn``
 (bottom); each long component records the slot it begins at and the
 slot it ends at.
 
-Both input formats read a component's tokens with one reader, which stops
-at the first bad token; the text reader adds its line and column.
+Both input formats read a component's tokens with one reader.  A valid
+line is read in bulk, by C-level operations over the whole line: one
+regex search proves every word a token, and ``str.translate`` with
+``split`` lines up the ids, signs and roles.  A line that the bulk reader
+rejects is read again word by word, which stops at the first bad token;
+the text reader adds its line and column.
 """
 
 from __future__ import annotations
@@ -26,7 +30,8 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import repeat
+from operator import is_not
 from typing import NamedTuple
 
 from .errors import DiagramParseError, ValidationFailure
@@ -220,14 +225,24 @@ _COMPONENT_RE = re.compile(
 # a singular one (groups 4-5), or any other word (group 6).  Ids are ASCII
 # digits: ``\d`` would take any script's digits, and ``int`` converts them.
 _WORD_RE = re.compile(r"([OU])([0-9]+)([+-])(?!\S)|([XY])([0-9]+)(?!\S)|(\S+)")
+# A whitespace character that starts a word which is not a token.  Searched
+# over ``" " + line``, no match proves every word of the line a token in one
+# C-level scan of constant memory; a fullmatch of repeated tokens would keep
+# backtracking state for every token (about 280 bytes each on CPython 3.11).
+_NOT_A_TOKEN_RE = re.compile(r"\s(?![OU][0-9]+[+-](?!\S)|[XY][0-9]+(?!\S))\S")
+# What each token leaves under ``str.translate``: its id, its role, or its
+# sign ("." for a singular token), so that ``split`` lines them up by word.
+_IDS_ONLY = str.maketrans("", "", "OUXY+-")
+_ROLES_ONLY = str.maketrans("", "", "0123456789+-")
+_SIGNS_ONLY = str.maketrans("XY", "..", "0123456789OU")
 # Shared records, so that a crossing met twice with the same kind and
 # sign finds the very record it declared.
 _TOKEN_RECORDS = {"+": CrossingRecord.classical(1), "-": CrossingRecord.classical(-1),
-                  "": CrossingRecord.singular()}
+                  ".": CrossingRecord.singular()}
 
 
 class _BadToken(Exception):
-    """``(index, message)``: a component's first bad token and what is wrong with it."""
+    """``(offset, message)``: a line's first bad word, where it starts, and what is wrong."""
 
 
 def _number(digits: str, line: int, column: int) -> int:
@@ -237,30 +252,47 @@ def _number(digits: str, line: int, column: int) -> int:
         raise DiagramParseError("number is too long", line, column) from None
 
 
-def _passages(words: list[tuple[str, ...]],
-              crossings: dict[int, CrossingRecord]) -> tuple[Passage, ...]:
-    """One component's passages from the ``_WORD_RE.findall`` groups of its words.
+def _passages(line: str, crossings: dict[int, CrossingRecord]) -> tuple[Passage, ...]:
+    """One component's passages from its whitespace-separated tokens.
 
     Declares each crossing met in ``crossings``, shared by both input
     formats: a classical crossing keeps one sign, and no crossing is both
-    classical and singular.  Raises :class:`_BadToken` at the first word
-    that is not a token, whose id is too long or whose record clashes; the
-    caller places it in its input.
+    classical and singular.  A valid line is read in bulk, by C-level
+    operations over the whole line: the ``_NOT_A_TOKEN_RE`` gate, ids
+    through ``map(int, ...)``, one ``setdefault`` identity test per token
+    and ``tuple.__new__`` for the passages.  A line that the gate, ``int``
+    or the identity test rejects is read again word by word, which raises
+    :class:`_BadToken` at the first word that is not a token, whose id is
+    too long or whose record clashes; the caller places it in its input.
     """
+    if _NOT_A_TOKEN_RE.search(" " + line) is None:
+        try:
+            ids = list(map(int, line.translate(_IDS_ONLY).split()))
+        except ValueError:  # more digits than the interpreter converts
+            pass
+        else:
+            records = list(map(_TOKEN_RECORDS.__getitem__, line.translate(_SIGNS_ONLY).split()))
+            if not any(map(is_not, map(crossings.setdefault, ids, records), records)):
+                roles = line.translate(_ROLES_ONLY).split()
+                return tuple(map(tuple.__new__, repeat(Passage), zip(ids, roles)))
+    # The bulk read may have declared the crossings before its first clash,
+    # each with the record its token asks for, so reading the line again
+    # from its start meets the same first error.
     events = []
-    try:
-        for role, digits, sign, sing_role, sing_digits, other in words:
-            if other:
-                raise _BadToken(len(events), f"bad token {other!r}")
+    for word in _WORD_RE.finditer(line):
+        role, digits, sign, sing_role, sing_digits, other = word.groups()
+        if other:
+            raise _BadToken(word.start(), f"bad token {other!r}")
+        try:
             cid = int(digits or sing_digits)
-            rec = _TOKEN_RECORDS[sign]
-            if crossings.setdefault(cid, rec) is not rec:
-                raise _BadToken(len(events), f"sign mismatch at crossing {cid}"
-                                if crossings[cid].is_classical == rec.is_classical
-                                else f"crossing {cid} is both classical and singular")
-            events.append(Passage(cid, role or sing_role))
-    except ValueError:  # more digits than the interpreter converts
-        raise _BadToken(len(events), "crossing id is too long") from None
+        except ValueError:  # more digits than the interpreter converts
+            raise _BadToken(word.start(), "crossing id is too long") from None
+        rec = _TOKEN_RECORDS[sign or "."]
+        if crossings.setdefault(cid, rec) is not rec:
+            raise _BadToken(word.start(), f"sign mismatch at crossing {cid}"
+                            if crossings[cid].is_classical == rec.is_classical
+                            else f"crossing {cid} is both classical and singular")
+        events.append(Passage(cid, role or sing_role))
     return tuple(events)
 
 
@@ -313,12 +345,10 @@ def parse(text: str) -> TangleDiagram:
                 f"component index {idx} out of order (expected {len(components) + 1})",
                 lineno, idx_col)
         try:
-            events = _passages(_WORD_RE.findall(m.group(5)), crossings)
+            events = _passages(m.group(5), crossings)
         except _BadToken as bad:
-            index, message = bad.args
-            word = next(islice(_WORD_RE.finditer(m.group(5)), index, None))
-            column = indent + m.start(5) + word.start() + 1
-            raise DiagramParseError(message, lineno, column) from None
+            offset, message = bad.args
+            raise DiagramParseError(message, lineno, indent + m.start(5) + offset + 1) from None
         if m.group(2) == "closed":
             components.append(Component("closed", events))
         else:
@@ -394,11 +424,11 @@ def from_json(data: dict) -> TangleDiagram:
             # Joined by single spaces, the tokens split back into themselves
             # exactly when each is a non-empty string without whitespace.
             if joined.split() == tokens:
-                events = _passages(_WORD_RE.findall(joined), crossings)
+                events = _passages(joined, crossings)
             else:  # read up to the first token of another shape, then reject it
                 i = next(i for i, tok in enumerate(tokens)
                          if not isinstance(tok, str) or tok.split() != [tok])
-                _passages(_WORD_RE.findall(" ".join(tokens[:i])), crossings)
+                _passages(" ".join(tokens[:i]), crossings)
                 raise DiagramParseError(f"bad token {tokens[i]!r}")
         except _BadToken as bad:
             raise DiagramParseError(bad.args[1]) from None

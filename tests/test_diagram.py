@@ -213,6 +213,23 @@ def _rename(data, old, new):
 
 
 _SPACES = [" ", "\n", "\t", "\u3000"]
+# Words that are not tokens: an unknown role, a classical role without a
+# sign, a singular role with one, a token with more after it, and an id in
+# Arabic-Indic digits.
+_BAD_WORDS = ["Q5+", "O5", "X5+", "O5+5", "O\u0661+"]
+
+
+def _plant_clash(data, rng):
+    """Insert a token that clashes with a classical token just before it.
+
+    Returns the clash's component entry and index.
+    """
+    comp, i = rng.choice([(comp, i) for comp in data["components"]
+                          for i, tok in enumerate(comp["events"]) if tok[-1] in "+-"])
+    tok = comp["events"][i]
+    comp["events"].insert(i + 1, ("U" if tok[0] == "O" else "O") + tok[1:-1]
+                          + ("-" if tok[-1] == "+" else "+"))
+    return comp, i + 1
 
 
 def plant(data, fault, rng):
@@ -252,15 +269,22 @@ def plant(data, fault, rng):
         comp, i = _pick_token(data, rng)
         comp["events"][i] = ""
     elif fault == "space_after_clash":
-        # a token that clashes with the classical token before it, then a
-        # whitespace-wrapped token later in the same list
-        comp, i = rng.choice([(comp, i) for comp in data["components"]
-                              for i, tok in enumerate(comp["events"]) if tok[-1] in "+-"])
-        tok, events = comp["events"][i], comp["events"]
-        events.insert(i + 1, ("U" if tok[0] == "O" else "O") + tok[1:-1]
-                      + ("-" if tok[-1] == "+" else "+"))
-        space = rng.choice(_SPACES)
-        events.insert(rng.randrange(i + 2, len(events) + 1), space + rng.choice(events) + space)
+        # a whitespace-wrapped token after the clash, in the same list
+        comp, i = _plant_clash(data, rng)
+        events, space = comp["events"], rng.choice(_SPACES)
+        events.insert(rng.randrange(i + 1, len(events) + 1), space + rng.choice(events) + space)
+    elif fault == "bad_word":
+        comp, i = _pick_token(data, rng)
+        comp["events"].insert(i, rng.choice(_BAD_WORDS))
+    elif fault == "long_id":
+        comp, i = _pick_token(data, rng)
+        tok = comp["events"][i]
+        comp["events"][i] = tok[0] + "7" * 5000 + tok[-1] * (tok[-1] in "+-")
+    elif fault in ("bad_before_clash", "bad_after_clash"):
+        comp, i = _plant_clash(data, rng)
+        where = (rng.randrange(0, i + 1) if fault == "bad_before_clash"
+                 else rng.randrange(i + 1, len(comp["events"]) + 1))
+        comp["events"].insert(where, rng.choice(_BAD_WORDS))
 
 
 def outcome(read, source):
@@ -273,7 +297,8 @@ def outcome(read, source):
 
 
 FAULTS = ["none", "duplicate", "drop", "other_kind", "id_0", "sign_clash", "shared_slot",
-          "unused_slot", "inner_space", "non_string", "empty_token", "space_after_clash"]
+          "unused_slot", "inner_space", "non_string", "empty_token", "space_after_clash",
+          "bad_word", "long_id", "bad_before_clash", "bad_after_clash"]
 
 
 @pytest.mark.parametrize("fault", FAULTS)
@@ -295,8 +320,12 @@ def test_reader_matches_the_reference_reader(fault, seed, n_closed, n_long, n_cr
             assert got == d
         elif fault != "inner_space" or read is from_json:
             assert isinstance(got, tuple)
-        if fault == "space_after_clash":
+        if isinstance(got, TangleDiagram):
+            assert all(type(ev) is Passage for comp in got.components for ev in comp.events)
+        if fault in ("space_after_clash", "bad_after_clash"):
             assert "sign mismatch" in got[1]
+        if fault in ("bad_word", "bad_before_clash"):
+            assert "bad token" in got[1]
 
 
 # ---------------------------------------------------------------------------
