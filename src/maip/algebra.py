@@ -7,13 +7,20 @@ The invariant is a Laurent polynomial in variables ``t_1, t_2, ...``
 with such exponents and plain Python int coefficients, so nothing ever
 overflows or rounds (:class:`LaurentPoly`).
 
-A polynomial is stored as a mapping
+A polynomial stores each term ``coeff * t_var^(const + c_p - c_q)`` as
 
-    (variable index | None, exponent: AffineInt)  ->  nonzero int
+    (var, lo, up, hi, const)  ->  nonzero int
 
-normalised so that any term with exponent 0 lives under the single
-variable-free key ``(None, 0)``: t_i^0 and t_j^0 are both the constant 1,
-and contributions from different variables must merge and cancel.
+with lo = min(p, q), hi = max(p, q) and up = (p < q); a constant
+exponent has lo = hi = 0 and up false.  Any term with exponent 0 lives
+under the single key ``(0, 0, False, 0, 0)``, var 0 standing for no
+variable: t_i^0 and t_j^0 are both the constant 1, and contributions
+from different variables must merge and cancel.  The natural order of
+these tuples is the canonical term order, so :func:`render` and
+:func:`poly_to_json` sort with plain ``sorted``.  Only this module knows
+the layout: the constructor takes ``(variable index | None, AffineInt)``
+keys, :attr:`LaurentPoly.terms` gives them back, and
+:func:`from_weight_sums` builds the invariant from its integer sums.
 
 Polynomials are output only: :func:`render` and :func:`poly_to_json`
 write them, and nothing reads them back.
@@ -21,7 +28,6 @@ write them, and nothing reads them back.
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import MissingSymbol, SymbolicExponent
@@ -77,10 +83,6 @@ class AffineInt(NamedTuple):
     def __bool__(self) -> bool:
         return self.const != 0 or self.p != 0
 
-    @property
-    def is_constant(self) -> bool:
-        return not self.p
-
     def symbols(self) -> tuple[int, ...]:
         return tuple(sorted((self.p, self.q))) if self.p else ()
 
@@ -95,17 +97,11 @@ class AffineInt(NamedTuple):
             raise MissingSymbol(f"no value for {names}")
         return const + assignment[p] - assignment[q]
 
-    def rename_symbols(self, sym_map: Mapping[int, int]) -> "AffineInt":
-        if not self.p:
-            return self
-        return affine_weight(sym_map.get(self.p, self.p), sym_map.get(self.q, self.q), self.const)
-
     def __str__(self) -> str:
         const, p, q = self
-        out = "" if not p else f"c{p}-c{q}" if p < q else f"-c{q}+c{p}"
-        if const or not out:
-            out += f"{const:+d}"
-        return out.removeprefix("+")
+        if not p:
+            return str(const)
+        return _exponent_text(p, True, q, const) if p < q else _exponent_text(q, False, p, const)
 
 
 def affine_weight(i: int, j: int, k: int) -> AffineInt:
@@ -117,48 +113,59 @@ def affine_weight(i: int, j: int, k: int) -> AffineInt:
     return AffineInt(k) if i == j else AffineInt(k, i, j)
 
 
-ZERO = AffineInt(0)
-ONE = AffineInt(1)
+def _exponent_text(lo: int, up: bool, hi: int, const: int) -> str:
+    """The exponent of a stored key as text, e.g. ``c1-c3-1``, ``-c1+c2`` or ``-2``."""
+    if not lo:
+        return str(const)
+    syms = f"c{lo}-c{hi}" if up else f"-c{lo}+c{hi}"
+    return f"{syms}{const:+d}" if const else syms
 
 
 # ---------------------------------------------------------------------------
 # Laurent polynomials with affine exponents
 
 
-TermKey = tuple[int | None, AffineInt]
+_CONSTANT = (0, 0, False, 0, 0)     # the key of the constant term
 
 
 class LaurentPoly:
     """Normalised integer Laurent polynomial with AffineInt exponents.
 
-    Treat instances as immutable values; all arithmetic returns new
-    polynomials.  The zero polynomial has no terms.
+    Built from a mapping (or pairs) ``(variable index | None, AffineInt)
+    -> int``; treat instances as immutable values, and all arithmetic
+    returns new polynomials.  The zero polynomial has no terms.
     """
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[TermKey, int] | Iterable[tuple[TermKey, int]] = ()):
+    def __init__(self, terms: Mapping[tuple[int | None, AffineInt], int]
+                 | Iterable[tuple[tuple[int | None, AffineInt], int]] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        merged: dict[TermKey, int] = {}
-        for (var, exp), coeff in items:
-            if not exp:
-                var, exp = None, ZERO
-            elif var is None:
+        merged: dict[tuple, int] = {}
+        for (var, (const, p, q)), coeff in items:
+            if p:    # _key(var, p, q, const), inlined: the oracle builds here
+                key = (var, p, True, q, const) if p < q else (var, q, False, p, const)
+            elif const:
+                key = (var, 0, False, 0, const)
+            else:
+                key = _CONSTANT
+            if var is None and key is not _CONSTANT:
                 raise ValueError("variable-free terms must have exponent 0")
-            key = (var, exp)
             merged[key] = merged.get(key, 0) + coeff
-        self._terms = {k: c for k, c in merged.items() if c != 0}
+        self._terms = {k: c for k, c in merged.items() if c}
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
         return cls()
 
     @property
-    def terms(self) -> dict[TermKey, int]:
-        return dict(self._terms)
-
-    def items_sorted(self) -> list[tuple[TermKey, int]]:
-        return sorted(self._terms.items(), key=lambda kv: _term_key(*kv[0]))
+    def terms(self) -> dict[tuple[int | None, AffineInt], int]:
+        """The terms keyed as the constructor takes them."""
+        out = {}
+        for (var, lo, up, hi, const), coeff in self._terms.items():
+            exp = (const, lo, hi) if up else (const, hi, lo)
+            out[var or None, tuple.__new__(AffineInt, exp)] = coeff
+        return out
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -172,52 +179,123 @@ class LaurentPoly:
     __hash__ = None
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return LaurentPoly(itertools.chain(self._terms.items(), other._terms.items()))
+        return _combine(self, other, 1)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({k: -c for k, c in self._terms.items()})
+        return _poly({k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
+        return _combine(self, other, -1)
 
     def __rmul__(self, k: int) -> "LaurentPoly":
-        return LaurentPoly({key: k * c for key, c in self._terms.items()})
+        return _poly({key: k * c for key, c in self._terms.items()} if k else {})
 
     def symbols(self) -> tuple[int, ...]:
         seen: set[int] = set()
-        for _, exp in self._terms:
-            seen.update(exp.symbols())
+        for _, lo, _, hi, _ in self._terms:
+            if lo:
+                seen.update((lo, hi))
         return tuple(sorted(seen))
 
     def __repr__(self) -> str:
         return f"LaurentPoly({render(self)!r})"
 
 
-def _term_key(var: int | None, exp: AffineInt):
-    const, p, q = exp
-    return (0 if var is None else var, min(p, q), p < q, max(p, q), const)
+def _key(var: int, p: int, q: int, const: int) -> tuple:
+    """The stored key of t_var^(const + c_p - c_q); p = q makes the exponent constant."""
+    if p < q:
+        return (var, p, True, q, const)
+    if p > q:
+        return (var, q, False, p, const)
+    return (var, 0, False, 0, const) if const else _CONSTANT
+
+
+def _poly(terms: dict[tuple, int]) -> LaurentPoly:
+    """A polynomial over stored keys that are already merged, with no zero coefficient."""
+    p = LaurentPoly.__new__(LaurentPoly)
+    p._terms = terms
+    return p
+
+
+def _merged(pairs: Iterable[tuple[tuple, int]]) -> LaurentPoly:
+    """A polynomial over stored keys that may repeat or sum to zero."""
+    terms: dict[tuple, int] = {}
+    for key, coeff in pairs:
+        terms[key] = terms.get(key, 0) + coeff
+    return _poly({k: c for k, c in terms.items() if c})
+
+
+def _combine(p: LaurentPoly, q: LaurentPoly, sign: int) -> LaurentPoly:
+    """p + sign * q."""
+    terms = dict(p._terms)
+    for key, coeff in q._terms.items():
+        coeff = terms.get(key, 0) + sign * coeff
+        if coeff:
+            terms[key] = coeff
+        else:
+            del terms[key]
+    return _poly(terms)
+
+
+def from_weight_sums(sums: Mapping[tuple[int, int, int], int]) -> LaurentPoly:
+    """The sum of coeff * t_i^(const + c_i - c_j) over ``sums[(i, j, const)]``.
+
+    The exponent is the constant ``const`` when i = j.  Keys with distinct
+    (i, j, const) stay distinct, except that every constant exponent 0
+    is the constant term, so only those merge.
+    """
+    terms: dict[tuple, int] = {}
+    constant = 0
+    for (i, j, const), coeff in sums.items():
+        if not coeff:
+            continue
+        if i != j:      # _key(i, i, j, const), inlined
+            terms[(i, i, True, j, const) if i < j else (i, j, False, i, const)] = coeff
+        elif const:
+            terms[(i, 0, False, 0, const)] = coeff
+        else:
+            constant += coeff
+    if constant:
+        terms[_CONSTANT] = constant
+    return _poly(terms)
 
 
 def substitute_symbols(p: LaurentPoly, assignment: Mapping[int, int]) -> LaurentPoly:
     """Replace every symbol c_i with assignment[i]; exponents become constants."""
-    return LaurentPoly(((v, AffineInt(exp.substitute(assignment))), coeff)
-                       for (v, exp), coeff in p.terms.items())
+    def pairs():
+        for (var, lo, up, hi, const), coeff in p._terms.items():
+            if lo:
+                missing = [i for i in (lo, hi) if i not in assignment]
+                if missing:
+                    raise MissingSymbol("no value for " + ", ".join(f"c{i}" for i in missing))
+                const += assignment[lo] - assignment[hi] if up else assignment[hi] - assignment[lo]
+            yield _key(var, 0, 0, const), coeff
+    return _merged(pairs())
 
 
 def collapse_variables(p: LaurentPoly) -> LaurentPoly:
     """Rename every variable to t_1, merging like terms (one-variable reduction)."""
-    for _, exp in p.terms:
-        if not exp.is_constant:
-            raise SymbolicExponent(f"exponent {exp} still symbolic; substitute first")
-    return LaurentPoly(((None if v is None else 1, exp), coeff)
-                       for (v, exp), coeff in p.terms.items())
+    for (_, lo, up, hi, const) in p._terms:
+        if lo:
+            raise SymbolicExponent(f"exponent {_exponent_text(lo, up, hi, const)} "
+                                   "still symbolic; substitute first")
+    return _merged((_key(1 if var else 0, 0, 0, const), coeff)
+                   for (var, _, _, _, const), coeff in p._terms.items())
 
 
 def reindex(p: LaurentPoly, index_map: Mapping[int, int]) -> LaurentPoly:
-    """Renumber t_i and c_i together by ``index_map`` (missing entries stay fixed)."""
-    return LaurentPoly(((None if v is None else index_map.get(v, v),
-                         exp.rename_symbols(index_map)), coeff)
-                       for (v, exp), coeff in p.terms.items())
+    """Renumber t_i and c_i together by ``index_map`` (missing entries stay fixed).
+
+    Both symbols of an exponent sent to one index cancel, leaving its
+    constant.
+    """
+    get = index_map.get
+
+    def pairs():
+        for (var, lo, up, hi, const), coeff in p._terms.items():
+            plus, minus = (lo, hi) if up else (hi, lo)
+            yield _key(get(var, var), get(plus, plus), get(minus, minus), const), coeff
+    return _merged(pairs())
 
 
 # ---------------------------------------------------------------------------
@@ -231,24 +309,23 @@ def render(p: LaurentPoly) -> str:
     by symbol-coefficient vector, then by exponent constant, which makes
     the form injective on normalised polynomials.
     """
-    items = p.items_sorted()
-    if not items:
-        return "0"
+    terms = p._terms
     pieces = []
-    for idx, ((var, exp), coeff) in enumerate(items):
+    for key in sorted(terms):      # keys, not items: a list of int tuples sorts faster
+        var, lo, up, hi, const = key
+        coeff = terms[key]
         mag = abs(coeff)
-        if var is None:
+        if not var:
             body = str(mag)
         else:
-            prefix = "" if mag == 1 else str(mag)
-            if exp == ONE:
-                body = f"{prefix}t{var}"
-            else:
-                body = f"{prefix}t{var}^({exp})"
-        if idx == 0:
-            pieces.append(body if coeff > 0 else f"-{body}")
-        else:
-            pieces.append(f"{'+' if coeff > 0 else '-'} {body}")
+            body = f"t{var}" if mag == 1 else f"{mag}t{var}"
+            if lo or const != 1:
+                body = f"{body}^({_exponent_text(lo, up, hi, const)})"
+        pieces.append(f"+ {body}" if coeff > 0 else f"- {body}")
+    if not pieces:
+        return "0"
+    # the first term carries its sign with no space: "t1 - t2", "-t1 + t2"
+    pieces[0] = pieces[0][2:] if pieces[0][0] == "+" else "-" + pieces[0][2:]
     return " ".join(pieces)
 
 
@@ -256,15 +333,12 @@ def render(p: LaurentPoly) -> str:
 # JSON form
 
 
-def affine_to_json(a: AffineInt) -> dict:
-    const, p, q = a
-    syms = {} if not p else {f"c{p}": 1, f"c{q}": -1} if p < q else {f"c{q}": -1, f"c{p}": 1}
-    return {"const": const, "syms": syms}
-
-
 def poly_to_json(p: LaurentPoly) -> list[dict]:
-    return [
-        {"var": var, "coeff": coeff, "exp": affine_to_json(exp)}
-        for (var, exp), coeff in p.items_sorted()
-    ]
-
+    terms = p._terms
+    out = []
+    for key in sorted(terms):
+        var, lo, up, hi, const = key
+        syms = {} if not lo else {f"c{lo}": 1, f"c{hi}": -1} if up else {f"c{lo}": -1, f"c{hi}": 1}
+        out.append({"var": var or None, "coeff": terms[key],
+                    "exp": {"const": const, "syms": syms}})
+    return out

@@ -77,18 +77,20 @@ def _parse_assignment(text: str, symbols) -> dict[int, int]:
         name, _, value = item.partition("=")
         name = name.strip()
         symbol = re.fullmatch(r"c([0-9]+)", name)
+        # ASCII digits only: int() also reads "3_0" and other scripts' digits
+        number = re.fullmatch(r"[+-]?[0-9]+", value.strip())
         try:
-            val = int(value)
+            if not (number and (symbol or name == "all")):
+                raise ValueError
+            val = int(number[0])
             index = int(symbol[1]) if symbol else None  # too many digits: ValueError
         except ValueError:
             raise _InputError(f"bad assignment {item!r}; expected c<i>=<int> or all=<int>")
-        if name == "all":
-            for s in symbols:
-                out.setdefault(s, val)
-        elif symbol:
+        if symbol:
             out[index] = val
         else:
-            raise _InputError(f"bad assignment {item!r}; expected c<i>=<int> or all=<int>")
+            for s in symbols:
+                out.setdefault(s, val)
     return out
 
 

@@ -230,6 +230,11 @@ _WORD_RE = re.compile(r"([OU])([0-9]+)([+-])(?!\S)|([XY])([0-9]+)(?!\S)|(\S+)")
 # C-level scan of constant memory; a fullmatch of repeated tokens would keep
 # backtracking state for every token (about 280 bytes each on CPython 3.11).
 _NOT_A_TOKEN_RE = re.compile(r"\s(?![OU][0-9]+[+-](?!\S)|[XY][0-9]+(?!\S))\S")
+# A space that does not start a token ending at a space or at the end.
+# Searched over ``" " + joined`` for JSON tokens joined by single spaces,
+# no match proves every piece between single spaces a token: a token that
+# is empty or holds whitespace leaves a piece that is none.
+_NOT_A_SPACED_TOKEN_RE = re.compile(r" (?![OU][0-9]+[+-](?![^ ])|[XY][0-9]+(?![^ ]))")
 # What each token leaves under ``str.translate``: its id, its role, or its
 # sign ("." for a singular token), so that ``split`` lines them up by word.
 _IDS_ONLY = str.maketrans("", "", "OUXY+-")
@@ -252,7 +257,8 @@ def _number(digits: str, line: int, column: int) -> int:
         raise DiagramParseError("number is too long", line, column) from None
 
 
-def _passages(line: str, crossings: dict[int, CrossingRecord]) -> tuple[Passage, ...]:
+def _passages(line: str, crossings: dict[int, CrossingRecord],
+              words_proven: bool = False) -> tuple[Passage, ...]:
     """One component's passages from its whitespace-separated tokens.
 
     Declares each crossing met in ``crossings``, shared by both input
@@ -264,8 +270,10 @@ def _passages(line: str, crossings: dict[int, CrossingRecord]) -> tuple[Passage,
     or the identity test rejects is read again word by word, which raises
     :class:`_BadToken` at the first word that is not a token, whose id is
     too long or whose record clashes; the caller places it in its input.
+    ``words_proven`` skips the gate for a caller that has proved every
+    word a token.
     """
-    if _NOT_A_TOKEN_RE.search(" " + line) is None:
+    if words_proven or _NOT_A_TOKEN_RE.search(" " + line) is None:
         try:
             ids = list(map(int, line.translate(_IDS_ONLY).split()))
         except ValueError:  # more digits than the interpreter converts
@@ -419,17 +427,19 @@ def from_json(data: dict) -> TangleDiagram:
         try:
             joined = " ".join(tokens)
         except TypeError:  # a token that is not a string
-            joined = ""
+            joined = " "     # which the check below rejects
         try:
-            # Joined by single spaces, the tokens split back into themselves
-            # exactly when each is a non-empty string without whitespace.
-            if joined.split() == tokens:
-                events = _passages(joined, crossings)
-            else:  # read up to the first token of another shape, then reject it
-                i = next(i for i, tok in enumerate(tokens)
-                         if not isinstance(tok, str) or tok.split() != [tok])
-                _passages(" ".join(tokens[:i]), crossings)
-                raise DiagramParseError(f"bad token {tokens[i]!r}")
+            # Every piece between single spaces is a token, and there are as
+            # many pieces as tokens: so each token is one of them.
+            if (_NOT_A_SPACED_TOKEN_RE.search(" " + joined) is None
+                    and joined.count(" ") == len(tokens) - 1):
+                events = _passages(joined, crossings, words_proven=True)
+            else:  # read up to the first token of another shape (if any), then reject it
+                i = next((i for i, tok in enumerate(tokens)
+                          if not isinstance(tok, str) or tok.split() != [tok]), len(tokens))
+                events = _passages(" ".join(tokens[:i]), crossings)
+                if i < len(tokens):
+                    raise DiagramParseError(f"bad token {tokens[i]!r}")
         except _BadToken as bad:
             raise DiagramParseError(bad.args[1]) from None
         components.append(Component(kind, events, start, end))

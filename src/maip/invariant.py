@@ -30,7 +30,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping
 
-from .algebra import LaurentPoly, affine_weight
+from .algebra import LaurentPoly, from_weight_sums
 from .diagram import (OVER, SING_PRIMARY, SING_SECONDARY, UNDER, Component,
                       CrossingRecord, Passage, TangleDiagram)
 from .errors import HasSingular, NoSingular
@@ -115,8 +115,8 @@ def contribution_poly(records, delta: Mapping[int, int]) -> LaurentPoly:
     Each record is a crossing's sign, over component i, under component j
     and the integer k of its weight W = k + c_i - c_j.  Coefficients are
     summed on plain (i, j, exponent constant) keys, the symbol-free -1
-    term under (i, i, delta_j); each distinct term that does not cancel
-    then makes one exponent through :func:`affine_weight`.
+    term under (i, i, delta_j), and :func:`from_weight_sums` turns the
+    sums into the polynomial.
     """
     terms: dict[tuple[int, int, int], int] = {}
     for sign, i, j, k in records:
@@ -125,8 +125,7 @@ def contribution_poly(records, delta: Mapping[int, int]) -> LaurentPoly:
         terms[key] = terms.get(key, 0) + sign
         key = (i, i, shift)
         terms[key] = terms.get(key, 0) - sign
-    return LaurentPoly({(i, affine_weight(i, j, const)): coeff
-                        for (i, j, const), coeff in terms.items() if coeff})
+    return from_weight_sums(terms)
 
 
 def structured_maip(d: TangleDiagram) -> MaipContributions:

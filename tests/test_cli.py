@@ -70,6 +70,21 @@ def test_compute_numeric_bad_index_is_an_input_error(assignment):
     assert "bad assignment" in res.stderr and "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize("assignment", ["c1=3_0", "c1=\u0663", "all=\u0663"],
+                         ids=["underscore-digits", "arabic-indic-value", "arabic-indic-all"])
+def test_compute_numeric_bad_value_is_an_input_error(assignment):
+    # int() reads both; a value is an optional sign and ASCII digits only
+    res = run_cli("compute", fx("ex1"), "--numeric", f"{assignment},c2=0")
+    assert res.returncode == 2
+    assert res.stderr == (f"error: bad assignment {assignment!r}; "
+                          "expected c<i>=<int> or all=<int>\n")
+
+
+def test_compute_numeric_incomplete_names_the_symbol():
+    res = run_cli("compute", fx("ex1"), "--numeric", "c1=1")
+    assert (res.returncode, res.stderr) == (2, "error: --numeric incomplete: no value for c2\n")
+
+
 def test_compute_parse_error(tmp_path):
     bad = tmp_path / "bad.tangle"
     bad.write_text("tangle m=0 n=0\ncomponent 1 closed : O1+ U1-\n")
@@ -307,6 +322,12 @@ def compute_file(path, text, capsys):
      "'events' a list"),
     ('{"m": 0, "n": 0, "components": [{"kind": "closed", "events": ["O1+\\n", "U1+"]}]}',
      "bad token 'O1+\\n'"),
+    # each token must be a whole token: no empty one, and no whitespace
+    # inside or around one, which a join by spaces would hide
+    *((json.dumps({"m": 0, "n": 0, "components": [{"kind": "closed", "events": events}]}),
+       f"bad token {events[i]!r}")
+      for events, i in ((["O1+\t", "U1+"], 0), (["O1+", "", "U1+"], 1), (["O1+ U1+"], 0),
+                        ([" O1+", "U1+"], 0), (["O1+", "U1+ "], 1), (["O1+", 5], 1))),
 ])
 def test_json_input_contract(tmp_path, capsys, text, message):
     code, err = compute_file(tmp_path / "bad.json", text, capsys)

@@ -372,3 +372,28 @@ def test_vassiliev_suite_catches_a_wrong_value(monkeypatch):
 def test_structured_form_sums_to_the_polynomial(seed):
     d = random_diagram(seed, 1, 1, seed % 10)
     assert structured_maip(d).polynomial() == maip(d)
+
+
+@given(st.integers(min_value=0, max_value=100_000), st.integers(min_value=1, max_value=4),
+       st.integers(min_value=0, max_value=4), st.integers(min_value=0, max_value=39))
+@settings(max_examples=150, deadline=None)
+def test_first_moment_sum_rule(seed, n_components, n_closed, n_crossings):
+    """Sum of coefficient * exponent = -sum_i (c_i * delta_i + delta_i^2 / 2).
+
+    Read off the finished polynomial and the index differences alone: the
+    coefficient of each c_m is -delta_m, and twice the constant is
+    -sum_i delta_i^2.  For a knot every delta is 0, which is the knot
+    case P'(1) = 0 of Kauffman's affine index polynomial.
+    """
+    n_closed = min(n_closed, n_components)
+    d = random_diagram(seed, n_closed, n_components - n_closed, n_crossings)
+    delta = propagate_labels(d).delta
+    symbols: dict[int, int] = {}
+    constant = 0
+    for (_, exp), coeff in maip(d).terms.items():
+        constant += coeff * exp.const
+        if exp.p:
+            symbols[exp.p] = symbols.get(exp.p, 0) + coeff
+            symbols[exp.q] = symbols.get(exp.q, 0) - coeff
+    assert {i: a for i, a in symbols.items() if a} == {i: -dl for i, dl in delta.items() if dl}
+    assert 2 * constant == -sum(dl * dl for dl in delta.values())
