@@ -113,9 +113,6 @@ class TangleDiagram:
                 out[(ev.crossing, ev.role)] = (ci, pos)
         return out
 
-    def next_crossing_id(self) -> int:
-        return max(self.crossings, default=0) + 1
-
     def slot_map(self) -> dict[str, tuple[int, str]]:
         """Map slot name -> (1-based component index, "start" | "end")."""
         out: dict[str, tuple[int, str]] = {}

@@ -15,34 +15,51 @@ the top, middle and bottom strands, or the mirror (O_x, O_y), (O_z, U_y),
 sign; with mixed signs the pair swap shifts the middle labels and is not
 weight-preserving, so such sites are never offered.
 
-Every move is one edit: replace a few adjacent passages at its anchors
-and update the crossing table, so each kind is one case of one rewrite.
-Insertion sites (R1+, R2+) are arc positions with fresh crossing
-parameters.  Every other site is found by :func:`find_sites`, one pass
-over the adjacent passage pairs of each component with an index of the
-under passages alone; the two signs of an (O_x, O_y) pair decide whether
-it can top an R2- site (opposite) or R3 sites (equal).  Each pattern is
-written there and nowhere else; the tests check the scan against a
-reference of their own.
-:func:`apply_site` applies an insertion at in-range anchors and any
-other site only where that scan offers it, and raises
-:class:`NotApplicable` for anything else; an R3 site swaps each of its
-three pairs, an R1- or R2- site drops its pairs and their crossings.
+A :class:`WalkState` carries a diagram under edit across the steps of a
+walk: the passage list of each component, each passage's previous and
+next passage, the crossing table, and the current R1-, R2- and R3
+sites, keyed by the first passage of their top pair rather than by
+offsets, so an edit elsewhere leaves them as they are.  One pair test
+decides what a pair tops.  Every move is one edit: replace a few
+adjacent passages at its anchors and update the crossing table.  After
+an edit the pair test runs again only on the pairs the edit can reach:
+the pairs it made, from the passage before each replaced run through
+its new passages, and, for every under passage U_c among those passages
+and the one after the run, the (O, O) pairs around O_c, because besides
+its own two passages a pair's R2- and R3 tests read only the neighbours
+of U_x and U_y.  Sites of deleted passages are dropped.
+
+A passage's component and offset are found, by a C-level search of the
+passage lists, only where they are needed: to put a kind's sites in
+(component, offset) order, for a listing or for a draw, and to describe
+the drawn site.  A new crossing gets max(crossings) + 1 of the current
+table, so the id falls back after the highest crossing is deleted; the
+state carries that maximum and takes it again only then.
+
+:func:`find_sites` lists the sites of a fresh state, so the scan and the
+walk share the pair test.  :func:`apply_site` applies an insertion at
+in-range anchors and any other site only where that scan offers it, and
+raises :class:`NotApplicable` for anything else; an R3 site swaps each
+of its three pairs, an R1- or R2- site drops its pairs and their
+crossings.  :func:`random_walk` draws and applies its moves on one
+state.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import pairwise
+from itertools import chain, pairwise
 from typing import NamedTuple
 
-from .diagram import OVER, UNDER, Component, CrossingRecord, Passage, TangleDiagram
+from .diagram import (OVER, SING_PRIMARY, SING_SECONDARY, UNDER, Component, CrossingRecord,
+                      Passage, TangleDiagram)
 from .errors import NotApplicable
 
 OVER_FIRST = "over_first"
 UNDER_FIRST = "under_first"
 _INSERT_KINDS = ("R1+", "R2+")
-MOVE_KINDS = (*_INSERT_KINDS, "R1-", "R2-", "R3")
+_DELETE_KINDS = ("R1-", "R2-", "R3")
+MOVE_KINDS = (*_INSERT_KINDS, *_DELETE_KINDS)
 
 
 class MoveSite(NamedTuple):
@@ -72,61 +89,284 @@ class MoveSite(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# site scan and rewrite
+# the carried walk state
+
+
+# Inside the state a passage is one int, 4 * crossing + the index of its
+# role, so its dictionaries hash plain ints and U_x is O_x + 1.
+_ROLES = (OVER, UNDER, SING_PRIMARY, SING_SECONDARY)
+_ROLE_INDEX = {role: i for i, role in enumerate(_ROLES)}
+
+
+class _Passages(dict):
+    """Passage of each code, made the first time a code is looked up."""
+
+    def __missing__(self, code: int) -> Passage:
+        p = self[code] = Passage(code >> 2, _ROLES[code & 3])
+        return p
+
+
+# Up to this many passages are placed by a C-level search of the passage
+# lists each; more share one index of every passage, so placing a kind's
+# sites costs at most one pass over the diagram.
+_FEW_LOOKUPS = 8
+
+
+class WalkState:
+    """A diagram under edit, with its R1-, R2- and R3 sites kept current.
+
+    :meth:`draw` and :meth:`apply` take one step of a walk, :meth:`listed`
+    gives the sites as :class:`MoveSite` lists and :meth:`diagram` the
+    diagram as it stands.  ``sites[kind]`` maps the first passage of a
+    top pair to the sites it tops there, each given by the first
+    passages of its other pairs: ``()`` for R1-, ``(bottom,)`` for R2-,
+    ``(middle, bottom)`` for R3, whose two chiralities can share one top
+    pair.
+    """
+
+    def __init__(self, d: TangleDiagram):
+        self.base = d
+        self.crossings = dict(d.crossings)
+        self.top = max(self.crossings, default=0)
+        self.passage = _Passages()
+        self.lines: list[list[int]] = [[] for _ in d.components]
+        self.prev: dict[int, int | None] = {}
+        self.next: dict[int, int | None] = {}
+        self.sites: dict[str, dict] = {kind: {} for kind in _DELETE_KINDS}
+        for ci, comp in enumerate(d.components, start=1):
+            codes = [4 * x + _ROLE_INDEX[role] for x, role in comp.events]
+            self.passage.update(zip(codes, comp.events))
+            self._splice(ci, 0, 0, codes)
+        self._test(chain.from_iterable(map(pairwise, self.lines)))
+
+    def _test(self, pairs) -> None:
+        """Record the sites each adjacent pair (a, b) of pairs tops; b is None at a line's end.
+
+        A kink (one crossing met as O and U in a row) is an R1- site.
+        An (O_x, O_y) pair with x != y looks up U_x and U_y, and its two
+        signs decide what it can top.  With opposite signs it is the top
+        of an R2- site when U_x and U_y are adjacent, in either order
+        (parallel or antiparallel strands).  With equal signs the
+        neighbours of U_x and U_y name the two R3 candidates, one per
+        chirality: middle (U_x, O_z) above bottom (U_y, U_z), or the
+        mirror, middle (O_z, U_y) above bottom (U_z, U_x), where z is a
+        third crossing of the same sign.  Their anchors are the top,
+        middle and bottom pairs, so an applied R3 leaves its anchors a
+        site and a second application undoes the first.
+        """
+        nxt, prv, records = self.next, self.prev, self.crossings
+        r1, r2, r3 = self.sites.values()
+        for a, b in pairs:
+            if b is None:
+                continue
+            if a >> 2 == b >> 2:
+                if a & 3 < 2:  # classical: O and U in either order
+                    r1[a] = ((),)
+                continue
+            if (a | b) & 3:  # not two over passages
+                continue
+            ux, uy = a + 1, b + 1
+            sign = records[a >> 2].sign
+            if records[b >> 2].sign != sign:
+                if nxt[ux] == uy:
+                    r2[a] = ((ux,),)
+                elif nxt[uy] == ux:
+                    r2[a] = ((uy,),)
+                continue
+            found = []
+            for anchors, oz, uz in (((ux, uy), nxt[ux], nxt[uy]),
+                                    ((prv[uy], prv[ux]), prv[uy], prv[ux])):
+                if (oz is not None and not oz & 3 and uz == oz + 1 and oz != a and oz != b
+                        and records[oz >> 2].sign == sign):
+                    found.append(anchors)
+            if found:
+                r3[a] = tuple(found)
+
+    def _placer(self, n: int):
+        """A function from passage to (component, offset), for about n lookups."""
+        if n > _FEW_LOOKUPS:
+            return {p: (ci, k) for ci, line in enumerate(self.lines, start=1)
+                    for k, p in enumerate(line)}.__getitem__
+        lines = self.lines
+
+        def at(p):
+            for ci, line in enumerate(lines, start=1):
+                if p in line:
+                    return ci, line.index(p)
+        return at
+
+    @staticmethod
+    def _entries(found: dict, at) -> list[tuple]:
+        """One kind's sites as passage tuples, top first, in (component, offset) order."""
+        return [(a, *rest) for a in sorted(found, key=at) for rest in found[a]]
+
+    def listed(self) -> dict[str, list[MoveSite]]:
+        """Every R1-, R2- and R3 site; each list runs in component, then offset order."""
+        at = self._placer(sum(map(len, self.sites.values())))
+        return {kind: [MoveSite(kind, tuple([at(p) for p in entry]))
+                       for entry in self._entries(found, at)]
+                for kind, found in self.sites.items()}
+
+    def _arc_at(self, i: int) -> tuple[int, int]:
+        """The i-th arc position (component, offset), counting 0..len(events) per component."""
+        for ci, line in enumerate(self.lines, start=1):
+            n = len(line) + 1
+            if i < n:
+                return ci, i
+            i -= n
+        raise IndexError(f"arc position index {i} out of range")
+
+    def draw(self, rng: random.Random) -> MoveSite | None:
+        """The walk's next move, or None when no move applies.
+
+        The move kind is drawn uniformly among kinds with at least one
+        applicable site, then the site (or insertion position, sign, and
+        variant) uniformly within the kind, from the list
+        :func:`find_sites` would give.
+        """
+        kinds = list(_INSERT_KINDS) if self.lines else []
+        kinds += [kind for kind, found in self.sites.items() if found]
+        if not kinds:
+            return None
+        kind = rng.choice(kinds)
+        if kind in _INSERT_KINDS:
+            arcs = range(len(self.next) + len(self.lines))
+            anchors = tuple(self._arc_at(rng.choice(arcs))
+                            for _ in range(1 if kind == "R1+" else 2))
+            sign = rng.choice((1, -1))
+            if kind == "R1+":
+                return MoveSite(kind, anchors, sign=sign,
+                                order=rng.choice((OVER_FIRST, UNDER_FIRST)))
+            return MoveSite(kind, anchors, sign=sign,
+                            same_direction=rng.choice((True, False)))
+        found = self.sites[kind]
+        at = self._placer(len(found))
+        return MoveSite(kind, tuple([at(p) for p in rng.choice(self._entries(found, at))]))
+
+    def _new_crossing(self, sign: int) -> int:
+        """Add a classical crossing max(crossings) + 1 of the given sign; return its O passage."""
+        x = self.top + 1
+        self.crossings[x] = CrossingRecord.classical(sign)
+        self.top = x
+        return 4 * x
+
+    def apply(self, site: MoveSite) -> None:
+        """Apply site as one edit, then test again the pairs the edit can reach.
+
+        Each edit is (component, offset, tie-break, passages replaced,
+        new passages); applied from the last position back, every edit
+        sees its anchor's original offset.  R1+ inserts (O_x, U_x),
+        reversed for under_first.  R2+ inserts (O_x, O_y) at its first
+        anchor and (U_x, U_y), reversed unless same_direction, at its
+        second; at one position the first anchor's pair comes first.
+        R3 swaps each anchored pair; R1- and R2- drop them and their
+        crossings.
+        """
+        if site.kind == "R1+":
+            if site.order not in (OVER_FIRST, UNDER_FIRST):
+                raise ValueError(f"order must be {OVER_FIRST!r} or {UNDER_FIRST!r}")
+            ox = self._new_crossing(site.sign)
+            pair = (ox, ox + 1) if site.order == OVER_FIRST else (ox + 1, ox)
+            edits = [(*site.anchors[0], 0, 0, pair)]
+        elif site.kind == "R2+":
+            if not isinstance(site.same_direction, bool):
+                raise ValueError("same_direction must be True or False")
+            ox = self._new_crossing(site.sign)
+            oy = self._new_crossing(-site.sign)
+            unders = (ox + 1, oy + 1) if site.same_direction else (oy + 1, ox + 1)
+            a, b = site.anchors
+            edits = [(*a, 0, 0, (ox, oy)), (*b, 1, 0, unders)]
+        else:
+            edits = []
+            crossings = self.crossings
+            for ci, k in site.anchors:
+                pair = self.lines[ci - 1][k:k + 2]
+                if site.kind == "R3":
+                    edits.append((ci, k, 0, 2, pair[::-1]))
+                else:
+                    for p in pair:
+                        crossings.pop(p >> 2, None)
+                    edits.append((ci, k, 0, 2, ()))
+            if self.top not in crossings:
+                self.top = max(crossings, default=0)
+        edits.sort(reverse=True)
+        self._retest([self._splice(ci, k, n, new) for ci, k, _, n, new in edits])
+
+    def _splice(self, ci: int, k: int, n: int, new) -> tuple:
+        """Replace n passages at offset k of component ci by new; return the run around them.
+
+        The run is the passage before, the new passages and the passage
+        after, None past an end of the line.
+        """
+        line = self.lines[ci - 1]
+        nxt, prv = self.next, self.prev
+        before = line[k - 1] if k else None
+        after = line[k + n] if k + n < len(line) else None
+        if not new:
+            for p in line[k:k + n]:
+                del nxt[p], prv[p]
+                for found in self.sites.values():
+                    found.pop(p, None)
+        line[k:k + n] = new
+        run = (before, *new, after)
+        for p, q in zip(run, run[1:]):
+            nxt[p] = q
+            prv[q] = p
+        nxt.pop(None, None)
+        prv.pop(None, None)
+        return run
+
+    def _retest(self, runs) -> None:
+        """Run the pair test again on every pair the spliced runs can reach.
+
+        Those are the pairs each run made, started by its passages but
+        the last, and for each under passage U_c in a run the two pairs
+        around O_c, whose R2- and R3 tests read the neighbours of U_c;
+        only an (O, O) pair tops such a site.
+        """
+        nxt, prev = self.next, self.prev
+        tops = []
+        for run in runs:
+            tops += run[:-1]
+            for p in run:
+                if p is not None and p & 3 == 1 and p - 1 in prev:
+                    o = p - 1
+                    before, after = prev[o], nxt[o]
+                    if before is not None and not before & 3:
+                        tops.append(before)
+                    if after is not None and not after & 3:
+                        tops.append(o)
+        tops = prev.keys() & tops
+        r1, r2, r3 = self.sites.values()
+        for a in tops:
+            r1.pop(a, None)
+            r2.pop(a, None)
+            r3.pop(a, None)
+        self._test(zip(tops, map(self.next.__getitem__, tops)))
+
+    def diagram(self) -> TangleDiagram:
+        """The diagram as it stands."""
+        d, passage = self.base, self.passage.__getitem__
+        # tuple() of a list allocates at the final size; of a bare map it
+        # starts at 10 items and resizes, which strands freed tuples on the
+        # interpreter's per-size free lists and raises peak memory.  So the
+        # tuples here and in the anchors above are built from lists.
+        comps = tuple(Component(comp.kind, tuple(list(map(passage, line))), comp.start, comp.end)
+                      for comp, line in zip(d.components, self.lines))
+        return TangleDiagram(d.m, d.n, comps, dict(self.crossings))
+
+
+# ---------------------------------------------------------------------------
+# scan, applier and walk
 
 
 def find_sites(d: TangleDiagram) -> dict[str, list[MoveSite]]:
-    """Every R1-, R2- and R3 site, from one pass over adjacent passage pairs.
+    """Every R1-, R2- and R3 site, from the pair test run over every adjacent pair.
 
-    A kink (one crossing met as O and U in a row) is an R1- site.  An
-    adjacent (O_x, O_y) pair with x != y is looked up in one index of
-    the under passages, ``{crossing: (component, offset)}``, and its two
-    signs decide what it can top.  With opposite signs it is the top of
-    an R2- site when U_x and U_y are adjacent on one component, in
-    either order (parallel or antiparallel strands).  With equal signs
-    the same two under positions name the two R3 candidates, one per
-    chirality: middle (U_x, O_z) above bottom (U_y, U_z), or the mirror,
-    middle (O_z, U_y) above bottom (U_z, U_x), where z is a third
-    crossing of the same sign and both pairs lie within their
-    components.  Their anchors are the top, middle and bottom pairs, so
-    an applied R3 leaves its anchors a site and a second application
-    undoes the first.  Each list runs in component, then offset order.
+    Each list runs in component, then offset order; the two R3
+    candidates of one top pair keep the order of :meth:`WalkState._test`.
     """
-    lines = [comp.events for comp in d.components]
-    under = {x: (ci, k)
-             for ci, events in enumerate(lines, start=1)
-             for k, (x, role) in enumerate(events) if role == UNDER}
-    records = d.crossings
-    r1: list[MoveSite] = []
-    r2: list[MoveSite] = []
-    r3: list[MoveSite] = []
-    for ci, events in enumerate(lines, start=1):
-        for k, ((x, ra), (y, rb)) in enumerate(pairwise(events)):
-            if x == y:
-                if {ra, rb} == {OVER, UNDER}:
-                    r1.append(MoveSite("R1-", ((ci, k),)))
-                continue
-            if ra != OVER or rb != OVER:
-                continue
-            cu, ku = under[x]
-            cv, kv = under[y]
-            sign = records[x].sign
-            if records[y].sign != sign:
-                if cu == cv and abs(ku - kv) == 1:
-                    r2.append(MoveSite("R2-", ((ci, k), (cu, min(ku, kv)))))
-                continue
-            line_x, line_y = lines[cu - 1], lines[cv - 1]
-            if ku + 1 < len(line_x) and kv + 1 < len(line_y):
-                z, role = line_x[ku + 1]
-                if (role == OVER and line_y[kv + 1] == (z, UNDER) and z != x and z != y
-                        and records[z].sign == sign):
-                    r3.append(MoveSite("R3", ((ci, k), (cu, ku), (cv, kv))))
-            if ku and kv:
-                z, role = line_y[kv - 1]
-                if (role == OVER and line_x[ku - 1] == (z, UNDER) and z != x and z != y
-                        and records[z].sign == sign):
-                    r3.append(MoveSite("R3", ((ci, k), (cv, kv - 1), (cu, ku - 1))))
-    return {"R1-": r1, "R2-": r2, "R3": r3}
+    return WalkState(d).listed()
 
 
 def find_r1_delete_sites(d: TangleDiagram) -> list[MoveSite]:
@@ -148,6 +388,7 @@ def apply_site(d: TangleDiagram, site: MoveSite) -> TangleDiagram:
     component and an arc position 0..len(events) on it; a bad ``order``,
     ``same_direction`` or sign raises ValueError.
     """
+    state = WalkState(d)
     if site.kind in _INSERT_KINDS:
         if len(site.anchors) != (1 if site.kind == "R1+" else 2):
             raise NotApplicable(f"wrong number of anchors: {site.describe()}")
@@ -157,102 +398,27 @@ def apply_site(d: TangleDiagram, site: MoveSite) -> TangleDiagram:
             n = len(d.components[ci - 1].events)
             if not 0 <= k <= n:
                 raise NotApplicable(f"arc position {k} out of range 0..{n}")
-    elif site not in find_sites(d).get(site.kind, ()):
+    elif site not in state.listed().get(site.kind, ()):
         raise NotApplicable(f"not a site of this diagram: {site.describe()}")
-    return _rewrite(d, site)
-
-
-def _rewrite(d: TangleDiagram, site: MoveSite) -> TangleDiagram:
-    """Replace a few adjacent passages at each anchor and update the crossings.
-
-    Each edit is (component, offset, tie-break, passages replaced, new
-    passages); applied from the last position back, every edit sees its
-    anchor's original offset.  R1+ inserts (O_x, U_x), reversed for
-    under_first.  R2+ inserts (O_x, O_y) at its first anchor and
-    (U_x, U_y), reversed unless same_direction, at its second; at one
-    position the first anchor's pair comes first.  R3 swaps each anchored
-    pair; R1- and R2- drop them and their crossings.
-    """
-    comps = list(d.components)
-    crossings = dict(d.crossings)
-    edits = []
-    x = d.next_crossing_id() if site.kind in _INSERT_KINDS else None
-    if site.kind == "R1+":
-        if site.order not in (OVER_FIRST, UNDER_FIRST):
-            raise ValueError(f"order must be {OVER_FIRST!r} or {UNDER_FIRST!r}")
-        crossings[x] = CrossingRecord.classical(site.sign)
-        pair = (Passage(x, OVER), Passage(x, UNDER))
-        edits.append((*site.anchors[0], 0, 0, pair if site.order == OVER_FIRST else pair[::-1]))
-    elif site.kind == "R2+":
-        if not isinstance(site.same_direction, bool):
-            raise ValueError("same_direction must be True or False")
-        crossings[x] = CrossingRecord.classical(site.sign)
-        crossings[x + 1] = CrossingRecord.classical(-site.sign)
-        unders = (Passage(x, UNDER), Passage(x + 1, UNDER))
-        a, b = site.anchors
-        edits.append((*a, 0, 0, (Passage(x, OVER), Passage(x + 1, OVER))))
-        edits.append((*b, 1, 0, unders if site.same_direction else unders[::-1]))
-    else:
-        for ci, k in site.anchors:
-            pair = comps[ci - 1].events[k:k + 2]
-            if site.kind != "R3":
-                for ev in pair:
-                    crossings.pop(ev.crossing, None)
-            edits.append((ci, k, 0, 2, pair[::-1] if site.kind == "R3" else ()))
-    for ci, k, _, n, new in sorted(edits, reverse=True):
-        comp = comps[ci - 1]
-        events = comp.events
-        comps[ci - 1] = Component(comp.kind, events[:k] + new + events[k + n:],
-                                  comp.start, comp.end)
-    return TangleDiagram(d.m, d.n, tuple(comps), crossings)
-
-
-# ---------------------------------------------------------------------------
-# random walk
-
-
-def _arc_at(d: TangleDiagram, i: int) -> tuple[int, int]:
-    """The i-th arc position (component, offset), counting 0..len(events) per component."""
-    for ci, comp in enumerate(d.components, start=1):
-        n = len(comp.events) + 1
-        if i < n:
-            return ci, i
-        i -= n
-    raise IndexError(f"arc position index {i} out of range")
+    state.apply(site)
+    return state.diagram()
 
 
 def random_walk(d: TangleDiagram, n_moves: int, seed: int,
                 log: list[str]) -> TangleDiagram:
     """Apply n_moves uniformly chosen applicable moves, deterministically.
 
-    The move kind is drawn uniformly among kinds with at least one
-    applicable site, then the site (or insertion position, sign, and
-    variant) uniformly within the kind; every kind is applied as a
-    :class:`MoveSite` by the one rewrite :func:`apply_site` uses.  Each
-    applied move's description is appended to ``log``.
+    One :class:`WalkState` carries the diagram and its sites across the
+    steps; each step draws a move with :meth:`WalkState.draw` and applies
+    it as the one edit :func:`apply_site` uses.  Each applied move's
+    description is appended to ``log``.
     """
     rng = random.Random(seed)
-    out = d
+    state = WalkState(d)
     for _ in range(n_moves):
-        sites = find_sites(out)
-        kinds = list(_INSERT_KINDS) if out.components else []
-        kinds += [kind for kind, found in sites.items() if found]
-        if not kinds:
+        site = state.draw(rng)
+        if site is None:
             break
-        kind = rng.choice(kinds)
-        if kind in _INSERT_KINDS:
-            arcs = range(sum(len(comp.events) + 1 for comp in out.components))
-            anchors = tuple(_arc_at(out, rng.choice(arcs))
-                            for _ in range(1 if kind == "R1+" else 2))
-            sign = rng.choice((1, -1))
-            if kind == "R1+":
-                site = MoveSite(kind, anchors, sign=sign,
-                                order=rng.choice((OVER_FIRST, UNDER_FIRST)))
-            else:
-                site = MoveSite(kind, anchors, sign=sign,
-                                same_direction=rng.choice((True, False)))
-        else:
-            site = rng.choice(sites[kind])
-        out = _rewrite(out, site)
+        state.apply(site)
         log.append(site.describe())
-    return out
+    return state.diagram()

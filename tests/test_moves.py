@@ -4,14 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maip import moves
+from maip import checks
 from maip.checks import check_moves
 from maip.diagram import parse, random_diagram, serialize, validate
 from maip.errors import NotApplicable
 from maip.invariant import maip, propagate_labels, vassiliev_eval, weight_table
-from maip.moves import (MoveSite, apply_site, find_r1_delete_sites,
-                        find_r2_delete_sites, find_r3_sites, find_sites,
-                        random_walk)
+from maip.moves import (MOVE_KINDS, MoveSite, WalkState, apply_site, find_r1_delete_sites,
+                        find_r2_delete_sites, find_r3_sites, find_sites, random_walk)
+from maip.words import Crossing, GeneratorWord, Identity, from_generator_word
 
 from conftest import reference_sites, weight
 
@@ -236,18 +236,139 @@ def test_scan_matches_reference_at_the_ends_of_components():
         assert find_sites(diagram)["R3"]
 
 
+def walk_states(d, n_moves, seed):
+    """Each step of ``random_walk(d, n_moves, seed, log)`` as (site, state), from (None, start).
+
+    The state is the one walk state the steps share, so read it before
+    taking the next step.
+    """
+    rng = random.Random(seed)
+    state = WalkState(d)
+    yield None, state
+    for _ in range(n_moves):
+        site = state.draw(rng)
+        if site is None:
+            return
+        state.apply(site)
+        yield site, state
+
+
+def _explicit_arcs(d):
+    return [(ci, k) for ci, comp in enumerate(d.components, start=1)
+            for k in range(len(comp.events) + 1)]
+
+
+def reference_draw(d, rng):
+    """The walk's next move on d: a kind, then a site from find_sites(d) or an explicit arc."""
+    kinds = ["R1+", "R2+"] if d.components else []
+    kinds += [kind for kind, found in find_sites(d).items() if found]
+    if not kinds:
+        return None
+    kind = rng.choice(kinds)
+    arcs = _explicit_arcs(d)
+    if kind == "R1+":
+        return MoveSite(kind, (rng.choice(arcs),), sign=rng.choice((1, -1)),
+                        order=rng.choice(("over_first", "under_first")))
+    if kind == "R2+":
+        return MoveSite(kind, (rng.choice(arcs), rng.choice(arcs)),
+                        sign=rng.choice((1, -1)), same_direction=rng.choice((True, False)))
+    return rng.choice(find_sites(d)[kind])
+
+
+def test_walk_states_take_the_steps_of_random_walk():
+    d = random_diagram(3, 1, 2, 8, n_singular=1)
+    log = []
+    walked = random_walk(d, 40, 11, log)
+    steps = list(walk_states(d, 40, 11))
+    assert [site.describe() for site, _ in steps[1:]] == log
+    assert steps[-1][1].diagram() == walked
+
+
+def _check_carried_sites(d, n_moves, seed):
+    """Walk d step by step; after every step the carried sites are a fresh scan's.
+
+    The state's sites must equal find_sites and reference_sites on the
+    diagram built from the state, and its next draw must equal the draw
+    from find_sites' lists.  Returns the moves applied, by kind.
+    """
+    rng = random.Random(seed)
+    state = WalkState(d)
+    applied = dict.fromkeys(MOVE_KINDS, 0)
+    while True:
+        walked = state.diagram()
+        assert validate(walked) == [], serialize(walked)
+        assert state.listed() == find_sites(walked) == reference_sites(walked), serialize(walked)
+        if sum(applied.values()) == n_moves:
+            return applied
+        twin = random.Random()
+        twin.setstate(rng.getstate())
+        site = state.draw(rng)
+        assert site == reference_draw(walked, twin), serialize(walked)
+        if site is None:
+            return applied
+        state.apply(site)
+        applied[site.kind] += 1
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_carried_sites_match_a_fresh_scan_after_every_step(seed):
+    # Suite-sized diagrams with 0-2 singular crossings, often with empty components.
+    d = random_diagram(seed, seed % 3, 1 + seed % 3, seed % 13, n_singular=seed % 3)
+    _check_carried_sites(d, 60, seed)
+
+
+# Empty components first, in the middle and last; the kink offers R1-.
+EMPTY_COMPONENTS = parse("tangle m=2 n=2\n"
+                         "component 1 long from B1 to T1 :\n"
+                         "component 2 closed : O1+ U2- O2- U1+\n"
+                         "component 3 closed :\n"
+                         "component 4 long from B2 to T2 : O3+ U3+\n"
+                         "component 5 closed :\n")
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_carried_sites_match_a_fresh_scan_with_empty_components(seed):
+    _check_carried_sites(EMPTY_COMPONENTS, 60, seed)
+
+
+def braid_word(k):
+    """(s1 s2)^k on three upward strands, every crossing positive: rich in R3 sites."""
+    s1 = (Crossing("positive"), Identity())
+    s2 = (Identity(), Crossing("positive"))
+    return from_generator_word(GeneratorWord((s1, s2) * k))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_carried_sites_match_a_fresh_scan_on_r3_rich_walks(seed):
+    # (s1 s2)^6 offers 10 R3 sites, more than a draw places by list.index.
+    d = braid_word(6 if seed % 2 else 3)
+    assert len(find_r3_sites(d)) == (10 if seed % 2 else 4)
+    assert _check_carried_sites(d, 80, seed)["R3"] > 0
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_carried_sites_match_a_fresh_scan_on_a_line_of_kinks(seed):
+    # Twelve kinks: an R1- draw places its sites through one index of
+    # every passage rather than by list.index.
+    d = parse("tangle m=1 n=1\ncomponent 1 long from B1 to T1 : "
+              + " ".join(f"O{x}+ U{x}+" for x in range(1, 13)) + "\n")
+    assert _check_carried_sites(d, 40, seed)["R1-"] > 0
+
+
 def test_scan_matches_reference_on_every_walked_diagram(monkeypatch):
-    # Record each diagram a seeded moves suite hands to the scan; R3 sites
-    # mostly appear on walked diagrams, not on freshly drawn ones.
-    seen = []
+    # Replay each walk of a seeded moves suite step by step and scan every
+    # diagram it passes through; R3 sites mostly appear on walked
+    # diagrams, not on freshly drawn ones.
+    walks = []
 
-    def spy(d):
-        seen.append(d)
-        return find_sites(d)
+    def spy(d, n_moves, seed, log):
+        walks.append((d, n_moves, seed))
+        return random_walk(d, n_moves, seed, log)
 
-    monkeypatch.setattr(moves, "find_sites", spy)
+    monkeypatch.setattr(checks, "random_walk", spy)
     assert check_moves(80, 7).ok
     monkeypatch.undo()
+    seen = [state.diagram() for walk in walks for _, state in walk_states(*walk)]
     offered = {"R1-": 0, "R2-": 0, "R3": 0}
     for d in seen:
         sites = find_sites(d)
@@ -257,35 +378,28 @@ def test_scan_matches_reference_on_every_walked_diagram(monkeypatch):
     assert len(seen) > 1000 and all(offered.values()), offered
 
 
-def _explicit_arcs(d):
-    return [(ci, k) for ci, comp in enumerate(d.components, start=1)
-            for k in range(len(comp.events) + 1)]
+def test_a_new_crossing_takes_the_highest_id_left_plus_one():
+    # Crossing 9, the highest, is a kink: once R1- drops it, the next R1+
+    # gets max(2, 5) + 1 = 6, in one walk state as through apply_site.
+    d = parse("tangle m=1 n=1\n"
+              "component 1 long from B1 to T1 : O2+ O5- U2+ O9+ U9+ U5-\n")
+    kink = MoveSite("R1-", ((1, 3),))
+    insert = MoveSite("R1+", ((1, 0),), sign=-1, order="under_first")
+    expected = parse("tangle m=1 n=1\n"
+                     "component 1 long from B1 to T1 : U6- O6- O2+ O5- U2+ U5-\n")
+    assert apply_site(apply_site(d, kink), insert) == expected
+    state = WalkState(d)
+    state.apply(kink)
+    state.apply(insert)
+    assert state.diagram() == expected
+    assert state.listed() == find_sites(expected)
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_walk_draws_an_arc_as_a_choice_from_the_explicit_list(seed):
-    # Empty components first, in the middle and last; the kink offers R1-.
-    d = parse("tangle m=2 n=2\n"
-              "component 1 long from B1 to T1 :\n"
-              "component 2 closed : O1+ U2- O2- U1+\n"
-              "component 3 closed :\n"
-              "component 4 long from B2 to T2 : O3+ U3+\n"
-              "component 5 closed :\n")
-    rng = random.Random(seed)
-    kinds = ["R1+", "R2+"] + [kind for kind, found in find_sites(d).items() if found]
-    kind = rng.choice(kinds)
     log = []
-    random_walk(d, 1, seed, log)
-    arcs = _explicit_arcs(d)
-    if kind == "R1+":
-        expected = MoveSite(kind, (rng.choice(arcs),), sign=rng.choice((1, -1)),
-                            order=rng.choice(("over_first", "under_first")))
-    elif kind == "R2+":
-        expected = MoveSite(kind, (rng.choice(arcs), rng.choice(arcs)),
-                            sign=rng.choice((1, -1)), same_direction=rng.choice((True, False)))
-    else:
-        expected = rng.choice(find_sites(d)[kind])
-    assert log == [expected.describe()]
+    random_walk(EMPTY_COMPONENTS, 1, seed, log)
+    assert log == [reference_draw(EMPTY_COMPONENTS, random.Random(seed)).describe()]
 
 
 @given(st.integers(min_value=0, max_value=50_000))
