@@ -189,9 +189,9 @@ def _predicted_weights(d: TangleDiagram, delta: dict[int, int]):
     for cid in d.classical_ids():
         ci, o, cj, u = index.place[cid]
         wh = homological_weight(index, cid)
-        early_under = ci == cj and u < o
-        adjusted = wh - delta[cj]
-        yield cid, ci, cj, wh, early_under, -adjusted if early_under else adjusted
+        early_under = ci == cj and u < o    # then W_h has no symbol part
+        k = delta[cj] - wh.const if early_under else wh.const - delta[cj]
+        yield cid, ci, cj, wh, early_under, affine_weight(ci, cj, k)
 
 
 def check_prop2(d: TangleDiagram) -> Prop2Report:

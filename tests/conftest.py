@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -57,6 +58,12 @@ def weight(rec):
     """A record (sign, i, j, k)'s weight k + c_i - c_j, summed in the reference arithmetic."""
     _, i, j, k = rec
     return (sym(i) - sym(j) + k).exponent()
+
+
+def flip_every_sign(d):
+    """``d`` with every crossing's sign flipped; all its crossings are classical."""
+    return replace(d, crossings={cid: CrossingRecord.classical(-rec.sign)
+                                 for cid, rec in d.crossings.items()})
 
 
 def aff(const=0, **coeffs):

@@ -6,17 +6,19 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from maip.algebra import AffineInt, LaurentPoly
 from maip.diagram import (Component, CrossingRecord, Passage, TangleDiagram,
                           from_json, parse, random_diagram, serialize, to_json,
                           validate)
-from maip.errors import (ArityMismatch, DiagramParseError, DirectionMismatch,
+from maip.errors import (ArityMismatch, DiagramParseError, DirectionMismatch, HasSingular,
                          ValidationFailure)
+from maip.homology import check_prop2, maip_via_homology
 from maip.invariant import maip, propagate_labels
 from maip.tangle_ops import compose
 from maip.words import (Cap, Crossing, Cup, GeneratorWord, Identity,
                         from_generator_word)
 
-from conftest import FIXTURES, fixture_text, reference_from_json, reference_parse
+from conftest import FIXTURES, fixture_text, load, reference_from_json, reference_parse
 
 
 def test_validate_kink_ok(kink):
@@ -489,4 +491,26 @@ def test_trefoil_closure_has_zero_polynomial(long):
     assert [c.kind for c in d.components] == ["long" if long else "closed"]
     assert len(d.classical_ids()) == 3
     assert propagate_labels(d).delta == {1: 0}
-    assert maip(d).is_zero()
+    assert not maip(d)
+
+
+# ---------------------------------------------------------------------------
+# input checks of the constructors and entry points
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: LaurentPoly({(None, AffineInt(1)): 1}), ValueError, "variable-free terms"),
+    (lambda: random_diagram(0, 0, 0, 3), ValueError, "at least one component"),
+    (lambda: Identity("x"), ValueError, "direction must be"),
+    (lambda: Cup(("u", "u")), ValueError, "cup needs one 'u' and one 'd' leg"),
+    (lambda: Cap(("d", "d")), ValueError, "cap needs one 'u' and one 'd' leg"),
+    (lambda: Crossing("bogus"), ValueError, "unknown crossing kind"),
+    (lambda: from_json([]), DiagramParseError, "a diagram must be a JSON object"),
+    (lambda: check_prop2(load("singular")), HasSingular, "resolve singular"),
+    (lambda: maip_via_homology(load("singular")), HasSingular, "resolve singular"),
+], ids=["poly-constant-without-variable", "diagram-without-components", "identity-direction",
+        "cup-legs", "cap-legs", "crossing-kind", "json-not-an-object", "prop2-singular",
+        "corollary-singular"])
+def test_input_checks_raise(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -310,7 +310,9 @@ def test_prop2_early_undercrossing_sign():
     by_id = {e.crossing: e for e in report.entries}
     assert by_id[1].early_under
     lab = propagate_labels(d)
-    assert by_id[1].weight == -(by_id[1].homological - lab.delta[1])
+    # a self-crossing's W_h is a plain integer, so W = -(W_h - delta_1) is delta_1 - W_h
+    assert by_id[1].homological == AffineInt(by_id[1].homological.const)
+    assert by_id[1].weight == AffineInt(lab.delta[1] - by_id[1].homological.const)
 
 
 @given(st.integers(min_value=0, max_value=100_000))
@@ -334,4 +336,4 @@ def test_corollary_ex3(ex3):
 
 def test_corollary_crossing_free():
     d = random_diagram(2, 1, 1, 0)
-    assert maip_via_homology(d).is_zero()
+    assert not maip_via_homology(d)

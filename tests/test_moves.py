@@ -1,4 +1,6 @@
+import json
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,7 @@ from maip.moves import (MOVE_KINDS, MoveSite, WalkState, apply_site, find_r1_del
                         find_r2_delete_sites, find_r3_sites, find_sites, random_walk)
 from maip.words import Crossing, GeneratorWord, Identity, from_generator_word
 
-from conftest import reference_sites, weight
+from conftest import flip_every_sign, reference_sites, weight
 
 TWO_STRANDS = "tangle m=2 n=2\ncomponent 1 long from B1 to T1 :\ncomponent 2 long from B2 to T2 :\n"
 
@@ -29,7 +31,7 @@ def crossing_free_loop():
 def test_r1_insert_makes_kink(kink):
     d = apply_site(crossing_free_loop(), MoveSite("R1+", ((1, 0),), sign=1, order="over_first"))
     assert d == kink
-    assert maip(d).is_zero()
+    assert not maip(d)
 
 
 def test_r1_round_trip(kink):
@@ -45,7 +47,7 @@ def test_r1_orders():
     assert [ev.role for ev in over_first.components[0].events] == ["O", "U"]
     assert [ev.role for ev in under_first.components[0].events] == ["U", "O"]
     for d in (over_first, under_first):
-        assert maip(d).is_zero()
+        assert not maip(d)
         assert validate(d) == []
 
 
@@ -71,7 +73,7 @@ def test_r2_insert_across_strands_cancels():
             d = apply_site(base, MoveSite("R2+", ((1, 0), (2, 0)), sign=sign, same_direction=same))
             assert validate(d) == []
             assert len(d.classical_ids()) == 2
-            assert maip(d).is_zero()
+            assert not maip(d)
             w = weight_table(d, propagate_labels(d))
             assert weight(w[1]) == weight(w[2])
 
@@ -88,7 +90,7 @@ def test_r2_same_component():
     base = crossing_free_loop()
     d = apply_site(base, MoveSite("R2+", ((1, 0), (1, 0)), sign=-1, same_direction=False))
     assert validate(d) == []
-    assert maip(d).is_zero()
+    assert not maip(d)
     sites = find_r2_delete_sites(d)
     assert sites and apply_site(d, sites[0]) == base
 
@@ -502,3 +504,44 @@ def test_random_walk_preserves_resolved_sum_on_singular_diagrams(seed):
     walked = random_walk(d, 1 + seed % 25, seed + 1, [])
     assert validate(walked) == []
     assert vassiliev_eval(walked) == vassiliev_eval(d)
+
+
+# ---------------------------------------------------------------------------
+# the moves suite's failure records
+
+
+def planted_walk(edit):
+    """random_walk, with ``edit`` applied to the diagram it returns."""
+    def walk(d, n_moves, seed, log):
+        return edit(random_walk(d, n_moves, seed, log))
+    return walk
+
+
+def drop_the_highest_record(d):
+    crossings = dict(d.crossings)
+    if crossings:
+        del crossings[max(crossings)]
+    return replace(d, crossings=crossings)
+
+
+def test_moves_suite_reports_a_walk_that_changes_the_polynomial(monkeypatch):
+    monkeypatch.setattr(checks, "random_walk", planted_walk(flip_every_sign))
+    report = check_moves(40, 7)
+    assert len(report.failures) == 33, report.summary()
+    failure = report.failures[0]
+    assert list(failure) == ["trial", "seed", "diagram", "moves", "violations",
+                             "before", "after"]
+    assert failure["violations"] == [] and failure["before"] != failure["after"]
+    lines = report.failure_lines()
+    assert lines[0] == f"-- trial {failure['trial']} (seed {failure['seed']})"
+    assert lines[1:6] == [f"   {key}: {failure[key]}" for key in list(failure)[2:]]
+
+
+def test_moves_suite_reports_an_invalid_walk_without_evaluating_it(monkeypatch):
+    # A passage of an undeclared crossing would make the label walk raise.
+    monkeypatch.setattr(checks, "random_walk", planted_walk(drop_the_highest_record))
+    report = check_moves(20, 7)
+    assert not report.ok
+    for failure in report.failures:
+        assert failure["violations"] and failure["after"] is None
+    assert json.loads(json.dumps(report.to_json()))["failures"] == report.failures

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from maip import checks
 from maip.algebra import AffineInt, LaurentPoly, reindex
 from maip.checks import random_composable_pair
 from maip.diagram import (Component, Passage, TangleDiagram, parse, random_diagram,
@@ -13,7 +14,7 @@ from maip.invariant import maip, propagate_labels, structured_maip
 from maip.tangle_ops import GluePlan, PlanEntry, compose, cut, predict_composed, tensor
 from maip.words import GeneratorWord, Identity, from_generator_word
 
-from conftest import aff, const, mono, sym
+from conftest import aff, const, flip_every_sign, mono, sym
 
 
 def empty_tangle():
@@ -51,6 +52,17 @@ def test_tensor_self(ex3):
     t = tensor(ex3, ex3)
     shift = {i: i + 3 for i in (1, 2, 3)}
     assert maip(t) == maip(ex3) + reindex(maip(ex3), shift)
+
+
+@given(st.integers(0, 10**6), st.integers(1, 2), st.integers(0, 2), st.integers(0, 8))
+@settings(max_examples=100, deadline=None)
+def test_tensor_additivity_with_closed_components_on_both_sides(seed, n_closed, n_long, n):
+    a = random_diagram(seed, n_closed, n_long, n)
+    b = random_diagram(seed + 1, 1 + seed % 2, seed % 3, seed % 9)
+    t = tensor(a, b)
+    assert validate(t) == [], serialize(t)
+    shift = {i: i + len(a.components) for i in range(1, len(b.components) + 1)}
+    assert maip(t) == maip(a) + reindex(maip(b), shift)
 
 
 # ---------------------------------------------------------------------------
@@ -254,3 +266,32 @@ def test_compose_associative_when_arities_permit():
     right = compose(a, compose(b, c))
     assert left == right
     assert maip(left) == maip(right)
+
+
+# ---------------------------------------------------------------------------
+# the compose suite's failure records
+
+
+def failed_compose_trials(monkeypatch, name, planted):
+    """The compose suite's failures at seed 7 over 40 trials, with checks.<name> planted."""
+    monkeypatch.setattr(checks, name, planted)
+    report = checks.check_compose_suite(40, 7)
+    for failure in report.failures:
+        assert list(failure) == ["trial", "seed", "diagram", "upper", "lower", "problems"]
+    return report.failures
+
+
+def test_compose_suite_reports_a_tensor_that_swaps_its_factors(monkeypatch):
+    failures = failed_compose_trials(monkeypatch, "tensor", lambda a, b: tensor(b, a))
+    assert len(failures) == 34
+    assert all(f["problems"] == ["tensor additivity failed"] for f in failures)
+
+
+def test_compose_suite_reports_a_cut_that_compose_does_not_undo(monkeypatch):
+    def flipped_lower(d, upper_ids):
+        upper, lower = cut(d, upper_ids)
+        return upper, flip_every_sign(lower)
+
+    failures = failed_compose_trials(monkeypatch, "cut", flipped_lower)
+    assert len(failures) == 33
+    assert all("compose(*cut(d)) is not d" in f["problems"] for f in failures)
