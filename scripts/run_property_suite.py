@@ -3,10 +3,12 @@
 
 Usage: python3 scripts/run_property_suite.py [seed]
 
-Exits nonzero if any suite reports a failure; failures include the
-diagram dump and move log needed to reproduce them.
+Exits 1 if any suite reports a failure, and 141 if stdout is closed
+early (say by ``| head -1``); failures include the diagram dump and
+move log needed to reproduce them.
 """
 
+import os
 import sys
 import time
 
@@ -18,14 +20,19 @@ TRIALS = {"moves": 1000, "prop2": 500, "corollary": 500, "compose": 200, "vassil
 def main():
     seed = int(sys.argv[1]) if len(sys.argv) > 1 else 20250810
     bad = 0
-    for name, trials in TRIALS.items():
-        t0 = time.perf_counter()
-        report = SUITES[name](trials, seed)
-        elapsed = time.perf_counter() - t0
-        print(f"{report.summary()}  ({elapsed:.1f}s)")
-        for line in report.failure_lines():
-            print(line)
-        bad += len(report.failures)
+    try:
+        for name, trials in TRIALS.items():
+            t0 = time.perf_counter()
+            report = SUITES[name](trials, seed)
+            elapsed = time.perf_counter() - t0
+            print(f"{report.summary()}  ({elapsed:.1f}s)")
+            for line in report.failure_lines():
+                print(line)
+            bad += len(report.failures)
+    except BrokenPipeError:
+        # The reader is gone; send the exit flush of stdout nowhere.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     return 1 if bad else 0
 
 

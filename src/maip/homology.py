@@ -28,8 +28,17 @@ crossing's own two into the retained class and its complement, and the
 smoothed crossing has no passage in the class.  So "the other passage
 is in the complement" means "the other passage is not in the class",
 and the pairing needs the class alone: a range test on each partner.
-The oracle stays quadratic by design, one pass over a class per
-crossing, and never reads the label offsets.
+The partner map is an involution, so a slot's partner lies in the class
+exactly when the slot lies among the partners of the class's slots.
+The index therefore keeps bitsets, bit s for slot s: the slots counting
++1, the slots counting -1, and for every k the partners of the slots
+before k.  Two differences of that table give the class's partners, and
+the pairing is the popcount of the class's +1 slots outside them less
+that of its -1 slots, the test applied to every slot of the class 64 at
+a time.  The oracle stays quadratic by design: O(N^2/64) word
+operations over N slots, with a table of about N^2/8 bytes (225 KiB at
+600 crossings, 1.4 MiB at 1600, 21 MiB at 6400).  It never reads the
+label offsets.
 
 The pairing of a class is the sum of the label increments (-s at an
 Over, +s at an Under) of its classical passages: a crossing with both
@@ -76,12 +85,19 @@ class PassageIndex(NamedTuple):
     an Under, 0 at a singular passage.  ``span[ci]`` is component ci's
     slot range and ``place[cid]`` = (i, over slot, j, under slot) for each
     classical crossing, i and j its over and under components.
+
+    The pairing reads three bitsets built from those lists, bit s for
+    slot s: ``plus`` and ``minus`` hold the slots that count +1 and -1,
+    and ``partners_before[k]`` the partners of the slots before k.
     """
 
     partner: list[int]
     count: list[int]
     span: dict[int, SlotRange]
     place: dict[int, tuple[int, int, int, int]]
+    plus: int
+    minus: int
+    partners_before: list[int]
 
 
 def passage_index(d: TangleDiagram) -> PassageIndex:
@@ -92,45 +108,54 @@ def passage_index(d: TangleDiagram) -> PassageIndex:
     over: dict[int, tuple[int, int]] = {}
     under: dict[int, tuple[int, int]] = {}
     first: dict[int, int] = {}
+    crossings = d.crossings
     for ci, comp in enumerate(d.components, start=1):
         lo = len(count)
-        for ev in comp.events:
+        for cid, role in comp.events:
             slot = len(count)
-            sign = d.sign(ev.crossing)
+            sign = crossings[cid].sign
             if sign is None:
                 count.append(0)
-            elif ev.role == OVER:
+            elif role == OVER:
                 count.append(-sign)
-                over[ev.crossing] = (ci, slot)
+                over[cid] = (ci, slot)
             else:
                 count.append(sign)
-                under[ev.crossing] = (ci, slot)
-            other = first.pop(ev.crossing, None)
+                under[cid] = (ci, slot)
+            other = first.pop(cid, None)
             if other is None:
-                first[ev.crossing] = slot
+                first[cid] = slot
                 partner.append(slot)
             else:
                 partner.append(other)
                 partner[other] = slot
         span[ci] = (lo, len(count))
     place = {cid: over[cid] + under[cid] for cid in over}
-    return PassageIndex(partner, count, span, place)
+    plus = minus = seen = 0
+    partners_before = [0]
+    for s, (t, k) in enumerate(zip(partner, count)):
+        if k > 0:
+            plus |= 1 << s
+        elif k < 0:
+            minus |= 1 << s
+        seen |= 1 << t
+        partners_before.append(seen)
+    return PassageIndex(partner, count, span, place, plus, minus, partners_before)
 
 
 def pairing(index: PassageIndex, class_: tuple[SlotRange, SlotRange]) -> int:
     """Intersection count of a class, two disjoint slot ranges, against the rest.
 
     Every slot of the class whose partner lies outside both ranges adds
-    its count.
+    its count.  The partner map is an involution, so the slots whose
+    partner lies in the class are the partners of the class's slots;
+    the test runs on all of them at once, as bitsets.
     """
     (a, b), (c, e) = class_
-    partner, count = index.partner, index.count
-    total = 0
-    for lo, hi in class_:
-        for t, k in zip(partner[lo:hi], count[lo:hi]):
-            if (t < a or t >= b) and (t < c or t >= e):
-                total += k
-    return total
+    q = index.partners_before
+    inside = (q[b] ^ q[a]) | (q[e] ^ q[c])    # slots whose partner lies in the class
+    out = (((1 << b) - (1 << a)) | ((1 << e) - (1 << c))) & ~inside
+    return (out & index.plus).bit_count() - (out & index.minus).bit_count()
 
 
 def smoothing(index: PassageIndex, cid: int) -> tuple[SlotRange, SlotRange]:
@@ -141,8 +166,8 @@ def smoothing(index: PassageIndex, cid: int) -> tuple[SlotRange, SlotRange]:
     the component for a self-crossing.
     """
     ci, o, cj, u = index.place[cid]
-    if ci == cj:
-        o, u = sorted((o, u))
+    if ci == cj and u < o:
+        o, u = u, o
     return (index.span[ci][0], o), (u + 1, index.span[cj][1])
 
 
@@ -155,8 +180,7 @@ def homological_weight(index: PassageIndex, cid: int) -> AffineInt:
     return affine_weight(ci, cj, pairing(index, smoothing(index, cid)))
 
 
-@dataclass(frozen=True)
-class Prop2Entry:
+class Prop2Entry(NamedTuple):
     crossing: int
     weight: AffineInt
     homological: AffineInt

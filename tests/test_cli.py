@@ -1,4 +1,5 @@
 import json
+import os
 import shlex
 import subprocess
 import sys
@@ -264,6 +265,23 @@ def test_closed_stdout_exits_141_without_a_traceback(tmp_path):
             [sys.executable, "-m", "maip", "tensor", str(path), str(path)],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=FIXTURES.parent) as proc:
         assert proc.stdout.readline() == b"tangle m=6 n=2\n"
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        assert proc.wait() == 141
+    assert "Traceback" not in stderr
+
+
+def test_property_suite_script_exits_141_on_a_closed_stdout():
+    # Unbuffered, the script writes each suite's line as the suite ends,
+    # so the reader closes its end while the next suite is still running.
+    root = FIXTURES.parent
+    env = {**os.environ, "PYTHONUNBUFFERED": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(root / "src"),
+                                                       os.environ.get("PYTHONPATH")]))}
+    with subprocess.Popen(
+            [sys.executable, str(root / "scripts" / "run_property_suite.py"), "7"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=root, env=env) as proc:
+        assert proc.stdout.readline().startswith(b"what=moves trials=1000 seed=7: ")
         proc.stdout.close()
         stderr = proc.stderr.read().decode()
         assert proc.wait() == 141

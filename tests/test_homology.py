@@ -192,6 +192,62 @@ def test_pairing_of_a_smoothing_is_its_class_increment_sum(d):
 
 
 # ---------------------------------------------------------------------------
+# diagrams of hundreds of passages, so each bitset spans many machine words
+
+
+def large_diagrams(count, seed):
+    """Seeded draws of 100-300 classical and 0-2 singular crossings."""
+    rng = random.Random(seed)
+    return [shaped_diagram(rng.randrange(10**6), rng.randint(0, 2), rng.randint(0, 2),
+                           rng.randint(100, 300), rng.randint(0, 2))
+            for _ in range(count)]
+
+
+def disjoint_ranges(rng, n, shape):
+    """Two disjoint slot ranges of [0, n), in either order.
+
+    ``shape`` 0 draws both freely, 1 empties the first, 2 makes them
+    adjacent and 3 empties both.
+    """
+    a, b, c, e = sorted(rng.randint(0, n) for _ in range(4))
+    if shape == 1:
+        b = a
+    elif shape == 2:
+        c = b
+    elif shape == 3:
+        b, e = a, c
+    return ((a, b), (c, e)) if rng.random() < 0.5 else ((c, e), (a, b))
+
+
+def test_pairing_on_large_diagrams_equals_the_set_reference():
+    rng = random.Random(1)
+    for d in large_diagrams(6, seed=0):
+        index = passage_index(d)
+        n = len(index.count)
+        assert n >= 200
+        for draw in range(50):
+            class_ = disjoint_ranges(rng, n, draw % 4)
+            assert pairing(index, class_) == reference_pairing(refs_of(d, class_), d)
+
+
+def test_partners_before_on_large_diagrams():
+    for d in large_diagrams(6, seed=0):
+        index = passage_index(d)
+        assert len(index.partners_before) == len(index.partner) + 1
+        for k, bits in enumerate(index.partners_before):
+            assert bits == sum(1 << t for t in index.partner[:k])
+        assert index.plus == sum(1 << s for s, k in enumerate(index.count) if k == 1)
+        assert index.minus == sum(1 << s for s, k in enumerate(index.count) if k == -1)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_oracle_on_400_crossings(seed):
+    d = random_diagram(seed, seed % 3, 1 + seed % 2, 400)
+    assert check_prop2(d).ok
+    assert maip_via_homology(d) == maip(d)
+
+
+# ---------------------------------------------------------------------------
 # smoothing classes
 
 
