@@ -79,6 +79,11 @@ def _trial(seed: int, trial: int, diagram: TangleDiagram | None = None,
     return tseed, rng, diagram
 
 
+def _failure(trial: int, tseed: int, d: TangleDiagram, **fields) -> dict:
+    """One failure record: trial, seed and diagram, then the suite's own fields."""
+    return {"trial": trial, "seed": tseed, "diagram": serialize(d), **fields}
+
+
 def check_moves(trials: int, seed: int, diagram: TangleDiagram | None = None) -> CheckReport:
     """Random walks of classical moves must preserve the polynomial exactly."""
     report = CheckReport("moves", trials, seed)
@@ -92,15 +97,9 @@ def check_moves(trials: int, seed: int, diagram: TangleDiagram | None = None) ->
         problems = validate(walked)
         after = None if problems else maip(walked)    # maip reads a valid diagram only
         if problems or after != before:
-            report.failures.append({
-                "trial": trial,
-                "seed": tseed,
-                "diagram": serialize(d),
-                "moves": log,
-                "violations": problems,
-                "before": render(before),
-                "after": None if after is None else render(after),
-            })
+            report.failures.append(_failure(
+                trial, tseed, d, moves=log, violations=problems, before=render(before),
+                after=None if after is None else render(after)))
     report.stats["moves_applied"] = sum(kinds.values())
     report.coverage["moves_by_kind"] = {kind: kinds[kind] for kind in MOVE_KINDS}
     return report
@@ -116,16 +115,11 @@ def check_prop2_suite(trials: int, seed: int,
         res = check_prop2(d)
         checked += len(res.entries)
         if not res.ok:
-            report.failures.append({
-                "trial": trial,
-                "seed": tseed,
-                "diagram": serialize(d),
-                "crossings": [
-                    {"id": e.crossing, "weight": str(e.weight),
-                     "homological": str(e.homological), "expected": str(e.expected)}
-                    for e in res.failures()
-                ],
-            })
+            report.failures.append(_failure(trial, tseed, d, crossings=[
+                {"id": e.crossing, "weight": str(e.weight),
+                 "homological": str(e.homological), "expected": str(e.expected)}
+                for e in res.failures()
+            ]))
     report.stats["crossings_checked"] = checked
     return report
 
@@ -139,13 +133,8 @@ def check_corollary_suite(trials: int, seed: int,
         direct = maip(d)
         homological = maip_via_homology(d)
         if direct != homological:
-            report.failures.append({
-                "trial": trial,
-                "seed": tseed,
-                "diagram": serialize(d),
-                "direct": render(direct),
-                "homological": render(homological),
-            })
+            report.failures.append(_failure(trial, tseed, d, direct=render(direct),
+                                            homological=render(homological)))
     return report
 
 
@@ -218,14 +207,9 @@ def check_compose_suite(trials: int, seed: int) -> CheckReport:
             problems.append("tensor additivity failed")
 
         if problems:
-            report.failures.append({
-                "trial": trial,
-                "seed": _trial_seed(seed, trial),
-                "diagram": serialize(d),
-                "upper": serialize(upper),
-                "lower": serialize(lower),
-                "problems": problems,
-            })
+            report.failures.append(_failure(trial, _trial_seed(seed, trial), d,
+                                            upper=serialize(upper), lower=serialize(lower),
+                                            problems=problems))
     report.stats["longest_chain"] = longest_chain
     report.stats["multi_chain_trials"] = multi_chain_trials
     report.stats["cyclic_trials"] = cyclic_trials
@@ -249,13 +233,8 @@ def check_vassiliev_suite(trials: int, seed: int) -> CheckReport:
             enumerated = enumerated + term.coefficient * maip(term.diagram)
         nonzero += bool(value)
         if value != enumerated:
-            report.failures.append({
-                "trial": trial,
-                "seed": tseed,
-                "diagram": serialize(d),
-                "value": render(value),
-                "enumerated": render(enumerated),
-            })
+            report.failures.append(_failure(trial, tseed, d, value=render(value),
+                                            enumerated=render(enumerated)))
     report.stats["nonzero_values"] = nonzero
     return report
 

@@ -94,6 +94,26 @@ def _parse_assignment(text: str, symbols) -> dict[int, int]:
     return out
 
 
+def _print_poly(poly, as_json: bool) -> None:
+    print(json.dumps(poly_to_json(poly)) if as_json else render(poly))
+
+
+def _emit_diagram(args, d, poly, **extra) -> None:
+    """Write ``d`` to ``-o`` if given, then print it, its polynomial if any and ``extra``."""
+    if args.out:
+        _write(args.out, serialize(d))
+    if args.json:
+        payload = {"diagram": to_json(d),
+                   "maip": None if poly is None else poly_to_json(poly), **extra}
+        print(json.dumps(payload))
+    else:
+        sys.stdout.write(serialize(d))
+        if poly is not None:
+            print(f"# maip: {render(poly)}")
+        for key, value in extra.items():
+            print(f"# {key}: {value}")
+
+
 def cmd_compute(args) -> int:
     d = _load(args.file)
     try:
@@ -110,7 +130,7 @@ def cmd_compute(args) -> int:
             poly = collapse_variables(poly)
         except SymbolicExponent as exc:
             raise _InputError(f"--collapse needs numeric labels first: {exc}") from exc
-    print(json.dumps(poly_to_json(poly)) if args.json else render(poly))
+    _print_poly(poly, args.json)
     return 0
 
 
@@ -118,8 +138,7 @@ def cmd_resolve(args) -> int:
     d = _load(args.file)
     if not d.has_singular():
         raise _InputError(f"{args.file}: no singular crossings; use compute")
-    poly = vassiliev_eval(d)
-    print(json.dumps(poly_to_json(poly)) if args.json else render(poly))
+    _print_poly(vassiliev_eval(d), args.json)
     return 0
 
 
@@ -127,20 +146,7 @@ def cmd_tensor(args) -> int:
     left = _load(args.left)
     right = _load(args.right)
     product = tensor(left, right)
-    try:
-        poly = maip(product)
-    except HasSingular:
-        poly = None
-    if args.out:
-        _write(args.out, serialize(product))
-    if args.json:
-        payload = {"diagram": to_json(product),
-                   "maip": None if poly is None else poly_to_json(poly)}
-        print(json.dumps(payload))
-    else:
-        sys.stdout.write(serialize(product))
-        if poly is not None:
-            print(f"# maip: {render(poly)}")
+    _emit_diagram(args, product, None if product.has_singular() else maip(product))
     return 0
 
 
@@ -158,16 +164,7 @@ def cmd_compose(args) -> int:
         raise _InputError("composite has singular crossings; resolve the factors first") from exc
     predicted = predict_composed(structured_maip(upper), structured_maip(lower), plan)
     verdict = "ok" if predicted == poly else "MISMATCH"
-    if args.out:
-        _write(args.out, serialize(composite))
-    if args.json:
-        payload = {"diagram": to_json(composite), "maip": poly_to_json(poly),
-                   "predict": verdict}
-        print(json.dumps(payload))
-    else:
-        sys.stdout.write(serialize(composite))
-        print(f"# maip: {render(poly)}")
-        print(f"# predict: {verdict}")
+    _emit_diagram(args, composite, poly, predict=verdict)
     return 1 if verdict == "MISMATCH" else 0
 
 

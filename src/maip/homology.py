@@ -6,12 +6,13 @@ counts, over every classical crossing with exactly one passage in the
 class, +sign when that passage is an Under and -sign when it is an Over.
 Crossings internal to a class are self-intersections and do not count.
 
-The passages are indexed once per diagram as flat integer slots,
-components in order (:class:`PassageIndex`).  Each slot holds the slot
-of its crossing's other passage and its own count, -s at an Over and +s
-at an Under, 0 at a singular passage.  Those counts are written here from
-the crossing signs, apart from the labeling's increment table, so a
-fault in that table alone shows as a disagreement.
+The passages are indexed once per diagram, in one pass, as flat integer
+slots, components in order (:class:`PassageIndex`).  The pairing counts
+-s at an Over slot, +s at an Under slot and nothing at a singular one;
+the index keeps those counts only as the bitsets of the slots counting
++1 and -1.  They are written here from the crossing signs, apart from
+the labeling's increment table, so a fault in that table alone shows as
+a disagreement.
 
 For a self-crossing the retained class is the one containing the
 component's basepoint.  For a mixed crossing (overstrand i, understrand
@@ -27,18 +28,19 @@ The smoothing partitions every passage other than the smoothed
 crossing's own two into the retained class and its complement, and the
 smoothed crossing has no passage in the class.  So "the other passage
 is in the complement" means "the other passage is not in the class",
-and the pairing needs the class alone: a range test on each partner.
-The partner map is an involution, so a slot's partner lies in the class
-exactly when the slot lies among the partners of the class's slots.
-The index therefore keeps bitsets, bit s for slot s: the slots counting
-+1, the slots counting -1, and for every k the partners of the slots
-before k.  Two differences of that table give the class's partners, and
-the pairing is the popcount of the class's +1 slots outside them less
-that of its -1 slots, the test applied to every slot of the class 64 at
-a time.  The oracle stays quadratic by design: O(N^2/64) word
-operations over N slots, with a table of about N^2/8 bytes (225 KiB at
-600 crossings, 1.4 MiB at 1600, 21 MiB at 6400).  It never reads the
-label offsets.
+and the pairing needs the class alone: a range test on each slot's
+partner, the slot of its crossing's other passage.  The partner map is
+an involution, so a slot's partner lies in the class exactly when the
+slot lies among the partners of the class's slots.  Beside the two
+count bitsets (bit s for slot s), the index therefore keeps, for every
+k, the bitset of the partners of the slots before k, accumulated from
+the partner list at C level.  Two differences of that table give the
+class's partners, and the pairing is the popcount of the class's +1
+slots outside them less that of its -1 slots, the test applied to every
+slot of the class 64 at a time.  The oracle stays quadratic by design:
+O(N^2/64) word operations over N slots, with a table of about N^2/8
+bytes (225 KiB at 600 crossings, 1.4 MiB at 1600, 21 MiB at 6400).  It
+never reads the label offsets.
 
 The pairing of a class is the sum of the label increments (-s at an
 Over, +s at an Under) of its classical passages: a crossing with both
@@ -67,6 +69,8 @@ identically in those increments and the counts here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, repeat
+from operator import lshift, or_
 from typing import NamedTuple
 
 from .algebra import AffineInt, LaurentPoly, affine_weight
@@ -80,19 +84,16 @@ SlotRange = tuple[int, int]  # half-open [lo, hi) of passage slots
 class PassageIndex(NamedTuple):
     """Every passage of a diagram as one flat slot, components in order.
 
-    ``partner[s]`` is the slot of the same crossing's other passage and
-    ``count[s]`` what the pairing counts at s: -sign at an Over, +sign at
-    an Under, 0 at a singular passage.  ``span[ci]`` is component ci's
-    slot range and ``place[cid]`` = (i, over slot, j, under slot) for each
-    classical crossing, i and j its over and under components.
-
-    The pairing reads three bitsets built from those lists, bit s for
-    slot s: ``plus`` and ``minus`` hold the slots that count +1 and -1,
-    and ``partners_before[k]`` the partners of the slots before k.
+    ``span[ci]`` is component ci's slot range and ``place[cid]`` = (i,
+    over slot, j, under slot) for each classical crossing, i and j its
+    over and under components.  The pairing reads three bitsets, bit s
+    for slot s: ``plus`` and ``minus`` hold the slots that count +1 and
+    -1 (-sign at an Over, +sign at an Under, neither at a singular
+    passage), and ``partners_before[k]`` the partners of the slots
+    before k, the partner of a slot being the same crossing's other
+    passage.
     """
 
-    partner: list[int]
-    count: list[int]
     span: dict[int, SlotRange]
     place: dict[int, tuple[int, int, int, int]]
     plus: int
@@ -103,44 +104,33 @@ class PassageIndex(NamedTuple):
 def passage_index(d: TangleDiagram) -> PassageIndex:
     """Index every passage of ``d``; the counts come from the crossing signs."""
     partner: list[int] = []
-    count: list[int] = []
     span: dict[int, SlotRange] = {}
-    over: dict[int, tuple[int, int]] = {}
-    under: dict[int, tuple[int, int]] = {}
-    first: dict[int, int] = {}
+    place: dict[int, tuple[int, int, int, int]] = {}
+    first: dict[int, tuple[int, int]] = {}    # (component, slot) of a first passage
+    plus = minus = 0
     crossings = d.crossings
     for ci, comp in enumerate(d.components, start=1):
-        lo = len(count)
-        for cid, role in comp.events:
-            slot = len(count)
+        lo = len(partner)
+        for slot, (cid, role) in enumerate(comp.events, lo):
             sign = crossings[cid].sign
-            if sign is None:
-                count.append(0)
-            elif role == OVER:
-                count.append(-sign)
-                over[cid] = (ci, slot)
-            else:
-                count.append(sign)
-                under[cid] = (ci, slot)
-            other = first.pop(cid, None)
-            if other is None:
-                first[cid] = slot
+            count = 0 if sign is None else -sign if role == OVER else sign
+            if count > 0:
+                plus |= 1 << slot
+            elif count < 0:
+                minus |= 1 << slot
+            seen = first.pop(cid, None)
+            if seen is None:
+                first[cid] = (ci, slot)
                 partner.append(slot)
-            else:
-                partner.append(other)
-                partner[other] = slot
-        span[ci] = (lo, len(count))
-    place = {cid: over[cid] + under[cid] for cid in over}
-    plus = minus = seen = 0
-    partners_before = [0]
-    for s, (t, k) in enumerate(zip(partner, count)):
-        if k > 0:
-            plus |= 1 << s
-        elif k < 0:
-            minus |= 1 << s
-        seen |= 1 << t
-        partners_before.append(seen)
-    return PassageIndex(partner, count, span, place, plus, minus, partners_before)
+                continue
+            cj, other = seen
+            partner.append(other)
+            partner[other] = slot
+            if sign is not None:
+                place[cid] = (ci, slot, cj, other) if role == OVER else (cj, other, ci, slot)
+        span[ci] = (lo, len(partner))
+    partners_before = list(accumulate(map(lshift, repeat(1), partner), or_, initial=0))
+    return PassageIndex(span, place, plus, minus, partners_before)
 
 
 def pairing(index: PassageIndex, class_: tuple[SlotRange, SlotRange]) -> int:

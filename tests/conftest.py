@@ -66,6 +66,17 @@ def flip_every_sign(d):
                                  for cid, rec in d.crossings.items()})
 
 
+def assert_failure_lines(report, keys):
+    """Every failure of ``report`` has ``keys`` in order and prints as a
+    trial line plus one line per key after trial and seed."""
+    assert all(list(failure) == keys for failure in report.failures)
+    failure = report.failures[0]
+    lines = report.failure_lines()
+    assert lines[0] == f"-- trial {failure['trial']} (seed {failure['seed']})"
+    assert lines[1:len(keys) - 1] == [f"   {key}: {failure[key]}" for key in keys[2:]]
+    assert len(lines) == (len(keys) - 1) * len(report.failures)
+
+
 def aff(const=0, **coeffs):
     """An affine exponent, e.g. ``aff(-1, c1=1, c3=-1)`` for c1 - c3 - 1."""
     return AffineInt.of(const, {int(k[1:]): v for k, v in coeffs.items()})

@@ -4,15 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maip import homology
+from maip import checks, homology
 from maip.algebra import AffineInt
 from maip.diagram import OVER, UNDER, parse, random_diagram
 from maip.errors import NotClassical
-from maip.homology import (check_prop2, homological_weight, maip_via_homology,
-                           pairing, passage_index, smoothing)
+from maip.homology import (Prop2Report, check_prop2, homological_weight,
+                           maip_via_homology, pairing, passage_index, smoothing)
 from maip.invariant import maip, propagate_labels, weight_table
 
-from conftest import aff
+from conftest import aff, assert_failure_lines
 
 
 # ---------------------------------------------------------------------------
@@ -78,16 +78,17 @@ diagrams = st.builds(shaped_diagram, st.integers(0, 10**6), st.integers(0, 2),
 def test_passage_index_ex3(ex3):
     # slots: O1+ | O2- | U1+ U2-
     index = passage_index(ex3)
-    assert index.partner == [2, 3, 0, 1]
-    assert index.count == [-1, 1, 1, -1]
+    assert index.plus == 0b0110
+    assert index.minus == 0b1001
+    assert index.partners_before == [0b0, 0b100, 0b1100, 0b1101, 0b1111]
     assert index.span == {1: (0, 1), 2: (1, 2), 3: (2, 4)}
     assert index.place == {1: (1, 0, 3, 2), 2: (2, 1, 3, 3)}
 
 
 def test_passage_index_counts_nothing_at_a_singular_passage(singular):
     index = passage_index(singular)
-    assert index.count == [0, 0]
-    assert index.partner == [1, 0]
+    assert index.plus == index.minus == 0
+    assert index.partners_before == [0, 0b10, 0b11]
     assert index.place == {}
 
 
@@ -118,7 +119,7 @@ def test_pairing_antisymmetric_under_swap():
     for seed in range(25):
         d = random_diagram(seed, 1, 2, 6)
         index = passage_index(d)
-        n = len(index.count)
+        n = len(slot_refs(d))
         half = n // 2
         assert pairing(index, ((0, half), (half, half))) == -pairing(index, ((half, n), (n, n)))
 
@@ -223,7 +224,7 @@ def test_pairing_on_large_diagrams_equals_the_set_reference():
     rng = random.Random(1)
     for d in large_diagrams(6, seed=0):
         index = passage_index(d)
-        n = len(index.count)
+        n = len(slot_refs(d))
         assert n >= 200
         for draw in range(50):
             class_ = disjoint_ranges(rng, n, draw % 4)
@@ -231,13 +232,21 @@ def test_pairing_on_large_diagrams_equals_the_set_reference():
 
 
 def test_partners_before_on_large_diagrams():
+    increment = {OVER: -1, UNDER: 1}  # times the sign; a singular passage counts 0
     for d in large_diagrams(6, seed=0):
+        refs = slot_refs(d)
+        slots: dict[int, list[int]] = {}
+        for s, (cid, _) in enumerate(refs):
+            slots.setdefault(cid, []).append(s)
+        partner = [sum(slots[cid]) - s for s, (cid, _) in enumerate(refs)]
+        count = [increment[role] * d.sign(cid) if role in increment else 0
+                 for cid, role in refs]
         index = passage_index(d)
-        assert len(index.partners_before) == len(index.partner) + 1
+        assert len(index.partners_before) == len(refs) + 1
         for k, bits in enumerate(index.partners_before):
-            assert bits == sum(1 << t for t in index.partner[:k])
-        assert index.plus == sum(1 << s for s, k in enumerate(index.count) if k == 1)
-        assert index.minus == sum(1 << s for s, k in enumerate(index.count) if k == -1)
+            assert bits == sum(1 << t for t in partner[:k])
+        assert index.plus == sum(1 << s for s, k in enumerate(count) if k == 1)
+        assert index.minus == sum(1 << s for s, k in enumerate(count) if k == -1)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -279,7 +288,7 @@ def test_slices_partition_all_other_passages():
     for seed in range(20):
         d = random_diagram(seed, 1, 2, 7, n_singular=seed % 3)
         index = passage_index(d)
-        n = len(index.count)
+        n = len(slot_refs(d))
         for cid in d.classical_ids():
             _, o, _, u = index.place[cid]
             (a, b), (c, e) = smoothing(index, cid)
@@ -393,3 +402,28 @@ def test_corollary_ex3(ex3):
 def test_corollary_crossing_free():
     d = random_diagram(2, 1, 1, 0)
     assert not maip_via_homology(d)
+
+
+# ---------------------------------------------------------------------------
+# the prop2 and corollary suites' failure records
+
+
+def test_prop2_suite_reports_weights_off_by_one(monkeypatch):
+    def off_by_one(d):
+        return Prop2Report(tuple(e._replace(weight=e.weight + 1, ok=False)
+                                 for e in check_prop2(d).entries))
+
+    monkeypatch.setattr(checks, "check_prop2", off_by_one)
+    report = checks.check_prop2_suite(30, 7)
+    assert len(report.failures) == 28, report.summary()
+    assert_failure_lines(report, ["trial", "seed", "diagram", "crossings"])
+    (entry, *_) = report.failures[0]["crossings"]
+    assert list(entry) == ["id", "weight", "homological", "expected"]
+    assert entry["weight"] != entry["expected"]
+
+
+def test_corollary_suite_reports_a_doubled_reassembly(monkeypatch):
+    monkeypatch.setattr(checks, "maip_via_homology", lambda d: 2 * maip_via_homology(d))
+    report = checks.check_corollary_suite(30, 7)
+    assert len(report.failures) == 24, report.summary()
+    assert_failure_lines(report, ["trial", "seed", "diagram", "direct", "homological"])

@@ -10,7 +10,7 @@ from maip.errors import HasSingular, NoSingular
 from maip.invariant import (contribution_poly, maip, propagate_labels, resolve_singular,
                             structured_maip, vassiliev_eval, weight_table)
 
-from conftest import aff, const, mono, sym, weight
+from conftest import aff, assert_failure_lines, const, mono, sym, weight
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +365,14 @@ def test_vassiliev_suite_catches_a_wrong_value(monkeypatch):
     for wrong in (unsigned, lambda d: LaurentPoly.zero()):
         monkeypatch.setattr(checks, "vassiliev_eval", wrong)
         assert not checks.check_vassiliev_suite(30, 7).ok
+
+
+def test_vassiliev_suite_reports_a_zero_value(monkeypatch):
+    monkeypatch.setattr(checks, "vassiliev_eval", lambda d: LaurentPoly.zero())
+    report = checks.check_vassiliev_suite(60, 7)
+    assert len(report.failures) == 13, report.summary()
+    assert_failure_lines(report, ["trial", "seed", "diagram", "value", "enumerated"])
+    assert all(f["value"] == "0" != f["enumerated"] for f in report.failures)
 
 
 @given(st.integers(min_value=0, max_value=10_000))
