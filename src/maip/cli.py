@@ -100,14 +100,15 @@ def _print_poly(poly, as_json: bool) -> None:
 
 def _emit_diagram(args, d, poly, **extra) -> None:
     """Write ``d`` to ``-o`` if given, then print it, its polynomial if any and ``extra``."""
+    text = serialize(d) if args.out or not args.json else None
     if args.out:
-        _write(args.out, serialize(d))
+        _write(args.out, text)
     if args.json:
         payload = {"diagram": to_json(d),
                    "maip": None if poly is None else poly_to_json(poly), **extra}
         print(json.dumps(payload))
     else:
-        sys.stdout.write(serialize(d))
+        sys.stdout.write(text)
         if poly is not None:
             print(f"# maip: {render(poly)}")
         for key, value in extra.items():

@@ -61,10 +61,6 @@ class CrossingRecord:
 
     sign: int | None
 
-    @property
-    def is_classical(self) -> bool:
-        return self.sign is not None
-
     @staticmethod
     def classical(sign: int) -> "CrossingRecord":
         if sign not in (1, -1):
@@ -94,16 +90,13 @@ class TangleDiagram:
     crossings: dict[int, CrossingRecord] = field(default_factory=dict)
 
     def classical_ids(self) -> list[int]:
-        return sorted(i for i, r in self.crossings.items() if r.is_classical)
+        return sorted(i for i, r in self.crossings.items() if r.sign is not None)
 
     def singular_ids(self) -> list[int]:
-        return sorted(i for i, r in self.crossings.items() if not r.is_classical)
+        return sorted(i for i, r in self.crossings.items() if r.sign is None)
 
     def has_singular(self) -> bool:
         return any(r.sign is None for r in self.crossings.values())
-
-    def sign(self, crossing_id: int) -> int | None:
-        return self.crossings[crossing_id].sign
 
     def passage_positions(self) -> dict[tuple[int, str], tuple[int, int]]:
         """Map (crossing id, role) -> (1-based component index, event offset)."""
@@ -191,7 +184,7 @@ def validate(d: TangleDiagram) -> list[str]:
     for cid, rec in sorted(d.crossings.items()):
         if cid < 1:
             errs.append(f"crossing {cid}: ids start at 1")
-        roles = CLASSICAL_ROLES if rec.is_classical else SINGULAR_ROLES
+        roles, _ = _ROLES_OF_SINGULAR if rec.sign is None else _ROLES_OF_CLASSICAL
         for role in roles:
             count = seen.pop((cid, role), 0)
             if count == 0:
@@ -280,12 +273,12 @@ def _passages(line: str, crossings: dict[int, CrossingRecord],
             if not any(map(is_not, map(crossings.setdefault, ids, records), records)):
                 roles = line.translate(_ROLES_ONLY).split()
                 return tuple(map(tuple.__new__, repeat(Passage), zip(ids, roles)))
-    # The bulk read may have declared the crossings before its first clash,
-    # each with the record its token asks for, so reading the line again
-    # from its start meets the same first error.
-    events = []
+    # The word pass only locates the first bad word: each way the bulk read
+    # rejects a line is a word it raises on.  The bulk read may have declared
+    # the crossings before its first clash, each with the record its token
+    # asks for, so reading the line again from its start meets the same error.
     for word in _WORD_RE.finditer(line):
-        role, digits, sign, sing_role, sing_digits, other = word.groups()
+        digits, sign, sing_digits, other = word.group(2, 3, 5, 6)
         if other:
             raise _BadToken(word.start(), f"bad token {other!r}")
         try:
@@ -295,10 +288,9 @@ def _passages(line: str, crossings: dict[int, CrossingRecord],
         rec = _TOKEN_RECORDS[sign or "."]
         if crossings.setdefault(cid, rec) is not rec:
             raise _BadToken(word.start(), f"sign mismatch at crossing {cid}"
-                            if crossings[cid].is_classical == rec.is_classical
+                            if (crossings[cid].sign is None) == (rec.sign is None)
                             else f"crossing {cid} is both classical and singular")
-        events.append(Passage(cid, role or sing_role))
-    return tuple(events)
+    raise AssertionError("the bulk read rejected a line that has no bad word")
 
 
 def _proven_valid(d: TangleDiagram) -> bool:

@@ -232,7 +232,7 @@ def maip_via_homology(d: TangleDiagram) -> LaurentPoly:
     delta = propagate_labels(d).delta
     terms: dict[tuple[int, AffineInt], int] = {}
     for cid, ci, cj, _, _, w in _predicted_weights(d, delta):
-        sign = d.sign(cid)
+        sign = d.crossings[cid].sign
         for key, coeff in (((ci, w + delta[cj]), sign), ((ci, AffineInt(delta[cj])), -sign)):
             terms[key] = terms.get(key, 0) + coeff
     return LaurentPoly(terms)

@@ -157,7 +157,7 @@ def _read_tokens(tokens, crossings, line=None):
         rec = _REF_RECORDS[tm.group(3)]
         prev = crossings.setdefault(cid, rec)
         if prev is not rec:
-            if prev.is_classical != rec.is_classical:
+            if (prev.sign is None) != (rec.sign is None):
                 raise DiagramParseError(
                     f"crossing {cid} is both classical and singular", line, column)
             raise DiagramParseError(f"sign mismatch at crossing {cid}", line, column)
@@ -259,7 +259,7 @@ def _r3_pattern(d: TangleDiagram, anchors) -> bool:
     mid_under = m1 if m1.role == UNDER else m2
     return (mid_under.crossing == x and z not in (x, y)
             and b1.role == UNDER and b2.role == UNDER and bottom_ok
-            and d.sign(x) == d.sign(y) == d.sign(z))
+            and d.crossings[x].sign == d.crossings[y].sign == d.crossings[z].sign)
 
 
 def reference_sites(d):
@@ -284,7 +284,7 @@ def reference_sites(d):
                 continue
             cu, ku = positions[(a.crossing, UNDER)]
             cv, kv = positions[(b.crossing, UNDER)]
-            if d.sign(a.crossing) == -d.sign(b.crossing) and cu == cv and abs(ku - kv) == 1:
+            if d.crossings[a.crossing].sign == -d.crossings[b.crossing].sign and cu == cv and abs(ku - kv) == 1:
                 sites["R2-"].append(MoveSite("R2-", ((ci, k), (cu, min(ku, kv)))))
             for anchors in (((ci, k), (cu, ku), (cv, kv)), ((ci, k), (cv, kv - 1), (cu, ku - 1))):
                 if _r3_pattern(d, anchors):

@@ -178,6 +178,23 @@ def test_compose_writes_output_file(tmp_path):
     assert parse(out.read_text()) == load("ex4")
 
 
+@pytest.mark.parametrize("command", ["tensor", "compose"])
+def test_output_file_and_stdout_share_one_serialization(command, tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counting_serialize(d):
+        calls.append(d)
+        return serialize(d)
+
+    monkeypatch.setattr(cli, "serialize", counting_serialize)
+    out = tmp_path / "out.tangle"
+    assert cli.main([command, fx("ex3"), fx("ex2"), "-o", str(out)]) == 0
+    assert len(calls) == 1
+    stdout = capsys.readouterr().out
+    assert out.read_text() == "".join(line for line in stdout.splitlines(keepends=True)
+                                      if not line.startswith("#"))
+
+
 @pytest.mark.parametrize("command, target, reason", [
     ("tensor", "missing/x", "No such file or directory"),
     ("compose", ".", "Is a directory"),
@@ -385,6 +402,13 @@ def test_ids_are_ascii_digits(tmp_path, capsys, name, text, message):
     path.write_text(text, encoding="utf-8")
     assert cli.main(["compute", str(path)]) == 2
     assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+def test_slot_beyond_the_boundary_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "slot.tangle"
+    code, err = compute_file(path, "tangle m=1 n=0\ncomponent 1 long from T1 to T2 :\n", capsys)
+    assert (code, err) == (2, f"error: {path}: invalid diagram\n"
+                              "  - slot T2: not in boundary (m=1, n=0)\n")
 
 
 def test_huge_boundary_exits_fast_with_a_short_message(tmp_path, capsys):

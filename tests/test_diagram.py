@@ -67,6 +67,16 @@ def test_validate_unknown_kind_is_not_called_closed():
     assert not any("closed component" in p for p in problems)
 
 
+def test_validate_names_a_slot_beyond_the_boundary():
+    d = TangleDiagram(1, 0, (Component("long", (), "T1", "T2"),), {})
+    assert validate(d) == ["slot T2: not in boundary (m=1, n=0)"]
+    for make in (lambda: parse("tangle m=1 n=0\ncomponent 1 long from T1 to T2 :\n"),
+                 lambda: from_json(to_json(d))):
+        with pytest.raises(ValidationFailure) as info:
+            make()
+        assert info.value.violations == ["slot T2: not in boundary (m=1, n=0)"]
+
+
 def test_validate_ids_start_at_1():
     d = TangleDiagram(0, 0, (Component("closed", (Passage(0, "O"), Passage(0, "U"))),),
                       {0: CrossingRecord.classical(1)})

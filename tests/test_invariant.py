@@ -117,7 +117,7 @@ def reference_arcs(d):
     for ci, comp in enumerate(d.components, start=1):
         offsets = [0]
         for ev in comp.events:
-            offsets.append(offsets[-1] + steps[ev.role] * (d.sign(ev.crossing) or 1))
+            offsets.append(offsets[-1] + steps[ev.role] * (d.crossings[ev.crossing].sign or 1))
         arcs[ci] = offsets
     return arcs
 
@@ -134,7 +134,7 @@ def reference_weight_table(d):
     table = {}
     for cid in d.classical_ids():
         (i, a), (j, b) = places[(cid, OVER)], places[(cid, UNDER)]
-        table[cid] = (d.sign(cid), i, j, a - b - d.sign(cid))
+        table[cid] = (d.crossings[cid].sign, i, j, a - b - d.crossings[cid].sign)
     return table
 
 
@@ -184,7 +184,7 @@ def test_integer_weights_follow_affine_arithmetic(seed, n_closed, n_long, n_sing
     for cid, rec in table.items():
         (i, p), (j, q) = positions[(cid, OVER)], positions[(cid, UNDER)]
         a, b = sym(i) + arc_offsets(d, lab, i)[p], sym(j) + arc_offsets(d, lab, j)[q]
-        assert weight(rec) == (a - b - d.sign(cid)).exponent()
+        assert weight(rec) == (a - b - d.crossings[cid].sign).exponent()
         assert rec[1:3] == (i, j)
     assert contribution_poly(tuple(table.values()), lab.delta) == \
         reference_assembly(table.values(), lab.delta)
@@ -267,7 +267,7 @@ def test_maip_commutes_with_symbol_substitution():
             label = assignment[ci]
             for ev in comp.events:
                 incoming[(ev.crossing, ev.role)] = (ci, label)
-                sign = d.sign(ev.crossing)
+                sign = d.crossings[ev.crossing].sign
                 label += -sign if ev.role == OVER else sign
             delta[ci] = label - assignment[ci]
         # Each crossing's numeric weight a - b - s from those labels, less
@@ -275,7 +275,7 @@ def test_maip_commutes_with_symbol_substitution():
         records = []
         for cid in d.classical_ids():
             (i, a), (j, b) = incoming[(cid, OVER)], incoming[(cid, UNDER)]
-            s = d.sign(cid)
+            s = d.crossings[cid].sign
             records.append((s, i, j, a - b - s - (assignment[i] - assignment[j])))
         assert via_poly == substitute_symbols(contribution_poly(records, delta), assignment)
 
