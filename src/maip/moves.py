@@ -29,12 +29,13 @@ and the one after the run, the (O, O) pairs around O_c, because besides
 its own two passages a pair's R2- and R3 tests read only the neighbours
 of U_x and U_y.  Sites of deleted passages are dropped.
 
-A passage's component and offset are found, by a C-level search of the
-passage lists, only where they are needed: to put a kind's sites in
-(component, offset) order, for a listing or for a draw, and to describe
-the drawn site.  A new crossing gets max(crossings) + 1 of the current
-table, so the id falls back after the highest crossing is deleted; the
-state carries that maximum and takes it again only then.
+A passage's component and offset are found only where they are needed,
+to list a kind's sites or draw one: one pass over the passage lists
+places exactly the passages those sites name, and meets their tops in
+(component, offset) order, so the list needs no sort.  A new crossing
+gets max(crossings) + 1 of the current table, so the id falls back after
+the highest crossing is deleted; the state carries that maximum and
+takes it again only then.
 
 :func:`find_sites` lists the sites of a fresh state, so the scan and the
 walk share the pair test.  :func:`apply_site` applies an insertion at
@@ -104,12 +105,6 @@ class _Passages(dict):
     def __missing__(self, code: int) -> Passage:
         p = self[code] = Passage(code >> 2, _ROLES[code & 3])
         return p
-
-
-# Up to this many passages are placed by a C-level search of the passage
-# lists each; more share one index of every passage, so placing a kind's
-# sites costs at most one pass over the diagram.
-_FEW_LOOKUPS = 8
 
 
 class WalkState:
@@ -182,30 +177,25 @@ class WalkState:
             if found:
                 r3[a] = tuple(found)
 
-    def _placer(self, n: int):
-        """A function from passage to (component, offset), for about n lookups."""
-        if n > _FEW_LOOKUPS:
-            return {p: (ci, k) for ci, line in enumerate(self.lines, start=1)
-                    for k, p in enumerate(line)}.__getitem__
-        lines = self.lines
+    def _placed(self, kind: str) -> list[tuple]:
+        """One kind's sites as anchor tuples, top pair first, in (component, offset) order.
 
-        def at(p):
-            for ci, line in enumerate(lines, start=1):
-                if p in line:
-                    return ci, line.index(p)
-        return at
-
-    @staticmethod
-    def _entries(found: dict, at) -> list[tuple]:
-        """One kind's sites as passage tuples, top first, in (component, offset) order."""
-        return [(a, *rest) for a in sorted(found, key=at) for rest in found[a]]
+        One pass over the passage lists places the passages the sites
+        name, in (component, offset) order, so the tops come out sorted.
+        """
+        found = self.sites[kind]
+        wanted = set(found)
+        for rests in found.values():
+            for rest in rests:
+                wanted.update(rest)
+        at = {p: (ci, k) for ci, line in enumerate(self.lines, start=1)
+              for k, p in enumerate(line) if p in wanted}
+        return [tuple([at[p] for p in (a, *rest)]) for a in at if a in found for rest in found[a]]
 
     def listed(self) -> dict[str, list[MoveSite]]:
         """Every R1-, R2- and R3 site; each list runs in component, then offset order."""
-        at = self._placer(sum(map(len, self.sites.values())))
-        return {kind: [MoveSite(kind, tuple([at(p) for p in entry]))
-                       for entry in self._entries(found, at)]
-                for kind, found in self.sites.items()}
+        return {kind: [MoveSite(kind, anchors) for anchors in self._placed(kind)]
+                for kind in self.sites}
 
     def _arc_at(self, i: int) -> tuple[int, int]:
         """The i-th arc position (component, offset), counting 0..len(events) per component."""
@@ -239,9 +229,7 @@ class WalkState:
                                 order=rng.choice((OVER_FIRST, UNDER_FIRST)))
             return MoveSite(kind, anchors, sign=sign,
                             same_direction=rng.choice((True, False)))
-        found = self.sites[kind]
-        at = self._placer(len(found))
-        return MoveSite(kind, tuple([at(p) for p in rng.choice(self._entries(found, at))]))
+        return MoveSite(kind, rng.choice(self._placed(kind)))
 
     def _new_crossing(self, sign: int) -> int:
         """Add a classical crossing max(crossings) + 1 of the given sign; return its O passage."""

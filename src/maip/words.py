@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import reduce
 
 from .diagram import OVER, UNDER, Component, CrossingRecord, Passage, TangleDiagram
-from .errors import DirectionMismatch, OrientationMismatch
+from .errors import ArityMismatch, DirectionMismatch, OrientationMismatch
 from .tangle_ops import compose, tensor
 
 _DIRS = ("u", "d")
@@ -136,4 +136,7 @@ def from_generator_word(word: GeneratorWord) -> TangleDiagram:
             diagram = compose(diagram, lower)
         except OrientationMismatch:
             raise DirectionMismatch(f"rows {i} and {i + 1} disagree on strand directions") from None
+        except ArityMismatch:
+            raise ArityMismatch(f"rows {i} and {i + 1} disagree on strand count "
+                                f"({diagram.n} and {lower.m})") from None
     return diagram

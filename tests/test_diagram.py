@@ -396,13 +396,13 @@ def test_word_virtual_crossing_leaves_no_trace():
 
 def test_word_row_arity_mismatch():
     word = GeneratorWord(((Identity("u"), Identity("u")), (Identity("u"),)))
-    with pytest.raises(ArityMismatch):
+    with pytest.raises(ArityMismatch, match=r"^rows 0 and 1 disagree on strand count \(2 and 1\)$"):
         from_generator_word(word)
 
 
 def test_word_direction_mismatch():
     word = GeneratorWord(((Identity("u"),), (Identity("d"),)))
-    with pytest.raises(DirectionMismatch):
+    with pytest.raises(DirectionMismatch, match=r"^rows 0 and 1 disagree on strand directions$"):
         from_generator_word(word)
 
 

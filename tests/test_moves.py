@@ -342,7 +342,8 @@ def braid_word(k):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_carried_sites_match_a_fresh_scan_on_r3_rich_walks(seed):
-    # (s1 s2)^6 offers 10 R3 sites, more than a draw places by list.index.
+    # (s1 s2)^6 offers 10 R3 sites, each naming three passages, which a
+    # draw places in one pass over the passage lists.
     d = braid_word(6 if seed % 2 else 3)
     assert len(find_r3_sites(d)) == (10 if seed % 2 else 4)
     assert _check_carried_sites(d, 80, seed)["R3"] > 0
@@ -350,11 +351,20 @@ def test_carried_sites_match_a_fresh_scan_on_r3_rich_walks(seed):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_carried_sites_match_a_fresh_scan_on_a_line_of_kinks(seed):
-    # Twelve kinks: an R1- draw places its sites through one index of
-    # every passage rather than by list.index.
+    # Twelve kinks: an R1- draw places twelve sites, one on every other
+    # passage, in one pass over the line.
     d = parse("tangle m=1 n=1\ncomponent 1 long from B1 to T1 : "
               + " ".join(f"O{x}+ U{x}+" for x in range(1, 13)) + "\n")
     assert _check_carried_sites(d, 40, seed)["R1-"] > 0
+
+
+def test_carried_sites_match_a_fresh_scan_at_scale():
+    # 3200 passages, and a walk on which some kind holds more than 8
+    # sites, so one pass over the passage lists places many sites at once.
+    d = random_diagram(1, 2, 2, 1600)
+    assert max(sum(map(len, found.values())) for _, state in walk_states(d, 60, 4)
+               for found in state.sites.values()) > 8
+    _check_carried_sites(d, 60, 4)
 
 
 def test_scan_matches_reference_on_every_walked_diagram(monkeypatch):

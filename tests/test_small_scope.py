@@ -4,18 +4,18 @@ The diagrams are enumerated here from chord matchings, apart from the
 random walk's own code: each matching of the 2n word positions into n
 crossings (numbered by first passage), each choice of which passage is
 the Over and each sign.  On every one of them the moves the scan offers
-keep the polynomial, the homological oracle agrees, and the knot-case
-symmetries of Kauffman's affine index polynomial (JKTR 2013) hold:
-reversing the word sends P(t) to P(t^-1), and either mirror (every sign
-flipped with Over and Under swapped, or the signs flipped alone) sends
-it to -P(t^-1).
+keep the polynomial, the homological oracle agrees, the first-moment
+sum rule holds, and the knot-case symmetries of Kauffman's affine index
+polynomial (JKTR 2013) hold: reversing the word sends P(t) to P(t^-1),
+and either mirror (every sign flipped with Over and Under swapped, or
+the signs flipped alone) sends it to -P(t^-1).
 """
 
 from itertools import product
 
 import pytest
 
-from maip.algebra import AffineInt, LaurentPoly, render
+from maip.algebra import AffineInt, LaurentPoly, poly_to_json, render
 from maip.diagram import parse
 from maip.homology import check_prop2, maip_via_homology
 from maip.invariant import maip
@@ -70,6 +70,8 @@ def test_every_small_knot_diagram(n, n_diagrams, n_polys, n_sites):
         poly = maip(d)
         diagrams += 1
         rendered.add(render(poly))
+        # The first-moment sum rule with delta = 0 on one closed component.
+        assert sum(term["coeff"] * term["exp"]["const"] for term in poly_to_json(poly)) == 0
         for kind_sites in find_sites(d).values():
             for site in kind_sites:
                 sites += 1
