@@ -113,7 +113,7 @@ def check_prop2_suite(trials: int, seed: int,
     for trial in range(report.trials):
         tseed, _rng, d = _trial(seed, trial, diagram)
         res = check_prop2(d)
-        checked += len(res.entries)
+        checked += len(res.predicted)
         if not res.ok:
             report.failures.append(_failure(trial, tseed, d, crossings=[
                 {"id": e.crossing, "weight": str(e.weight),

@@ -57,18 +57,26 @@ c_i - c_j gives, for every classical crossing,
     W = +(W_h - delta_j)   in general,
     W = -(W_h - delta_i)   for a self-crossing met Under-first,
 
-which is what :func:`check_prop2` verifies and what lets
-:func:`maip_via_homology` rebuild the invariant without ever reading the
-labeling-derived weights.  As a telescoped identity, prop2 and the
-corollary still catch faults in the class boundaries, the sign
+which is what :func:`check_prop2` verifies against the labeling's delta,
+Prop 2 being a statement about it.  :func:`maip_via_homology` rebuilds
+the invariant without reading the labeling at all: without singular
+crossings delta_i is the sum of component i's counts, the popcount of
+its +1 slots less that of its -1 slots.  As a telescoped identity, prop2
+and the corollary still catch faults in the class boundaries, the sign
 conventions (the delta adjustment, the Under-first case, c_i - c_j),
 the passage index and the labeling's increments, not a fault made
 identically in those increments and the counts here.
+
+Each crossing's result stays a row of integers, (cid, i, j, pairing,
+early_under, k) with W = k + c_i - c_j, from the index to the verdict:
+:class:`Prop2Report` compares the rows with the records of
+:func:`weight_table` in integers, and :func:`maip_via_homology` sums
+them on integer keys.  Exponents are built only where a report prints
+them, and once per distinct term of the reassembled polynomial.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, repeat
 from operator import lshift, or_
 from typing import NamedTuple
@@ -179,60 +187,104 @@ class Prop2Entry(NamedTuple):
     ok: bool
 
 
-@dataclass(frozen=True)
 class Prop2Report:
-    entries: tuple[Prop2Entry, ...]
+    """Prop 2 checked on every classical crossing, in integers.
+
+    ``table`` holds the records (sign, i, j, k) of :func:`weight_table`
+    and ``predicted`` one row (cid, i, j, pairing, early_under, k) per
+    classical crossing, ascending, from :func:`_predicted_weights`.  A
+    record agrees with its row when the weights k + c_i - c_j are equal:
+    the same k, and the same i and j, or i = j on both sides, since two
+    constant exponents are equal whatever their components.  ``failed``
+    holds the ids of the crossings that disagree.  Exponents are built
+    only for :attr:`entries` and :meth:`failures`, which print them.
+    """
+
+    __slots__ = ("table", "predicted", "failed")
+
+    def __init__(self, table: dict[int, tuple[int, int, int, int]],
+                 predicted: tuple[tuple[int, int, int, int, bool, int], ...]):
+        self.table = table
+        self.predicted = predicted
+        failed = []
+        for cid, i, j, _, _, k in predicted:
+            _, ti, tj, tk = table[cid]
+            if tk != k or (ti != tj if i == j else ti != i or tj != j):
+                failed.append(cid)
+        self.failed = tuple(failed)
 
     @property
     def ok(self) -> bool:
-        return all(e.ok for e in self.entries)
+        return not self.failed
+
+    def _entry(self, row: tuple, ok: bool) -> Prop2Entry:
+        cid, i, j, pairing, early_under, k = row
+        return Prop2Entry(cid, affine_weight(*self.table[cid][1:]), affine_weight(i, j, pairing),
+                          affine_weight(i, j, k), early_under, ok)
+
+    @property
+    def entries(self) -> tuple[Prop2Entry, ...]:
+        """Every crossing's weight, W_h and predicted weight as exponents."""
+        bad = set(self.failed)
+        return tuple(self._entry(row, row[0] not in bad) for row in self.predicted)
 
     def failures(self) -> list[Prop2Entry]:
-        return [e for e in self.entries if not e.ok]
+        bad = set(self.failed)
+        return [self._entry(row, False) for row in self.predicted if row[0] in bad]
 
 
-def _predicted_weights(d: TangleDiagram, delta: dict[int, int]):
-    """Per classical crossing, ascending: (cid, i, j, W_h, early_under, W).
+def _predicted_weights(d: TangleDiagram, index: PassageIndex, delta: dict[int, int]):
+    """Per classical crossing, ascending: (cid, i, j, pairing, early_under, k).
 
-    W is the weight Prop 2 predicts from W_h alone, +(W_h - delta_j) in
-    general and -(W_h - delta_i) for a self-crossing met Under-first.
+    W_h = c_i - c_j + pairing, and k + c_i - c_j is the weight Prop 2
+    predicts from it, +(W_h - delta_j) in general and -(W_h - delta_i)
+    for a self-crossing met Under-first.
     """
     if d.has_singular():
         raise HasSingular("resolve singular crossings first")
-    index = passage_index(d)
     for cid in d.classical_ids():
         ci, o, cj, u = index.place[cid]
-        wh = homological_weight(index, cid)
+        pairing = homological_weight(index, cid).const
         early_under = ci == cj and u < o    # then W_h has no symbol part
-        k = delta[cj] - wh.const if early_under else wh.const - delta[cj]
-        yield cid, ci, cj, wh, early_under, affine_weight(ci, cj, k)
+        yield cid, ci, cj, pairing, early_under, (delta[cj] - pairing if early_under
+                                                  else pairing - delta[cj])
 
 
 def check_prop2(d: TangleDiagram) -> Prop2Report:
     """Verify W = +/-(W_h - delta) for every classical crossing.
 
-    W is built from the record (sign, i, j, k) of :func:`weight_table`, the
-    table the polynomial is built from, so a fault in k, i or j shows here.
+    W is the record (sign, i, j, k) of :func:`weight_table`, the table
+    the polynomial is built from, so a fault in k, i or j shows here;
+    delta is the labeling's, which Prop 2 is a statement about.
     """
+    index = passage_index(d)
     labeling = propagate_labels(d)
-    table = weight_table(d, labeling)
-    entries = []
-    for cid, _, _, wh, early_under, expected in _predicted_weights(d, labeling.delta):
-        weight = affine_weight(*table[cid][1:])
-        entries.append(Prop2Entry(cid, weight, wh, expected, early_under, weight == expected))
-    return Prop2Report(tuple(entries))
+    return Prop2Report(weight_table(d, labeling),
+                       tuple(_predicted_weights(d, index, labeling.delta)))
 
 
 def maip_via_homology(d: TangleDiagram) -> LaurentPoly:
     """Rebuild the invariant from homological weights alone.
 
     Each classical crossing contributes sign * (t_i^(W + delta_j) -
-    t_i^(delta_j)), with W the weight Prop 2 predicts from W_h.
+    t_i^(delta_j)), with W the weight Prop 2 predicts from W_h.  Each
+    delta_i is read off the index, the +1 slots of component i less its
+    -1 slots, so nothing here reads the labeling.
     """
-    delta = propagate_labels(d).delta
-    terms: dict[tuple[int, AffineInt], int] = {}
-    for cid, ci, cj, _, _, w in _predicted_weights(d, delta):
-        sign = d.crossings[cid].sign
-        for key, coeff in (((ci, w + delta[cj]), sign), ((ci, AffineInt(delta[cj])), -sign)):
-            terms[key] = terms.get(key, 0) + coeff
-    return LaurentPoly(terms)
+    index = passage_index(d)
+    plus, minus = index.plus, index.minus
+    delta = {}
+    for ci, (lo, hi) in index.span.items():
+        mask = (1 << hi) - (1 << lo)
+        delta[ci] = (plus & mask).bit_count() - (minus & mask).bit_count()
+    crossings = d.crossings
+    sums: dict[tuple[int, int, int], int] = {}    # (i, j, exponent constant) -> coefficient
+    for cid, i, j, _, _, k in _predicted_weights(d, index, delta):
+        sign = crossings[cid].sign
+        shift = delta[j]
+        key = (i, j, k + shift)
+        sums[key] = sums.get(key, 0) + sign
+        key = (i, i, shift)
+        sums[key] = sums.get(key, 0) - sign
+    return LaurentPoly({(i, affine_weight(i, j, const)): coeff
+                        for (i, j, const), coeff in sums.items()})

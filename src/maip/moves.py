@@ -184,6 +184,8 @@ class WalkState:
         name, in (component, offset) order, so the tops come out sorted.
         """
         found = self.sites[kind]
+        if not found:
+            return []
         wanted = set(found)
         for rests in found.values():
             for rest in rests:
@@ -386,7 +388,8 @@ def apply_site(d: TangleDiagram, site: MoveSite) -> TangleDiagram:
             n = len(d.components[ci - 1].events)
             if not 0 <= k <= n:
                 raise NotApplicable(f"arc position {k} out of range 0..{n}")
-    elif site not in state.listed().get(site.kind, ()):
+    elif (site.kind not in state.sites
+          or site not in [MoveSite(site.kind, anchors) for anchors in state._placed(site.kind)]):
         raise NotApplicable(f"not a site of this diagram: {site.describe()}")
     state.apply(site)
     return state.diagram()

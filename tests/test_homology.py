@@ -1,15 +1,17 @@
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maip import checks, homology
-from maip.algebra import AffineInt
+from maip import checks, homology, invariant
+from maip.algebra import AffineInt, affine_weight
 from maip.diagram import OVER, UNDER, parse, random_diagram
 from maip.errors import NotClassical
-from maip.homology import (PassageIndex, Prop2Report, check_prop2, homological_weight,
-                           maip_via_homology, pairing, passage_index, smoothing)
+from maip.homology import (PassageIndex, Prop2Entry, Prop2Report, check_prop2,
+                           homological_weight, maip_via_homology, pairing, passage_index,
+                           smoothing)
 from maip.invariant import maip, propagate_labels, weight_table
 
 from conftest import aff, assert_failure_lines
@@ -407,6 +409,124 @@ def test_corollary_random(seed):
     assert maip_via_homology(d) == maip(d)
 
 
+# ---------------------------------------------------------------------------
+# the integer rows against the per-crossing exponent route
+
+
+def reference_prop2_entries(d, table):
+    """Prop 2 checked crossing by crossing on exponents, kept as the reference.
+
+    Each crossing's table weight, W_h and predicted weight are built as
+    exponents and compared with their own equality.
+    """
+    delta = propagate_labels(d).delta
+    index = passage_index(d)
+    entries = []
+    for cid in d.classical_ids():
+        ci, o, cj, u = index.place[cid]
+        wh = homological_weight(index, cid)
+        early_under = ci == cj and u < o
+        k = delta[cj] - wh.const if early_under else wh.const - delta[cj]
+        expected = affine_weight(ci, cj, k)
+        weight = affine_weight(*table[cid][1:])
+        entries.append(Prop2Entry(cid, weight, wh, expected, early_under, weight == expected))
+    return entries
+
+
+def planted(table, fault, chosen, n_components):
+    """``table`` with ``fault`` planted in the records of the crossings in ``chosen``.
+
+    "k+1" shifts k and "swap" exchanges i and j.  On a self-crossing
+    "move" puts both strands on the next component and "split" only the
+    under strand; "join" puts a mixed crossing's under strand on its
+    over strand's component.
+    """
+    out = dict(table)
+    for cid in chosen:
+        sign, i, j, k = table[cid]
+        nxt = i % n_components + 1
+        if fault == "k+1":
+            out[cid] = (sign, i, j, k + 1)
+        elif fault == "swap":
+            out[cid] = (sign, j, i, k)
+        elif fault == "move" and i == j:
+            out[cid] = (sign, nxt, nxt, k)
+        elif fault == "split" and i == j:
+            out[cid] = (sign, i, nxt, k)
+        elif fault == "join" and i != j:
+            out[cid] = (sign, i, i, k)
+    return out
+
+
+# 0-2 closed and 1-2 long components, 0-12 classical crossings
+classical_diagrams = st.builds(random_diagram, st.integers(0, 10**6), st.integers(0, 2),
+                               st.integers(1, 2), st.integers(0, 12))
+
+
+@given(classical_diagrams, st.sampled_from(["clean", "k+1", "swap", "move", "split", "join"]),
+       st.integers(0, 2**12 - 1))
+@settings(max_examples=200, deadline=None)
+def test_prop2_rows_equal_the_exponent_route(d, fault, mask):
+    ids = d.classical_ids()
+    table = planted(weight_table(d, propagate_labels(d)), fault,
+                    [cid for n, cid in enumerate(ids) if mask >> n & 1], len(d.components))
+    with mock.patch.object(homology, "weight_table", lambda *_: table):
+        report = check_prop2(d)
+    reference = reference_prop2_entries(d, table)
+    assert report.ok == all(e.ok for e in reference)
+    assert list(report.failed) == [e.crossing for e in reference if not e.ok]
+    assert report.failures() == [e for e in reference if not e.ok]
+    assert report.entries == tuple(reference)
+    assert len(report.predicted) == len(ids)
+
+
+def test_prop2_constant_exponents_agree_whatever_their_component():
+    # A self-crossing's weight is a constant, so a record that puts it on
+    # another component, still as a self-crossing, has the same weight.
+    d = parse("tangle m=0 n=0\ncomponent 1 closed : O1+ U1+ O2+\ncomponent 2 closed : U2+\n")
+    table = weight_table(d, propagate_labels(d))
+    assert table[1][1:3] == (1, 1)
+    moved = planted(table, "move", [1], 2)
+    assert moved[1][1:3] == (2, 2)
+    with mock.patch.object(homology, "weight_table", lambda *_: moved):
+        report = check_prop2(d)
+    assert report.ok
+    assert report.entries == tuple(reference_prop2_entries(d, moved))
+    assert report.entries[0].weight == report.entries[0].expected == AffineInt(0)
+
+
+def test_passing_prop2_builds_no_exponent_of_its_own(monkeypatch):
+    # The one exponent per crossing is homological_weight's return value.
+    d = random_diagram(5, 1, 2, 60)
+    calls = []
+
+    def counted(i, j, k):
+        calls.append((i, j, k))
+        return affine_weight(i, j, k)
+
+    def refused(*args):
+        raise AssertionError("a passing check built a Prop2Entry")
+
+    monkeypatch.setattr(homology, "affine_weight", counted)
+    monkeypatch.setattr(homology, "Prop2Entry", refused)
+    report = check_prop2(d)
+    assert report.ok and report.failures() == []
+    assert len(calls) == len(d.classical_ids()) == 60
+
+
+def test_corollary_reads_no_labeling(monkeypatch):
+    subjects = [random_diagram(seed, seed % 3, 1 + seed % 2, seed % 13) for seed in range(60)]
+    subjects += [random_diagram(seed, 2, 2, 200) for seed in range(3)]
+    expected = [maip(d) for d in subjects]
+
+    def refused(d):
+        raise AssertionError("the corollary oracle read the labeling")
+
+    monkeypatch.setattr(homology, "propagate_labels", refused)
+    monkeypatch.setattr(invariant, "propagate_labels", refused)
+    assert [maip_via_homology(d) for d in subjects] == expected
+
+
 def test_corollary_ex3(ex3):
     assert maip_via_homology(ex3) == maip(ex3)
 
@@ -422,8 +542,9 @@ def test_corollary_crossing_free():
 
 def test_prop2_suite_reports_weights_off_by_one(monkeypatch):
     def off_by_one(d):
-        return Prop2Report(tuple(e._replace(weight=e.weight + 1, ok=False)
-                                 for e in check_prop2(d).entries))
+        report = check_prop2(d)
+        return Prop2Report({cid: (sign, i, j, k + 1) for cid, (sign, i, j, k) in report.table.items()},
+                           report.predicted)
 
     monkeypatch.setattr(checks, "check_prop2", off_by_one)
     report = checks.check_prop2_suite(30, 7)

@@ -207,6 +207,36 @@ def test_apply_site_rejects_a_kink_removed_twice(kink):
         apply_site(once, site)
 
 
+def test_apply_site_places_only_the_kind_it_applies(monkeypatch):
+    # A deletion or R3 site is checked against its own kind's list alone,
+    # and an insertion against none.
+    subjects = [braid_r3_diagram(), *(random_diagram(seed, 1, 2, 40) for seed in range(10))]
+    offered = [(d, site) for d in subjects for found in find_sites(d).values() for site in found]
+    assert {site.kind for _, site in offered} == {"R1-", "R2-", "R3"}
+    placed = []
+    place = WalkState._placed
+
+    def counted(self, kind):
+        placed.append(kind)
+        return place(self, kind)
+
+    monkeypatch.setattr(WalkState, "_placed", counted)
+    for d, site in offered:
+        placed.clear()
+        apply_site(d, site)
+        assert placed == [site.kind]
+    placed.clear()
+    apply_site(subjects[0], MoveSite("R1+", ((1, 0),), sign=1, order="over_first"))
+    assert placed == []
+
+
+def test_a_kind_with_no_sites_is_placed_without_a_pass(kink):
+    state = WalkState(kink)
+    assert not state.sites["R3"]
+    state.lines = None    # a pass over the passage lists would fail
+    assert state._placed("R3") == []
+
+
 def test_r3_chiralities_of_one_top_pair_keep_their_order():
     # The top pair (O1, O2) at 1:0 names both R3 candidates; the walk's
     # rng.choice reads this order, so a site index must keep it.
