@@ -115,11 +115,7 @@ def check_prop2_suite(trials: int, seed: int,
         res = check_prop2(d)
         checked += len(res.predicted)
         if not res.ok:
-            report.failures.append(_failure(trial, tseed, d, crossings=[
-                {"id": e.crossing, "weight": str(e.weight),
-                 "homological": str(e.homological), "expected": str(e.expected)}
-                for e in res.failures()
-            ]))
+            report.failures.append(_failure(trial, tseed, d, crossings=res.failures()))
     report.stats["crossings_checked"] = checked
     return report
 

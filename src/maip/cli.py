@@ -68,6 +68,16 @@ def _write(path: str, text: str) -> None:
         raise _InputError(f"{path}: {exc.strerror or exc}") from exc
 
 
+def _integer(text: str) -> int:
+    """``text`` read as an optional sign and ASCII digits, else ValueError.
+
+    int() alone also reads "3_0" and other scripts' digits.
+    """
+    if not re.fullmatch(r"[+-]?[0-9]+", text.strip()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)    # too many digits: ValueError
+
+
 def _parse_assignment(text: str, symbols) -> dict[int, int]:
     out: dict[int, int] = {}
     for item in text.split(","):
@@ -77,12 +87,10 @@ def _parse_assignment(text: str, symbols) -> dict[int, int]:
         name, _, value = item.partition("=")
         name = name.strip()
         symbol = re.fullmatch(r"c([0-9]+)", name)
-        # ASCII digits only: int() also reads "3_0" and other scripts' digits
-        number = re.fullmatch(r"[+-]?[0-9]+", value.strip())
         try:
-            if not (number and (symbol or name == "all")):
+            if not (symbol or name == "all"):
                 raise ValueError
-            val = int(number[0])
+            val = _integer(value)
             index = int(symbol[1]) if symbol else None  # too many digits: ValueError
         except ValueError:
             raise _InputError(f"bad assignment {item!r}; expected c<i>=<int> or all=<int>")
@@ -199,12 +207,19 @@ def cmd_check(args) -> int:
 
 def _trial_count(text: str) -> int:
     try:
-        value = int(text)
+        value = _integer(text)
     except ValueError:
         value = 0
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
     return value
+
+
+def _seed(text: str) -> int:
+    try:
+        return _integer(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
 
 
 @functools.cache
@@ -247,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--what", required=True, choices=list(checks.SUITES))
     p.add_argument("--random", action="store_true", help="generate random diagrams")
     p.add_argument("--trials", type=_trial_count)
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=_seed, default=1)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_check)
     return parser

@@ -67,12 +67,13 @@ conventions (the delta adjustment, the Under-first case, c_i - c_j),
 the passage index and the labeling's increments, not a fault made
 identically in those increments and the counts here.
 
-Each crossing's result stays a row of integers, (cid, i, j, pairing,
-early_under, k) with W = k + c_i - c_j, from the index to the verdict:
+Each crossing's result stays a row of integers, (cid, i, j, pairing, k)
+with W = k + c_i - c_j, from the index to the verdict:
 :class:`Prop2Report` compares the rows with the records of
 :func:`weight_table` in integers, and :func:`maip_via_homology` sums
-them on integer keys.  Exponents are built only where a report prints
-them, and once per distinct term of the reassembled polynomial.
+them on integer keys.  Exponents are built only for the failing
+crossings a report prints, and once per distinct term of the
+reassembled polynomial.
 """
 
 from __future__ import annotations
@@ -178,36 +179,26 @@ def homological_weight(index: PassageIndex, cid: int) -> AffineInt:
     return affine_weight(ci, cj, pairing(index, smoothing(index, cid)))
 
 
-class Prop2Entry(NamedTuple):
-    crossing: int
-    weight: AffineInt
-    homological: AffineInt
-    expected: AffineInt
-    early_under: bool
-    ok: bool
-
-
 class Prop2Report:
     """Prop 2 checked on every classical crossing, in integers.
 
     ``table`` holds the records (sign, i, j, k) of :func:`weight_table`
-    and ``predicted`` one row (cid, i, j, pairing, early_under, k) per
-    classical crossing, ascending, from :func:`_predicted_weights`.  A
-    record agrees with its row when the weights k + c_i - c_j are equal:
-    the same k, and the same i and j, or i = j on both sides, since two
+    and ``predicted`` one row (cid, i, j, pairing, k) per classical
+    crossing, ascending, from :func:`_predicted_weights`.  A record
+    agrees with its row when the weights k + c_i - c_j are equal: the
+    same k, and the same i and j, or i = j on both sides, since two
     constant exponents are equal whatever their components.  ``failed``
-    holds the ids of the crossings that disagree.  Exponents are built
-    only for :attr:`entries` and :meth:`failures`, which print them.
+    holds the ids of the crossings that disagree.
     """
 
     __slots__ = ("table", "predicted", "failed")
 
     def __init__(self, table: dict[int, tuple[int, int, int, int]],
-                 predicted: tuple[tuple[int, int, int, int, bool, int], ...]):
+                 predicted: tuple[tuple[int, int, int, int, int], ...]):
         self.table = table
         self.predicted = predicted
         failed = []
-        for cid, i, j, _, _, k in predicted:
+        for cid, i, j, _, k in predicted:
             _, ti, tj, tk = table[cid]
             if tk != k or (ti != tj if i == j else ti != i or tj != j):
                 failed.append(cid)
@@ -217,37 +208,30 @@ class Prop2Report:
     def ok(self) -> bool:
         return not self.failed
 
-    def _entry(self, row: tuple, ok: bool) -> Prop2Entry:
-        cid, i, j, pairing, early_under, k = row
-        return Prop2Entry(cid, affine_weight(*self.table[cid][1:]), affine_weight(i, j, pairing),
-                          affine_weight(i, j, k), early_under, ok)
-
-    @property
-    def entries(self) -> tuple[Prop2Entry, ...]:
-        """Every crossing's weight, W_h and predicted weight as exponents."""
+    def failures(self) -> list[dict]:
+        """Each failing crossing's id, weight, W_h and predicted weight, printed."""
         bad = set(self.failed)
-        return tuple(self._entry(row, row[0] not in bad) for row in self.predicted)
-
-    def failures(self) -> list[Prop2Entry]:
-        bad = set(self.failed)
-        return [self._entry(row, False) for row in self.predicted if row[0] in bad]
+        return [{"id": cid, "weight": str(affine_weight(*self.table[cid][1:])),
+                 "homological": str(affine_weight(i, j, pairing)),
+                 "expected": str(affine_weight(i, j, k))}
+                for cid, i, j, pairing, k in self.predicted if cid in bad]
 
 
 def _predicted_weights(d: TangleDiagram, index: PassageIndex, delta: dict[int, int]):
-    """Per classical crossing, ascending: (cid, i, j, pairing, early_under, k).
+    """Per classical crossing, ascending: (cid, i, j, pairing, k).
 
     W_h = c_i - c_j + pairing, and k + c_i - c_j is the weight Prop 2
-    predicts from it, +(W_h - delta_j) in general and -(W_h - delta_i)
-    for a self-crossing met Under-first.
+    predicts from it: k = pairing - delta_j in general, and delta_i -
+    pairing for a self-crossing met Under-first, whose W_h has no symbol
+    part.
     """
     if d.has_singular():
         raise HasSingular("resolve singular crossings first")
     for cid in d.classical_ids():
         ci, o, cj, u = index.place[cid]
         pairing = homological_weight(index, cid).const
-        early_under = ci == cj and u < o    # then W_h has no symbol part
-        yield cid, ci, cj, pairing, early_under, (delta[cj] - pairing if early_under
-                                                  else pairing - delta[cj])
+        yield cid, ci, cj, pairing, (delta[cj] - pairing if ci == cj and u < o
+                                     else pairing - delta[cj])
 
 
 def check_prop2(d: TangleDiagram) -> Prop2Report:
@@ -279,7 +263,7 @@ def maip_via_homology(d: TangleDiagram) -> LaurentPoly:
         delta[ci] = (plus & mask).bit_count() - (minus & mask).bit_count()
     crossings = d.crossings
     sums: dict[tuple[int, int, int], int] = {}    # (i, j, exponent constant) -> coefficient
-    for cid, i, j, _, _, k in _predicted_weights(d, index, delta):
+    for cid, i, j, _, k in _predicted_weights(d, index, delta):
         sign = crossings[cid].sign
         shift = delta[j]
         key = (i, j, k + shift)

@@ -199,7 +199,7 @@ def vassiliev_eval(d: TangleDiagram) -> LaurentPoly:
     one linear pass; :func:`resolve_singular` enumerates the resolutions
     only so that the vassiliev suite can check this value against them.
     """
-    sing = [cid for cid, rec in d.crossings.items() if rec.sign is None]
+    sing = d.singular_ids()
     if not sing:
         return maip(d)
     if len(sing) > 1:

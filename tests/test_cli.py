@@ -420,12 +420,29 @@ def test_huge_boundary_exits_fast_with_a_short_message(tmp_path, capsys):
     assert len(err) < 300
 
 
-@pytest.mark.parametrize("trials", ["-5", "0", "x"])
+@pytest.mark.parametrize("trials", ["-5", "0", "x", "\u0663", "1_0"])
 def test_check_trials_must_be_positive(trials, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["check", "--what", "compose", "--random", "--trials", trials])
     assert exc.value.code == 2
     assert "expected an integer >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", ["x", "\u0663", "1_0"])
+def test_check_seed_must_be_an_ascii_integer(seed, capsys):
+    # int() reads "\u0663" and "1_0"; a seed is an optional sign and ASCII digits only
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["check", "--what", "prop2", "--random", "--trials", "2", "--seed", seed])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert f"argument --seed: expected an integer, got {seed!r}" in err
+    assert out == ""
+
+
+def test_check_seed_takes_a_sign_and_spaces(capsys):
+    assert cli.main(["check", "--what", "prop2", "--random", "--trials", " 2",
+                     "--seed", " -3 "]) == 0
+    assert capsys.readouterr().out.startswith("what=prop2 trials=2 seed=-3: ")
 
 
 @pytest.mark.parametrize("what", ["compose", "vassiliev"])

@@ -9,9 +9,8 @@ from maip import checks, homology, invariant
 from maip.algebra import AffineInt, affine_weight
 from maip.diagram import OVER, UNDER, parse, random_diagram
 from maip.errors import NotClassical
-from maip.homology import (PassageIndex, Prop2Entry, Prop2Report, check_prop2,
-                           homological_weight, maip_via_homology, pairing, passage_index,
-                           smoothing)
+from maip.homology import (PassageIndex, Prop2Report, check_prop2, homological_weight,
+                           maip_via_homology, pairing, passage_index, smoothing)
 from maip.invariant import maip, propagate_labels, weight_table
 
 from conftest import aff, assert_failure_lines
@@ -335,10 +334,14 @@ def test_homological_weight_requires_classical(singular):
 
 
 def test_early_undercrossing_flag():
-    d = parse("tangle m=0 n=0\ncomponent 1 closed : U1+ O1+\n")
-    assert check_prop2(d).entries[0].early_under
-    e = parse("tangle m=0 n=0\ncomponent 1 closed : O1+ U1+\n")
-    assert not check_prop2(e).entries[0].early_under
+    # Crossing 1 is met Under-first and crossing 2 Over-first.  Both pair
+    # to 1 against delta_1 = 0, so each row's k shows which rule it took:
+    # delta_1 - pairing = -1 for crossing 1, pairing - delta_1 = 1 for 2.
+    d = parse("tangle m=0 n=0\ncomponent 1 closed : U1+ O2+ O1+ U2+\n")
+    assert propagate_labels(d).delta == {1: 0}
+    report = check_prop2(d)
+    assert report.ok
+    assert report.predicted == ((1, 1, 1, 1, -1), (2, 1, 1, 1, 1))
 
 
 def test_prop2_ex3(ex3):
@@ -367,31 +370,37 @@ def test_prop2_checks_the_components_of_each_record(ex3, monkeypatch):
 
     monkeypatch.setattr(homology, "weight_table", swapped)
     report = check_prop2(ex3)
-    assert [e.crossing for e in report.failures()] == [cid]
+    assert list(report.failed) == [cid]
     (entry,) = report.failures()
-    assert entry.weight == aff(-1, c1=-1, c3=1)
-    assert entry.expected == aff(-1, c1=1, c3=-1)
+    assert entry["id"] == cid
+    assert entry["weight"] == str(aff(-1, c1=-1, c3=1))
+    assert entry["expected"] == str(aff(-1, c1=1, c3=-1))
 
 
 def test_prop2_kink_early_overcrossing(kink):
     report = check_prop2(kink)
     assert report.ok
-    entry = report.entries[0]
-    assert entry.weight == AffineInt(0)
-    assert entry.homological == AffineInt(0)
-    assert not entry.early_under
+    _, o, _, u = passage_index(kink).place[1]
+    assert o < u
+    # met Over-first, so k = pairing - delta_1 = 0 - 0, and W = 0
+    assert propagate_labels(kink).delta == {1: 0}
+    assert report.predicted == ((1, 1, 1, 0, 0),)
+    assert report.table[1][1:] == (1, 1, 0)
 
 
 def test_prop2_early_undercrossing_sign():
-    d = parse("tangle m=0 n=0\ncomponent 1 closed : U1+ O2+ U2+ O1+\n")
+    # Crossing 3 is a self-crossing of component 2 met Under-first, with
+    # pairing -1 and delta_2 = -2.
+    d = parse("tangle m=1 n=1\ncomponent 1 closed : O1- O2-\n"
+              "component 2 long from B1 to T1 : U3- U1- O3- U2-\n")
     report = check_prop2(d)
     assert report.ok
-    by_id = {e.crossing: e for e in report.entries}
-    assert by_id[1].early_under
-    lab = propagate_labels(d)
-    # a self-crossing's W_h is a plain integer, so W = -(W_h - delta_1) is delta_1 - W_h
-    assert by_id[1].homological == AffineInt(by_id[1].homological.const)
-    assert by_id[1].weight == AffineInt(lab.delta[1] - by_id[1].homological.const)
+    assert propagate_labels(d).delta == {1: 2, 2: -2}
+    # a self-crossing's W_h is a plain integer, so W = -(W_h - delta_2) is
+    # delta_2 - W_h = -1, where pairing - delta_2 would be 1
+    assert homological_weight(passage_index(d), 3) == AffineInt(-1)
+    assert report.predicted[2] == (3, 2, 2, -1, -1)
+    assert report.table[3][1:] == (2, 2, -1)
 
 
 @given(st.integers(min_value=0, max_value=100_000))
@@ -399,7 +408,7 @@ def test_prop2_early_undercrossing_sign():
 def test_prop2_random(seed):
     d = random_diagram(seed, seed % 3, 1 + seed % 2, seed % 13)
     report = check_prop2(d)
-    assert report.ok, [str(e.weight) for e in report.failures()]
+    assert report.ok, report.failures()
 
 
 @given(st.integers(min_value=0, max_value=100_000))
@@ -413,24 +422,31 @@ def test_corollary_random(seed):
 # the integer rows against the per-crossing exponent route
 
 
-def reference_prop2_entries(d, table):
+FAILURE_KEYS = ["id", "weight", "homological", "expected"]
+
+
+def reference_prop2(d, table):
     """Prop 2 checked crossing by crossing on exponents, kept as the reference.
 
     Each crossing's table weight, W_h and predicted weight are built as
-    exponents and compared with their own equality.
+    exponents and compared with their own equality.  Returns the rows
+    (cid, i, j, pairing, k) and the failure record of each crossing that
+    disagrees.
     """
     delta = propagate_labels(d).delta
     index = passage_index(d)
-    entries = []
+    rows, failures = [], []
     for cid in d.classical_ids():
         ci, o, cj, u = index.place[cid]
         wh = homological_weight(index, cid)
         early_under = ci == cj and u < o
         k = delta[cj] - wh.const if early_under else wh.const - delta[cj]
+        rows.append((cid, ci, cj, wh.const, k))
         expected = affine_weight(ci, cj, k)
         weight = affine_weight(*table[cid][1:])
-        entries.append(Prop2Entry(cid, weight, wh, expected, early_under, weight == expected))
-    return entries
+        if weight != expected:
+            failures.append(dict(zip(FAILURE_KEYS, (cid, str(weight), str(wh), str(expected)))))
+    return rows, failures
 
 
 def planted(table, fault, chosen, n_components):
@@ -472,11 +488,12 @@ def test_prop2_rows_equal_the_exponent_route(d, fault, mask):
                     [cid for n, cid in enumerate(ids) if mask >> n & 1], len(d.components))
     with mock.patch.object(homology, "weight_table", lambda *_: table):
         report = check_prop2(d)
-    reference = reference_prop2_entries(d, table)
-    assert report.ok == all(e.ok for e in reference)
-    assert list(report.failed) == [e.crossing for e in reference if not e.ok]
-    assert report.failures() == [e for e in reference if not e.ok]
-    assert report.entries == tuple(reference)
+    rows, failures = reference_prop2(d, table)
+    assert report.predicted == tuple(rows)
+    assert report.ok == (not failures)
+    assert list(report.failed) == [f["id"] for f in failures]
+    assert report.failures() == failures
+    assert all(list(f) == FAILURE_KEYS for f in report.failures())
     assert len(report.predicted) == len(ids)
 
 
@@ -491,8 +508,9 @@ def test_prop2_constant_exponents_agree_whatever_their_component():
     with mock.patch.object(homology, "weight_table", lambda *_: moved):
         report = check_prop2(d)
     assert report.ok
-    assert report.entries == tuple(reference_prop2_entries(d, moved))
-    assert report.entries[0].weight == report.entries[0].expected == AffineInt(0)
+    assert reference_prop2(d, moved) == (list(report.predicted), [])
+    cid, i, j, _, k = report.predicted[0]
+    assert affine_weight(*moved[cid][1:]) == affine_weight(i, j, k) == AffineInt(0)
 
 
 def test_passing_prop2_builds_no_exponent_of_its_own(monkeypatch):
@@ -504,11 +522,7 @@ def test_passing_prop2_builds_no_exponent_of_its_own(monkeypatch):
         calls.append((i, j, k))
         return affine_weight(i, j, k)
 
-    def refused(*args):
-        raise AssertionError("a passing check built a Prop2Entry")
-
     monkeypatch.setattr(homology, "affine_weight", counted)
-    monkeypatch.setattr(homology, "Prop2Entry", refused)
     report = check_prop2(d)
     assert report.ok and report.failures() == []
     assert len(calls) == len(d.classical_ids()) == 60
