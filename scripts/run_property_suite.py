@@ -3,9 +3,10 @@
 
 Usage: python3 scripts/run_property_suite.py [seed]
 
-Exits 1 if any suite reports a failure, and 141 if stdout is closed
-early (say by ``| head -1``); failures include the diagram dump and
-move log needed to reproduce them.
+Exits 2 on a seed that is not an optional sign and ASCII digits, 1 if
+any suite reports a failure, and 141 if stdout is closed early (say by
+``| head -1``); failures include the diagram dump and move log needed
+to reproduce them.
 """
 
 import os
@@ -13,12 +14,18 @@ import sys
 import time
 
 from maip.checks import SUITES
+from maip.cli import _integer
 
 TRIALS = {"moves": 1000, "prop2": 500, "corollary": 500, "compose": 200, "vassiliev": 200}
 
 
 def main():
-    seed = int(sys.argv[1]) if len(sys.argv) > 1 else 20250810
+    try:
+        seed = _integer(sys.argv[1]) if len(sys.argv) > 1 else 20250810
+    except ValueError:
+        print(f"usage: {sys.argv[0]} [seed]\n"
+              f"error: expected an integer seed, got {sys.argv[1]!r}", file=sys.stderr)
+        return 2
     bad = 0
     try:
         for name, trials in TRIALS.items():

@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 property failure, 2 input error, 141 closed stdout.
+Exit codes: 0 success, 1 property failure, 2 input error or out of memory,
+141 closed stdout.
 
 Subcommands:
   compute   polynomial of a diagram file
@@ -274,6 +275,12 @@ def main(argv=None) -> int:
         return args.func(args)
     except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        inputs = [getattr(args, name) for name in ("file", "left", "right", "upper", "lower")
+                  if getattr(args, name, None)]
+        print(f"error: {', '.join(inputs) or 'random diagrams'}: out of memory "
+              f"in maip {args.command}", file=sys.stderr)
         return 2
     except BrokenPipeError:
         # The reader is gone; send the exit flush of stdout nowhere.

@@ -26,21 +26,13 @@ j's after it, the two slots sorted for a self-crossing.
 
 The smoothing partitions every passage other than the smoothed
 crossing's own two into the retained class and its complement, and the
-smoothed crossing has no passage in the class.  So "the other passage
-is in the complement" means "the other passage is not in the class",
-and the pairing needs the class alone: a range test on each slot's
-partner, the slot of its crossing's other passage.  The partner map is
-an involution, so a slot's partner lies in the class exactly when the
-slot lies among the partners of the class's slots.  Beside the two
-count bitsets (bit s for slot s), the index therefore keeps, for every
-k, the bitset of the partners of the slots before k, accumulated from
-the partner list at C level.  Two differences of that table give the
-class's partners, and the pairing is the popcount of the class's +1
-slots outside them less that of its -1 slots, the test applied to every
-slot of the class 64 at a time.  The oracle stays quadratic by design:
-O(N^2/64) word operations over N slots, with a table of about N^2/8
-bytes (225 KiB at 600 crossings, 1.4 MiB at 1600, 21 MiB at 6400).  It
-never reads the label offsets.
+smoothed crossing has no passage in the class.  So the pairing needs
+the class alone, and by the pairing lemma below it is the class's count
+sum: the popcount of the class's +1 slots less that of its -1 slots
+over its two ranges, 64 slots at a time.  The oracle stays quadratic
+by design, O(N^2/64) word operations over N slots, in O(N) memory: the
+index is two bitsets of N bits and one entry per crossing.  It never
+reads the label offsets.
 
 The pairing of a class is the sum of the label increments (-s at an
 Over, +s at an Under) of its classical passages: a crossing with both
@@ -78,8 +70,6 @@ reassembled polynomial.
 
 from __future__ import annotations
 
-from itertools import accumulate, repeat
-from operator import lshift, or_
 from typing import NamedTuple
 
 from .algebra import AffineInt, LaurentPoly, affine_weight
@@ -95,66 +85,57 @@ class PassageIndex(NamedTuple):
 
     ``span[ci]`` is component ci's slot range and ``place[cid]`` = (i,
     over slot, j, under slot) for each classical crossing, i and j its
-    over and under components.  The pairing reads three bitsets, bit s
+    over and under components.  The pairing reads two bitsets, bit s
     for slot s: ``plus`` and ``minus`` hold the slots that count +1 and
     -1 (-sign at an Over, +sign at an Under, neither at a singular
-    passage), and ``partners_before[k]`` the partners of the slots
-    before k, the partner of a slot being the same crossing's other
-    passage.
+    passage).  A crossing's two passages count -s and +s, so a class's
+    count sum is its pairing and the index needs no partner data.
     """
 
     span: dict[int, SlotRange]
     place: dict[int, tuple[int, int, int, int]]
     plus: int
     minus: int
-    partners_before: list[int]
 
 
 def passage_index(d: TangleDiagram) -> PassageIndex:
     """Index every passage of ``d``; the counts come from the crossing signs."""
-    partner: list[int] = []
     span: dict[int, SlotRange] = {}
     place: dict[int, tuple[int, int, int, int]] = {}
     first: dict[int, tuple[int, int]] = {}    # (component, slot) of a first passage
-    plus = minus = 0
+    plus = minus = hi = 0
     crossings = d.crossings
     for ci, comp in enumerate(d.components, start=1):
-        lo = len(partner)
+        lo, hi = hi, hi + len(comp.events)
+        span[ci] = (lo, hi)
         for slot, (cid, role) in enumerate(comp.events, lo):
             sign = crossings[cid].sign
-            count = 0 if sign is None else -sign if role == OVER else sign
-            if count > 0:
+            if sign is None:    # a singular passage counts nothing
+                continue
+            if (-sign if role == OVER else sign) > 0:
                 plus |= 1 << slot
-            elif count < 0:
+            else:
                 minus |= 1 << slot
             seen = first.pop(cid, None)
             if seen is None:
                 first[cid] = (ci, slot)
-                partner.append(slot)
                 continue
             cj, other = seen
-            partner.append(other)
-            partner[other] = slot
-            if sign is not None:
-                place[cid] = (ci, slot, cj, other) if role == OVER else (cj, other, ci, slot)
-        span[ci] = (lo, len(partner))
-    partners_before = list(accumulate(map(lshift, repeat(1), partner), or_, initial=0))
-    return PassageIndex(span, place, plus, minus, partners_before)
+            place[cid] = (ci, slot, cj, other) if role == OVER else (cj, other, ci, slot)
+    return PassageIndex(span, place, plus, minus)
 
 
 def pairing(index: PassageIndex, class_: tuple[SlotRange, SlotRange]) -> int:
     """Intersection count of a class, two disjoint slot ranges, against the rest.
 
-    Every slot of the class whose partner lies outside both ranges adds
-    its count.  The partner map is an involution, so the slots whose
-    partner lies in the class are the partners of the class's slots;
-    the test runs on all of them at once, as bitsets.
+    By the pairing lemma this is the class's count sum: a crossing with
+    both passages in the class counts -s + s = 0, so only the crossings
+    with one passage there remain.  It is the popcount of the class's
+    +1 slots less that of its -1 slots.
     """
     (a, b), (c, e) = class_
-    q = index.partners_before
-    inside = (q[b] ^ q[a]) | (q[e] ^ q[c])    # slots whose partner lies in the class
-    out = (((1 << b) - (1 << a)) | ((1 << e) - (1 << c))) & ~inside
-    return (out & index.plus).bit_count() - (out & index.minus).bit_count()
+    mask = ((1 << b) - (1 << a)) | ((1 << e) - (1 << c))
+    return (mask & index.plus).bit_count() - (mask & index.minus).bit_count()
 
 
 def smoothing(index: PassageIndex, cid: int) -> tuple[SlotRange, SlotRange]:

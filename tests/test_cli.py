@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from maip import cli, invariant
+from maip import checks, cli, invariant
 from maip.algebra import poly_to_json, render
 from maip.diagram import parse, random_diagram, serialize
 from maip.invariant import maip
@@ -303,6 +303,40 @@ def test_property_suite_script_exits_141_on_a_closed_stdout():
         stderr = proc.stderr.read().decode()
         assert proc.wait() == 141
     assert "Traceback" not in stderr
+
+
+@pytest.mark.parametrize("argv, module, name, inputs", [
+    (["compute", fx("ex3")], cli, "maip", fx("ex3")),
+    (["tensor", fx("ex1"), fx("ex3")], cli, "tensor", f"{fx('ex1')}, {fx('ex3')}"),
+    (["check", fx("ex3"), "--what", "prop2"], checks, "check_prop2", fx("ex3")),
+    (["check", "--what", "corollary", "--random", "--trials", "2"],
+     checks, "maip_via_homology", "random diagrams"),
+])
+def test_out_of_memory_exits_2_naming_the_inputs(argv, module, name, inputs, capsys,
+                                                 monkeypatch):
+    def exhaust(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(module, name, exhaust)
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {inputs}: out of memory in maip {argv[0]}\n"
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("seed", ["x", "\u0663", "1_0"])
+def test_property_suite_script_refuses_a_bad_seed(seed):
+    root = FIXTURES.parent
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(root / "src"),
+                                                       os.environ.get("PYTHONPATH")]))}
+    res = subprocess.run([sys.executable, str(root / "scripts" / "run_property_suite.py"), seed],
+                         capture_output=True, text=True, cwd=root, env=env)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("usage: ")
+    assert f"error: expected an integer seed, got {seed!r}" in res.stderr
+    assert "Traceback" not in res.stderr
 
 
 def test_json_diagram_files_are_accepted(tmp_path):

@@ -1,4 +1,6 @@
 import random
+import tracemalloc
+from itertools import accumulate
 from unittest import mock
 
 import pytest
@@ -9,8 +11,8 @@ from maip import checks, homology, invariant
 from maip.algebra import AffineInt, affine_weight
 from maip.diagram import OVER, UNDER, parse, random_diagram
 from maip.errors import NotClassical
-from maip.homology import (PassageIndex, Prop2Report, check_prop2, homological_weight,
-                           maip_via_homology, pairing, passage_index, smoothing)
+from maip.homology import (Prop2Report, check_prop2, homological_weight, maip_via_homology,
+                           pairing, passage_index, smoothing)
 from maip.invariant import maip, propagate_labels, weight_table
 
 from conftest import aff, assert_failure_lines
@@ -81,7 +83,6 @@ def test_passage_index_ex3(ex3):
     index = passage_index(ex3)
     assert index.plus == 0b0110
     assert index.minus == 0b1001
-    assert index.partners_before == [0b0, 0b100, 0b1100, 0b1101, 0b1111]
     assert index.span == {1: (0, 1), 2: (1, 2), 3: (2, 4)}
     assert index.place == {1: (1, 0, 3, 2), 2: (2, 1, 3, 3)}
 
@@ -89,7 +90,6 @@ def test_passage_index_ex3(ex3):
 def test_passage_index_counts_nothing_at_a_singular_passage(singular):
     index = passage_index(singular)
     assert index.plus == index.minus == 0
-    assert index.partners_before == [0, 0b10, 0b11]
     assert index.place == {}
 
 
@@ -113,18 +113,6 @@ def test_pairing_whole_diagram_slice(ex3):
     n = len(slot_refs(ex3))
     assert pairing(passage_index(ex3), ((0, n), (n, n))) == 0
     assert reference_pairing(frozenset(all_refs(ex3)), ex3) == 0
-
-
-def test_pairing_skips_the_slots_whose_partner_lies_in_the_class():
-    # On a real diagram the slots whose partner lies in the class count
-    # zero in total, each crossing's two passages counting -s and +s, so
-    # the partner test is idle there.  These counts do not cancel: one
-    # component of 4 slots, crossing 1 on slots 0 and 1, crossing 2 on
-    # slots 2 and 3, and slots 0, 1 and 2 counting +1.
-    index = PassageIndex(span={1: (0, 4)}, place={1: (1, 0, 1, 1), 2: (1, 2, 1, 3)},
-                         plus=0b0111, minus=0, partners_before=[0, 0b10, 0b11, 0b1011, 0b1111])
-    assert pairing(index, ((0, 2), (4, 4))) == 0    # both passages of crossing 1
-    assert pairing(index, ((0, 3), (4, 4))) == 1    # and slot 2, whose partner is outside
 
 
 def test_pairing_antisymmetric_under_swap():
@@ -244,22 +232,37 @@ def test_pairing_on_large_diagrams_equals_the_set_reference():
             assert pairing(index, class_) == reference_pairing(refs_of(d, class_), d)
 
 
-def test_partners_before_on_large_diagrams():
+def test_passage_index_on_large_diagrams():
     increment = {OVER: -1, UNDER: 1}  # times the sign; a singular passage counts 0
     for d in large_diagrams(6, seed=0):
         refs = slot_refs(d)
-        slots: dict[int, list[int]] = {}
-        for s, (cid, _) in enumerate(refs):
-            slots.setdefault(cid, []).append(s)
-        partner = [sum(slots[cid]) - s for s, (cid, _) in enumerate(refs)]
+        slot = {ref: s for s, ref in enumerate(refs)}
+        component = [ci for ci, comp in enumerate(d.components, start=1) for _ in comp.events]
+        ends = list(accumulate((len(comp.events) for comp in d.components), initial=0))
         count = [increment[role] * d.crossings[cid].sign if role in increment else 0
                  for cid, role in refs]
+        place = {}
+        for cid in d.classical_ids():
+            o, u = slot[(cid, OVER)], slot[(cid, UNDER)]
+            place[cid] = (component[o], o, component[u], u)
         index = passage_index(d)
-        assert len(index.partners_before) == len(refs) + 1
-        for k, bits in enumerate(index.partners_before):
-            assert bits == sum(1 << t for t in partner[:k])
+        assert index.span == {ci: (ends[ci - 1], ends[ci]) for ci in range(1, len(ends))}
+        assert index.place == place
         assert index.plus == sum(1 << s for s, k in enumerate(count) if k == 1)
         assert index.minus == sum(1 << s for s, k in enumerate(count) if k == -1)
+
+
+def test_passage_index_memory_is_linear():
+    # Two bitsets of N bits and one entry per crossing: about 1.2 MiB at
+    # 6400 crossings, where a table of N^2/8 bytes took 22.4 MiB.
+    d = random_diagram(1, 2, 2, 6400)
+    tracemalloc.start()
+    try:
+        passage_index(d)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 @pytest.mark.parametrize("seed", range(3))
