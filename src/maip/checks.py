@@ -122,7 +122,11 @@ def check_prop2_suite(trials: int, seed: int,
 
 def check_corollary_suite(trials: int, seed: int,
                           diagram: TangleDiagram | None = None) -> CheckReport:
-    """The homological reassembly must reproduce the polynomial exactly."""
+    """The homological weights and deltas must reproduce the polynomial exactly.
+
+    Both routes sum their records with the one assembly, so this compares
+    what each feeds it.
+    """
     report = CheckReport("corollary", trials if diagram is None else 1, seed)
     for trial in range(report.trials):
         tseed, _rng, d = _trial(seed, trial, diagram)

@@ -52,32 +52,38 @@ c_i - c_j gives, for every classical crossing,
 which is what :func:`check_prop2` verifies against the labeling's delta,
 Prop 2 being a statement about it.  :func:`maip_via_homology` rebuilds
 the invariant without reading the labeling at all: without singular
-crossings delta_i is the sum of component i's counts, the popcount of
-its +1 slots less that of its -1 slots.  As a telescoped identity, prop2
-and the corollary still catch faults in the class boundaries, the sign
+crossings delta_i is the sum of component i's counts, the pairing of its
+own slot range.  It hands the predicted records to
+:func:`contribution_poly`, the direct route's assembly, so the corollary
+checks the weights and the deltas.  As a telescoped identity, prop2 and
+the corollary still catch faults in the class boundaries, the sign
 conventions (the delta adjustment, the Under-first case, c_i - c_j),
 the passage index and the labeling's increments, not a fault made
 identically in those increments and the counts here.
 
-Each crossing's result stays a row of integers, (cid, i, j, pairing, k)
-with W = k + c_i - c_j, from the index to the verdict:
+Each crossing's result stays integers from the index to the verdict:
+:func:`homological_weight` is the pairing, W_h less c_i - c_j, and each
+crossing becomes a row (cid, i, j, pairing, k) with W = k + c_i - c_j.
 :class:`Prop2Report` compares the rows with the records of
-:func:`weight_table` in integers, and :func:`maip_via_homology` sums
-them on integer keys.  Exponents are built only for the failing
-crossings a report prints, and once per distinct term of the
-reassembled polynomial.
+:func:`weight_table` in integers, and :func:`maip_via_homology` turns
+them into records (sign, i, j, k).  Exponents are built only for the
+failing crossings a report prints.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .algebra import AffineInt, LaurentPoly, affine_weight
+from .algebra import LaurentPoly, affine_weight
 from .diagram import OVER, TangleDiagram
 from .errors import HasSingular, NotClassical
-from .invariant import propagate_labels, weight_table
+from .invariant import contribution_poly, propagate_labels, weight_table
 
 SlotRange = tuple[int, int]  # half-open [lo, hi) of passage slots
+
+# A slot's mark as its binary digit in the +1 and in the -1 bitset.
+_PLUS_DIGITS = bytes.maketrans(b"\0\1\2", b"010")
+_MINUS_DIGITS = bytes.maketrans(b"\0\1\2", b"001")
 
 
 class PassageIndex(NamedTuple):
@@ -99,11 +105,16 @@ class PassageIndex(NamedTuple):
 
 
 def passage_index(d: TangleDiagram) -> PassageIndex:
-    """Index every passage of ``d``; the counts come from the crossing signs."""
+    """Index every passage of ``d``; the counts come from the crossing signs.
+
+    Each slot's count is marked in one byte, and each bitset is read once
+    from those bytes as binary digits, so the build is linear.
+    """
     span: dict[int, SlotRange] = {}
     place: dict[int, tuple[int, int, int, int]] = {}
     first: dict[int, tuple[int, int]] = {}    # (component, slot) of a first passage
-    plus = minus = hi = 0
+    marks = bytearray()    # per slot: 1 counts +1, 2 counts -1, 0 nothing
+    hi = 0
     crossings = d.crossings
     for ci, comp in enumerate(d.components, start=1):
         lo, hi = hi, hi + len(comp.events)
@@ -111,18 +122,18 @@ def passage_index(d: TangleDiagram) -> PassageIndex:
         for slot, (cid, role) in enumerate(comp.events, lo):
             sign = crossings[cid].sign
             if sign is None:    # a singular passage counts nothing
+                marks.append(0)
                 continue
-            if (-sign if role == OVER else sign) > 0:
-                plus |= 1 << slot
-            else:
-                minus |= 1 << slot
+            marks.append(1 if (-sign if role == OVER else sign) > 0 else 2)
             seen = first.pop(cid, None)
             if seen is None:
                 first[cid] = (ci, slot)
                 continue
             cj, other = seen
             place[cid] = (ci, slot, cj, other) if role == OVER else (cj, other, ci, slot)
-    return PassageIndex(span, place, plus, minus)
+    digits = b"0" + marks[::-1]    # slot s is bit s; the leading 0 reads an empty diagram
+    return PassageIndex(span, place, int(digits.translate(_PLUS_DIGITS), 2),
+                        int(digits.translate(_MINUS_DIGITS), 2))
 
 
 def pairing(index: PassageIndex, class_: tuple[SlotRange, SlotRange]) -> int:
@@ -151,13 +162,11 @@ def smoothing(index: PassageIndex, cid: int) -> tuple[SlotRange, SlotRange]:
     return (index.span[ci][0], o), (u + 1, index.span[cj][1])
 
 
-def homological_weight(index: PassageIndex, cid: int) -> AffineInt:
-    """W_h = c_i - c_j + the pairing of the crossing's smoothing (i == j: the pairing)."""
-    place = index.place.get(cid)
-    if place is None:
+def homological_weight(index: PassageIndex, cid: int) -> int:
+    """The pairing of the crossing's smoothing: W_h less c_i - c_j (i == j: W_h itself)."""
+    if cid not in index.place:
         raise NotClassical(f"crossing {cid} is not a classical crossing")
-    ci, _, cj, _ = place
-    return affine_weight(ci, cj, pairing(index, smoothing(index, cid)))
+    return pairing(index, smoothing(index, cid))
 
 
 class Prop2Report:
@@ -210,7 +219,7 @@ def _predicted_weights(d: TangleDiagram, index: PassageIndex, delta: dict[int, i
         raise HasSingular("resolve singular crossings first")
     for cid in d.classical_ids():
         ci, o, cj, u = index.place[cid]
-        pairing = homological_weight(index, cid).const
+        pairing = homological_weight(index, cid)
         yield cid, ci, cj, pairing, (delta[cj] - pairing if ci == cj and u < o
                                      else pairing - delta[cj])
 
@@ -231,25 +240,14 @@ def check_prop2(d: TangleDiagram) -> Prop2Report:
 def maip_via_homology(d: TangleDiagram) -> LaurentPoly:
     """Rebuild the invariant from homological weights alone.
 
-    Each classical crossing contributes sign * (t_i^(W + delta_j) -
-    t_i^(delta_j)), with W the weight Prop 2 predicts from W_h.  Each
-    delta_i is read off the index, the +1 slots of component i less its
-    -1 slots, so nothing here reads the labeling.
+    Each classical crossing's row becomes the record (sign, i, j, k) of
+    the weight Prop 2 predicts from W_h, and :func:`contribution_poly`
+    sums the records as it does the labeling's.  Each delta_i is the
+    pairing of component i's own slot range, so nothing here reads the
+    labeling.
     """
     index = passage_index(d)
-    plus, minus = index.plus, index.minus
-    delta = {}
-    for ci, (lo, hi) in index.span.items():
-        mask = (1 << hi) - (1 << lo)
-        delta[ci] = (plus & mask).bit_count() - (minus & mask).bit_count()
+    delta = {ci: pairing(index, (span, (0, 0))) for ci, span in index.span.items()}
     crossings = d.crossings
-    sums: dict[tuple[int, int, int], int] = {}    # (i, j, exponent constant) -> coefficient
-    for cid, i, j, _, k in _predicted_weights(d, index, delta):
-        sign = crossings[cid].sign
-        shift = delta[j]
-        key = (i, j, k + shift)
-        sums[key] = sums.get(key, 0) + sign
-        key = (i, i, shift)
-        sums[key] = sums.get(key, 0) - sign
-    return LaurentPoly({(i, affine_weight(i, j, const)): coeff
-                        for (i, j, const), coeff in sums.items()})
+    return contribution_poly([(crossings[cid].sign, i, j, k)
+                              for cid, i, j, _, k in _predicted_weights(d, index, delta)], delta)

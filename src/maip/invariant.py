@@ -27,6 +27,7 @@ with i the overstrand component and j the understrand component.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -146,6 +147,11 @@ def maip(d: TangleDiagram) -> LaurentPoly:
 # singular resolution
 
 
+# The role a resolution gives each singular passage, keyed by (role, resolution).
+_RESOLVED = {(SING_PRIMARY, 1): OVER, (SING_SECONDARY, 1): UNDER,
+             (SING_PRIMARY, -1): UNDER, (SING_SECONDARY, -1): OVER}
+
+
 @dataclass(frozen=True)
 class SingularResolutionTerm:
     coefficient: int
@@ -172,20 +178,11 @@ def resolve_singular(d: TangleDiagram) -> list[SingularResolutionTerm]:
         for comp in d.components:
             events = []
             for ev in comp.events:
-                if ev.crossing in chosen:
-                    res = chosen[ev.crossing]
-                    if ev.role == SING_PRIMARY:
-                        events.append(Passage(ev.crossing, OVER if res > 0 else UNDER))
-                    else:
-                        events.append(Passage(ev.crossing, UNDER if res > 0 else OVER))
-                else:
-                    events.append(ev)
+                events.append(Passage(ev.crossing, _RESOLVED[ev.role, chosen[ev.crossing]])
+                              if ev.crossing in chosen else ev)
             components.append(Component(comp.kind, tuple(events), comp.start, comp.end))
-        coefficient = 1
-        for res in choice:
-            coefficient *= res
         terms.append(SingularResolutionTerm(
-            coefficient, TangleDiagram(d.m, d.n, tuple(components), crossings)))
+            math.prod(choice), TangleDiagram(d.m, d.n, tuple(components), crossings)))
     return terms
 
 

@@ -234,7 +234,11 @@ def test_pairing_on_large_diagrams_equals_the_set_reference():
 
 def test_passage_index_on_large_diagrams():
     increment = {OVER: -1, UNDER: 1}  # times the sign; a singular passage counts 0
-    for d in large_diagrams(6, seed=0):
+    subjects = large_diagrams(6, seed=0)
+    subjects += [parse("tangle m=0 n=0\n"), random_diagram(3, 0, 1, 0),
+                 random_diagram(3, 1, 2, 0, n_singular=40)]
+    subjects += [random_diagram(seed, 1, 2, 150, n_singular=seed * 20) for seed in range(1, 5)]
+    for d in subjects:
         refs = slot_refs(d)
         slot = {ref: s for s, ref in enumerate(refs)}
         component = [ci for ci, comp in enumerate(d.components, start=1) for _ in comp.events]
@@ -320,13 +324,17 @@ def test_slices_partition_all_other_passages():
 
 
 def test_homological_weights_ex3(ex3):
+    # W_h = c_i - c_j + the pairing: c1 - c3 - 1 at crossing 1 and c2 - c3 at 2
     index = passage_index(ex3)
-    assert homological_weight(index, 1) == aff(-1, c1=1, c3=-1)
-    assert homological_weight(index, 2) == aff(0, c2=1, c3=-1)
+    assert [index.place[cid][::2] for cid in (1, 2)] == [(1, 3), (2, 3)]
+    weights = [homological_weight(index, cid) for cid in (1, 2)]
+    assert weights == [-1, 0]
+    assert all(type(w) is int for w in weights)
 
 
 def test_homological_weight_kink(kink):
-    assert homological_weight(passage_index(kink), 1) == AffineInt(0)
+    weight = homological_weight(passage_index(kink), 1)
+    assert weight == 0 and type(weight) is int
 
 
 def test_homological_weight_requires_classical(singular):
@@ -399,9 +407,9 @@ def test_prop2_early_undercrossing_sign():
     report = check_prop2(d)
     assert report.ok
     assert propagate_labels(d).delta == {1: 2, 2: -2}
-    # a self-crossing's W_h is a plain integer, so W = -(W_h - delta_2) is
+    # a self-crossing's W_h is its pairing, so W = -(W_h - delta_2) is
     # delta_2 - W_h = -1, where pairing - delta_2 would be 1
-    assert homological_weight(passage_index(d), 3) == AffineInt(-1)
+    assert homological_weight(passage_index(d), 3) == -1
     assert report.predicted[2] == (3, 2, 2, -1, -1)
     assert report.table[3][1:] == (2, 2, -1)
 
@@ -431,20 +439,21 @@ FAILURE_KEYS = ["id", "weight", "homological", "expected"]
 def reference_prop2(d, table):
     """Prop 2 checked crossing by crossing on exponents, kept as the reference.
 
-    Each crossing's table weight, W_h and predicted weight are built as
-    exponents and compared with their own equality.  Returns the rows
-    (cid, i, j, pairing, k) and the failure record of each crossing that
-    disagrees.
+    Each crossing's table weight, W_h = c_i - c_j + pairing and predicted
+    weight are built as exponents and compared with their own equality.
+    Returns the rows (cid, i, j, pairing, k) and the failure record of
+    each crossing that disagrees.
     """
     delta = propagate_labels(d).delta
     index = passage_index(d)
     rows, failures = [], []
     for cid in d.classical_ids():
         ci, o, cj, u = index.place[cid]
-        wh = homological_weight(index, cid)
+        pairing = homological_weight(index, cid)
         early_under = ci == cj and u < o
-        k = delta[cj] - wh.const if early_under else wh.const - delta[cj]
-        rows.append((cid, ci, cj, wh.const, k))
+        k = delta[cj] - pairing if early_under else pairing - delta[cj]
+        rows.append((cid, ci, cj, pairing, k))
+        wh = affine_weight(ci, cj, pairing)
         expected = affine_weight(ci, cj, k)
         weight = affine_weight(*table[cid][1:])
         if weight != expected:
@@ -512,23 +521,32 @@ def test_prop2_constant_exponents_agree_whatever_their_component():
         report = check_prop2(d)
     assert report.ok
     assert reference_prop2(d, moved) == (list(report.predicted), [])
-    cid, i, j, _, k = report.predicted[0]
+    cid, i, j, pairing, k = report.predicted[0]
+    assert (cid, i, j) == (1, 1, 1) and pairing == homological_weight(passage_index(d), 1)
     assert affine_weight(*moved[cid][1:]) == affine_weight(i, j, k) == AffineInt(0)
 
 
 def test_passing_prop2_builds_no_exponent_of_its_own(monkeypatch):
-    # The one exponent per crossing is homological_weight's return value.
+    # From the passage index to the verdict and the polynomial's keys the
+    # oracle works in integers: a passing check builds no AffineInt at all.
     d = random_diagram(5, 1, 2, 60)
+    direct = maip(d)
     calls = []
+    new = AffineInt.__new__
 
-    def counted(i, j, k):
-        calls.append((i, j, k))
-        return affine_weight(i, j, k)
+    def counted(cls, *args, **kwargs):
+        calls.append(args)
+        return new(cls, *args, **kwargs)
 
-    monkeypatch.setattr(homology, "affine_weight", counted)
+    monkeypatch.setattr(AffineInt, "__new__", counted)
     report = check_prop2(d)
     assert report.ok and report.failures() == []
-    assert len(calls) == len(d.classical_ids()) == 60
+    homological = maip_via_homology(d)
+    assert calls == []
+    AffineInt(1)    # the counter sees a direct construction
+    assert calls == [(1,)]
+    monkeypatch.undo()
+    assert homological == direct
 
 
 def test_corollary_reads_no_labeling(monkeypatch):
