@@ -88,9 +88,10 @@ def check_moves(trials: int, seed: int, diagram: TangleDiagram | None = None) ->
     """Random walks of classical moves must preserve the polynomial exactly."""
     report = CheckReport("moves", trials, seed)
     kinds: Counter = Counter()
+    given = None if diagram is None else maip(diagram)    # a file's is the same every trial
     for trial in range(trials):
         tseed, rng, d = _trial(seed, trial, diagram)
-        before = maip(d)
+        before = maip(d) if given is None else given
         log: list[str] = []
         walked = random_walk(d, rng.randint(1, _MAX_MOVES), tseed + 1, log)
         kinds.update(entry.split(" ", 1)[0] for entry in log)

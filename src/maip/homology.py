@@ -62,12 +62,16 @@ the passage index and the labeling's increments, not a fault made
 identically in those increments and the counts here.
 
 Each crossing's result stays integers from the index to the verdict:
-:func:`homological_weight` is the pairing, W_h less c_i - c_j, and each
-crossing becomes a row (cid, i, j, pairing, k) with W = k + c_i - c_j.
-:class:`Prop2Report` compares the rows with the records of
-:func:`weight_table` in integers, and :func:`maip_via_homology` turns
-them into records (sign, i, j, k).  Exponents are built only for the
-failing crossings a report prints.
+its pairing is W_h less c_i - c_j, and each crossing becomes a row
+(cid, i, j, pairing, k) with W = k + c_i - c_j.  The rows come from one
+loop over the classical crossings, which builds each class's mask and
+takes its two popcounts inline, so no function is called per crossing.
+:func:`smoothing`, :func:`pairing` and :func:`homological_weight` do the
+same one crossing at a time; they are the per-crossing API and the
+reference the tests hold the loop to.  :class:`Prop2Report` compares
+the rows with the records of :func:`weight_table` in integers, and
+:func:`maip_via_homology` turns them into records (sign, i, j, k).
+Exponents are built only for the failing crossings a report prints.
 """
 
 from __future__ import annotations
@@ -214,14 +218,22 @@ def _predicted_weights(d: TangleDiagram, index: PassageIndex, delta: dict[int, i
     predicts from it: k = pairing - delta_j in general, and delta_i -
     pairing for a self-crossing met Under-first, whose W_h has no symbol
     part.
+
+    One loop does what :func:`smoothing` and :func:`pairing` do for each
+    crossing, calling neither: the class is i's slots before o and j's
+    after u, as one mask, and the pairing its two masked popcounts.
     """
     if d.has_singular():
         raise HasSingular("resolve singular crossings first")
+    span, place, plus, minus = index
     for cid in d.classical_ids():
-        ci, o, cj, u = index.place[cid]
-        pairing = homological_weight(index, cid)
-        yield cid, ci, cj, pairing, (delta[cj] - pairing if ci == cj and u < o
-                                     else pairing - delta[cj])
+        i, o, j, u = place[cid]
+        early_under = i == j and u < o
+        if early_under:
+            o, u = u, o
+        mask = ((1 << o) - (1 << span[i][0])) | ((1 << span[j][1]) - (2 << u))
+        pairing = (mask & plus).bit_count() - (mask & minus).bit_count()
+        yield cid, i, j, pairing, delta[j] - pairing if early_under else pairing - delta[j]
 
 
 def check_prop2(d: TangleDiagram) -> Prop2Report:

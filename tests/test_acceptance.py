@@ -127,14 +127,14 @@ def failing_trials_of_criteria_06_07():
 
 
 def test_criteria_06_07_catch_an_under_range_that_starts_one_slot_early(monkeypatch):
-    # A copy of smoothing whose under range takes in the crossing's own
-    # later passage: every trial with a classical crossing must fail both.
-    source = inspect.getsource(homology.smoothing)
-    under_range = "(u + 1, index.span[cj][1])"
+    # A copy of the rows' loop whose under range takes in the crossing's
+    # own later passage: every trial with a classical crossing must fail both.
+    source = inspect.getsource(homology._predicted_weights)
+    under_range = "((1 << span[j][1]) - (2 << u))"
     assert under_range in source
     namespace = dict(vars(homology))
-    exec(source.replace(under_range, "(u, index.span[cj][1])"), namespace)
-    monkeypatch.setattr(homology, "smoothing", namespace["smoothing"])
+    exec(source.replace(under_range, "((1 << span[j][1]) - (1 << u))"), namespace)
+    monkeypatch.setattr(homology, "_predicted_weights", namespace["_predicted_weights"])
     prop2, corollary, crossed = failing_trials_of_criteria_06_07()
     assert len(crossed) == 174
     assert prop2 == corollary == crossed

@@ -490,8 +490,14 @@ def planted(table, fault, chosen, n_components):
 classical_diagrams = st.builds(random_diagram, st.integers(0, 10**6), st.integers(0, 2),
                                st.integers(1, 2), st.integers(0, 12))
 
+# The classical draws among 20 large ones: seven diagrams of 213-293
+# crossings on 1-3 components, each with Under-first self-crossings, so
+# every mask spans many machine words.
+large_classical_diagrams = [d for d in large_diagrams(20, seed=0) if not d.has_singular()]
 
-@given(classical_diagrams, st.sampled_from(["clean", "k+1", "swap", "move", "split", "join"]),
+
+@given(st.one_of(classical_diagrams, st.sampled_from(large_classical_diagrams)),
+       st.sampled_from(["clean", "k+1", "swap", "move", "split", "join"]),
        st.integers(0, 2**12 - 1))
 @settings(max_examples=200, deadline=None)
 def test_prop2_rows_equal_the_exponent_route(d, fault, mask):
