@@ -88,7 +88,7 @@ def check_moves(trials: int, seed: int, diagram: TangleDiagram | None = None) ->
     """Random walks of classical moves must preserve the polynomial exactly."""
     report = CheckReport("moves", trials, seed)
     kinds: Counter = Counter()
-    given = None if diagram is None else maip(diagram)    # a file's is the same every trial
+    given = None if diagram is None else maip(diagram)    # every trial walks this one diagram
     for trial in range(trials):
         tseed, rng, d = _trial(seed, trial, diagram)
         before = maip(d) if given is None else given
