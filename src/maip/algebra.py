@@ -152,10 +152,14 @@ class LaurentPoly:
     __hash__ = None
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return _combine(self, other, 1)
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return _combine(self, other, -1)
+        terms = dict(self._terms)
+        for key, coeff in other._terms.items():
+            coeff += terms.get(key, 0)
+            if coeff:
+                terms[key] = coeff
+            else:
+                del terms[key]
+        return _poly(terms)
 
     def __rmul__(self, k: int) -> "LaurentPoly":
         return _poly({key: k * c for key, c in self._terms.items()} if k else {})
@@ -193,18 +197,6 @@ def _merged(pairs: Iterable[tuple[tuple, int]]) -> dict[tuple, int]:
     for key, coeff in pairs:
         terms[key] = terms.get(key, 0) + coeff
     return {k: c for k, c in terms.items() if c}
-
-
-def _combine(p: LaurentPoly, q: LaurentPoly, sign: int) -> LaurentPoly:
-    """p + sign * q."""
-    terms = dict(p._terms)
-    for key, coeff in q._terms.items():
-        coeff = terms.get(key, 0) + sign * coeff
-        if coeff:
-            terms[key] = coeff
-        else:
-            del terms[key]
-    return _poly(terms)
 
 
 def from_weight_sums(sums: Mapping[tuple[int, int, int], int]) -> LaurentPoly:

@@ -168,7 +168,7 @@ def _slot_problems(d: TangleDiagram):
 def validate(d: TangleDiagram) -> list[str]:
     """Return every violated structural invariant; empty list means valid."""
     errs: list[str] = []
-    seen: dict[tuple[int, str], int] = {}
+    seen: dict[Passage, int] = {}
     for ci, comp in enumerate(d.components, start=1):
         errs.extend(_component_problems(ci, comp))
         for ev in comp.events:
@@ -179,7 +179,7 @@ def validate(d: TangleDiagram) -> list[str]:
             roles, kind = _ROLES_OF_SINGULAR if rec.sign is None else _ROLES_OF_CLASSICAL
             if ev.role not in roles:
                 errs.append(f"crossing {ev.crossing}: role {ev.role} on a {kind} crossing")
-            seen[(ev.crossing, ev.role)] = seen.get((ev.crossing, ev.role), 0) + 1
+            seen[ev] = seen.get(ev, 0) + 1
 
     for cid, rec in sorted(d.crossings.items()):
         if cid < 1:

@@ -305,6 +305,23 @@ def test_property_suite_script_exits_141_on_a_closed_stdout():
     assert "Traceback" not in stderr
 
 
+def test_package_root_reexports_nothing_and_commands_skip_words():
+    # The package's names live in its modules; a re-export layer at the
+    # root would load every module, words too, into every command.
+    root = FIXTURES.parent
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(root / "src"),
+                                                       os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, types, maip.cli, maip.checks, maip\n"
+            "print('maip.words' in sys.modules)\n"
+            "print(sorted(n for n, v in vars(maip).items()\n"
+            "             if not n.startswith('_') and not isinstance(v, types.ModuleType)))\n")
+    res = subprocess.run([sys.executable, "-c", code],
+                         capture_output=True, text=True, cwd=root, env=env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines() == ["False", "[]"]
+
+
 @pytest.mark.parametrize("argv, module, name, inputs", [
     (["compute", fx("ex3")], cli, "maip", fx("ex3")),
     (["tensor", fx("ex1"), fx("ex3")], cli, "tensor", f"{fx('ex1')}, {fx('ex3')}"),

@@ -158,7 +158,7 @@ def test_walk_records_the_reference_places(seed, n_closed, n_long, n_crossings, 
         assert maip(d) == contribution_poly(tuple(reference.values()), delta)
     elif n_singular == 1:
         plus, minus = resolve_singular(d)
-        assert vassiliev_eval(d) == maip(plus.diagram) - maip(minus.diagram)
+        assert vassiliev_eval(d) == maip(plus.diagram) + (-1) * maip(minus.diagram)
 
 
 def reference_assembly(records, delta):
@@ -215,9 +215,9 @@ def test_assembly_reference_sees_three_symbols_and_the_constant_term():
     delta = {1: 1, 2: 0, 3: -1}
     records = [(1, 1, 3, 2), (-1, 2, 3, 2), (1, 2, 1, -1), (1, 3, 3, 1)]
     expected = (mono(1, aff(1, c1=1, c3=-1)) + mono(1, -1, -1)
-                - mono(2, aff(1, c2=1, c3=-1)) + mono(2, -1)
-                + mono(2, aff(0, c1=-1, c2=1)) - mono(2, 1)
-                + const(1) - mono(3, -1))
+                + (-1) * mono(2, aff(1, c2=1, c3=-1)) + mono(2, -1)
+                + mono(2, aff(0, c1=-1, c2=1)) + (-1) * mono(2, 1)
+                + const(1) + (-1) * mono(3, -1))
     assert contribution_poly(records, delta) == expected == reference_assembly(records, delta)
 
 
