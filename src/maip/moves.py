@@ -12,8 +12,11 @@ R3 sites are the standard configuration where one strand passes over the
 other two: adjacent passage pairs (O_x, O_y), (U_x, O_z), (U_y, U_z) on
 the top, middle and bottom strands, or the mirror (O_x, O_y), (O_z, U_y),
 (U_z, U_x) that one application makes.  The three crossings share one
-sign; with mixed signs the pair swap shifts the middle labels and is not
-weight-preserving, so such sites are never offered.
+sign: in these two order patterns, mixed signs make the pair swap shift
+the middle labels, which is not weight-preserving.  That holds only for
+the two patterns the scan reads.  The other oriented R3 moves, some
+with mixed signs, have other order patterns and are never offered
+(ROADMAP item 5).
 
 A :class:`WalkState` carries a diagram under edit across the steps of a
 walk: the passage list of each component, each passage's previous and

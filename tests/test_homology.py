@@ -1,4 +1,5 @@
 import random
+import sys
 import tracemalloc
 from itertools import accumulate
 from unittest import mock
@@ -274,6 +275,37 @@ def test_oracle_on_400_crossings(seed):
     d = random_diagram(seed, seed % 3, 1 + seed % 2, 400)
     assert check_prop2(d).ok
     assert maip_via_homology(d) == maip(d)
+
+
+def _homology_lines(d):
+    """Line events run in homology.py while check_prop2 and maip_via_homology run on d."""
+    lines = 0
+
+    def local(frame, event, arg):
+        nonlocal lines
+        lines += event == "line"
+        return local
+
+    def trace(frame, event, arg):
+        return local if frame.f_code.co_filename == homology.__file__ else None
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        check_prop2(d)
+        maip_via_homology(d)
+    finally:
+        sys.settrace(previous)
+    return lines
+
+
+def test_oracle_runs_linear_python_work():
+    # The pairing's O(N^2/64) work is big-int operations, which run no
+    # line; the Python lines are linear: 20990 at 400 crossings and 41888
+    # at 800.  A pairing that looped over its class's slots took 3.4-3.6 s
+    # at 12800 crossings, inside CI's timeout, so the lines are counted.
+    small, large = (_homology_lines(random_diagram(1, 2, 2, n)) for n in (400, 800))
+    assert large <= 2.5 * small
 
 
 # ---------------------------------------------------------------------------

@@ -316,6 +316,25 @@ def test_walk_states_take_the_steps_of_random_walk():
     assert steps[-1][1].diagram() == walked
 
 
+def test_walk_step_retests_only_the_pairs_its_edit_can_reach(monkeypatch):
+    # After the initial scan of 6396 pairs, a step hands the pair test at
+    # most 11 pairs (4.7 on average) here.  A step that rescanned the whole
+    # diagram took 0.9-1.1 s for CI's 3200-crossing walk, well inside its
+    # timeout, so the pairs are counted instead.
+    tested = []
+    test = WalkState._test
+
+    def counted(self, pairs):
+        pairs = list(pairs)
+        tested.append(len(pairs))
+        return test(self, pairs)
+
+    monkeypatch.setattr(WalkState, "_test", counted)
+    random_walk(random_diagram(1, 2, 2, 3200), 150, 1, [])
+    assert len(tested) == 151 and tested[0] == 6396
+    assert max(tested[1:]) <= 32
+
+
 def _check_carried_sites(d, n_moves, seed):
     """Walk d step by step; after every step the carried sites are a fresh scan's.
 
