@@ -22,6 +22,8 @@ SCRIPTS = Path(__file__).resolve().parent
 ENV = {**os.environ, "PYTHONPATH": f"{SCRIPTS.parent / 'src'}{os.pathsep}{SCRIPTS}"}
 # run_property_suite.py ends each suite's line with the time it took.
 TIMES = re.compile(rb"  \(\d+\.\ds\)$", re.M)
+# Outputs of at most this many bytes are also compared with a text pin.
+TEXT_PIN_MAX = 1 << 16
 
 # Each row: the command (maip, a script of this directory or a function of
 # this module), its timeout in s, the pin of its stdout and stderr together
@@ -86,6 +88,9 @@ CHECKS = [
     # compute: 0.8-1.0 s at 89.6-93.4 MiB.
     ("maip compute n100000.tangle", 60,
      "92d6668502280e831ff9e4f665fdc80c2f9510d93b3e06013d01d4ae47f45a09", 0, 122),
+    # Its JSON form, 7861 terms in 569646 bytes: 0.6 s at 89.8-93.7 MiB.
+    ("maip compute n100000.tangle --json", 60,
+     "e712be3a00c1fdd6ff044ce38b98bb5151ed505919ac05bca41fd2d2cc7d3404", 0, 117),
     # resolve of the same draw with one singular crossing: 0.5-0.7 s at 80.1-80.5 MiB.
     ("maip resolve k1_100000.tangle", 60,
      "d1f03482cf85a5c6e9e1de3ac3acc7b70f692da7e4338070da55c1749a0b2cb7", 0, 105),
@@ -118,6 +123,9 @@ CHECKS = [
      "32c0f3e6ff3d3adb71d8df70087ebe6de799a183aef950ca6701a7d59d9d33c2"),
     ("maip compose up.tangle low.tangle -o comp.tangle", 10,
      "32c0f3e6ff3d3adb71d8df70087ebe6de799a183aef950ca6701a7d59d9d33c2"),
+    # The JSON payload: the diagram, the polynomial's text spliced in, the verdict.
+    ("maip compose up.tangle low.tangle --json", 10,
+     "4751d1dd592d4519484108faaf8d7314e8af94928ae8b3bdbd8dda4b43442665"),
     ("show comp.tangle", 10, "87976413e4efef8d66ef7c2a86d6cbf19b3b5598f397d933e832d4c2f97f94a5"),
     ("maip compute comp.tangle", 10, "9d87c64a636594e8bb3b59a832e2f0764c03cd6f7db9fd85b2711c6ee5b782a5"),
     # Rows compose one by one without validating the growing diagram: 3200
@@ -220,25 +228,31 @@ def run(work, command, seconds, pin, code=0, bound=None):
                                  stdout=out, stderr=subprocess.STDOUT)
         # wait4 gives this child's own max RSS, where RUSAGE_CHILDREN would
         # give the largest child's so far.  A child's max RSS starts at its
-        # parent's peak, so this process builds no diagram itself.
+        # parent's peak, so this process builds no diagram and never holds a
+        # long output whole: it hashes the output in blocks.
         _, status, usage = os.wait4(child.pid, 0)
         child.returncode = os.waitstatus_to_exitcode(status)
         elapsed = time.perf_counter() - start
+        size = out.seek(0, os.SEEK_END)
         out.seek(0)
-        output = out.read()
+        digest = hashlib.sha256()
+        for block in iter(lambda: out.read(1 << 16), b""):
+            digest.update(block)
+        out.seek(max(0, size - TEXT_PIN_MAX))
+        tail = out.read()     # the whole output when it is short
     rss = usage.ru_maxrss / 1024    # KiB on Linux
     faults = []
     if child.returncode != code:
         faults.append(f"timed out after {seconds} s" if child.returncode == 124
                       else f"exit {child.returncode}, expected {code}")
-    if TIMES.sub(b"", output) != f"{pin}\n".encode() and hashlib.sha256(output).hexdigest() != pin:
+    if digest.hexdigest() != pin and (size > TEXT_PIN_MAX or TIMES.sub(b"", tail) != f"{pin}\n".encode()):
         faults.append("output differs from its pin")
     if bound is not None and rss > bound:
         faults.append(f"max RSS above the {bound} MiB bound")
     print(f"{'FAIL' if faults else 'ok'} {command} ({elapsed:.2f} s, max RSS {rss:.1f} MiB)",
           *faults, sep="; ", flush=True)
     if faults:
-        print(output[-2000:].decode(errors="replace"), end="")
+        print(tail[-2000:].decode(errors="replace"), end="")
     return not faults
 
 

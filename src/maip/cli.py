@@ -22,7 +22,7 @@ import re
 import sys
 
 from . import checks
-from .algebra import collapse_variables, poly_to_json, render, substitute_symbols
+from .algebra import collapse_variables, poly_json_text, render, substitute_symbols
 from .diagram import from_json, parse, serialize, to_json
 from .errors import (ArityMismatch, DiagramParseError, HasSingular, MissingSymbol,
                      OrientationMismatch, SymbolicExponent, ValidationFailure)
@@ -104,7 +104,7 @@ def _parse_assignment(text: str, symbols) -> dict[int, int]:
 
 
 def _print_poly(poly, as_json: bool) -> None:
-    print(json.dumps(poly_to_json(poly)) if as_json else render(poly))
+    print(poly_json_text(poly) if as_json else render(poly))
 
 
 def _emit_diagram(args, d, poly, **extra) -> None:
@@ -113,9 +113,14 @@ def _emit_diagram(args, d, poly, **extra) -> None:
     if args.out:
         _write(args.out, text)
     if args.json:
-        payload = {"diagram": to_json(d),
-                   "maip": None if poly is None else poly_to_json(poly), **extra}
-        print(json.dumps(payload))
+        # json.dumps of {"diagram": ..., "maip": ..., **extra} with the
+        # polynomial's text spliced in: embedding poly_to_json(poly) cost
+        # 0.8 ms more per compose and 7.7 ms per tensor of the two halves
+        # of a 1600-crossing diagram (Xeon)
+        fields = [("diagram", json.dumps(to_json(d))),
+                  ("maip", "null" if poly is None else poly_json_text(poly)),
+                  *((key, json.dumps(value)) for key, value in extra.items())]
+        print("{" + ", ".join(f"{json.dumps(key)}: {text}" for key, text in fields) + "}")
     else:
         sys.stdout.write(text)
         if poly is not None:

@@ -1,9 +1,11 @@
+import json
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from maip.algebra import (AffineInt, LaurentPoly, affine_weight, collapse_variables,
-                          poly_to_json, reindex, render, substitute_symbols)
+                          poly_json_text, poly_to_json, reindex, render, substitute_symbols)
 from maip.errors import SymbolicExponent
 
 from conftest import aff, const, mono
@@ -203,3 +205,67 @@ def test_render_injective(p, q):
 def test_json_injective(p, q):
     if poly_to_json(p) == poly_to_json(q):
         assert p == q
+
+
+def reference_json(p):
+    """The JSON form built one dict per term, as the package built it before
+    it wrote the text directly; it reads the stored keys for their order."""
+    terms = p._terms
+    out = []
+    for key in sorted(terms):
+        var, lo, up, hi, const = key
+        syms = {} if not lo else {f"c{lo}": 1, f"c{hi}": -1} if up else {f"c{lo}": -1, f"c{hi}": 1}
+        out.append({"var": var or None, "coeff": terms[key],
+                    "exp": {"const": const, "syms": syms}})
+    return out
+
+
+def assert_json_forms(p):
+    assert poly_json_text(p) == json.dumps(reference_json(p))
+    assert poly_to_json(p) == reference_json(p)
+
+
+@given(polys)
+def test_json_text_matches_reference(p):
+    assert_json_forms(p)
+
+
+def test_json_zero():
+    assert poly_json_text(LaurentPoly.zero()) == "[]"
+    assert poly_to_json(LaurentPoly.zero()) == []
+
+
+def test_json_constant_only():
+    p = const(-3)
+    assert poly_json_text(p) == '[{"var": null, "coeff": -3, "exp": {"const": 0, "syms": {}}}]'
+    assert_json_forms(p)
+
+
+def test_json_example_polynomial():
+    p = mono(1, aff(-1, c1=1, c3=-1)) + mono(2, aff(0, c2=1, c3=-1), -1)
+    assert poly_json_text(p) == (
+        '[{"var": 1, "coeff": 1, "exp": {"const": -1, "syms": {"c1": 1, "c3": -1}}}, '
+        '{"var": 2, "coeff": -1, "exp": {"const": 0, "syms": {"c2": 1, "c3": -1}}}]')
+    assert_json_forms(p)
+
+
+@pytest.mark.parametrize("coeff", [2**64, -(2**64) - 1, 3**200])
+def test_json_big_coefficients(coeff):
+    p = mono(1, aff(2, c3=1, c1=-1), coeff) + const(coeff)
+    assert f'"coeff": {coeff}, ' in poly_json_text(p)
+    assert_json_forms(p)
+
+
+def test_json_negative_constants():
+    p = mono(1, -4, 2) + mono(2, aff(-7, c2=1, c1=-1), -5) + mono(3, aff(-1, c1=1, c2=-1))
+    assert poly_json_text(p).count('"const": -') == 3
+    assert_json_forms(p)
+
+
+def test_json_many_symbol_pairs():
+    # every ordered pair of 12 symbols under three variables, so each pair's
+    # "syms" text is reused; i = j gives exponent 0, the one constant term
+    p = LaurentPoly({(var, affine_weight(i, j, i - j)): -var
+                     for var in (1, 2, 4) for i in range(1, 13) for j in range(1, 13)})
+    assert len(poly_to_json(p)) == 3 * 12 * 11 + 1
+    assert_json_forms(p)
