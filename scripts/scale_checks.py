@@ -199,11 +199,11 @@ def walk_sites(path):
 
 def word_crossings(n_rows):
     """Print the crossing count of a generator word of alternating rows on 4 strands."""
-    from maip.words import Crossing, GeneratorWord, Identity, from_generator_word
+    from maip.words import Crossing, Identity, from_generator_word
 
     rows = tuple((Crossing("positive"), Crossing("negative")) if r % 2
                  else (Identity(), Crossing("positive"), Identity()) for r in range(int(n_rows)))
-    print(len(from_generator_word(GeneratorWord(rows)).crossings))
+    print(len(from_generator_word(rows).crossings))
 
 
 def show(path):

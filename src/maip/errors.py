@@ -1,8 +1,13 @@
-"""Exception types shared across the package."""
+"""Exception types that callers catch by name.
+
+A :class:`TangleError` subclass exists only for a condition some caller
+catches by name; each one here is turned into exit 2 by the CLI.  A bad
+argument raises ``ValueError`` instead.
+"""
 
 
 class TangleError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class of the conditions a caller catches by name."""
 
 
 class MissingSymbol(TangleError):
@@ -32,10 +37,6 @@ class ValidationFailure(TangleError):
         super().__init__("; ".join(self.violations))
 
 
-class DirectionMismatch(TangleError):
-    """Generator-word rows disagree on a strand direction."""
-
-
 class ArityMismatch(TangleError):
     """Boundary arities do not line up for stacking or composition."""
 
@@ -44,21 +45,5 @@ class OrientationMismatch(TangleError):
     """A gluing would join a start to a start or an end to an end."""
 
 
-class NotClassical(TangleError):
-    """Operation requires a classical crossing."""
-
-
 class HasSingular(TangleError):
     """Operation requires a diagram without singular crossings."""
-
-
-class NoSingular(TangleError):
-    """Operation requires at least one singular crossing."""
-
-
-class NotApplicable(TangleError):
-    """A rewrite site does not exist on the given diagram."""
-
-
-class InconsistentPlan(TangleError):
-    """A hand-made glue plan names a component the factors do not have."""

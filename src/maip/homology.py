@@ -80,7 +80,7 @@ from typing import NamedTuple
 
 from .algebra import LaurentPoly, affine_weight
 from .diagram import OVER, TangleDiagram
-from .errors import HasSingular, NotClassical
+from .errors import HasSingular
 from .invariant import contribution_poly, propagate_labels, weight_table
 
 SlotRange = tuple[int, int]  # half-open [lo, hi) of passage slots
@@ -169,7 +169,7 @@ def smoothing(index: PassageIndex, cid: int) -> tuple[SlotRange, SlotRange]:
 def homological_weight(index: PassageIndex, cid: int) -> int:
     """The pairing of the crossing's smoothing: W_h less c_i - c_j (i == j: W_h itself)."""
     if cid not in index.place:
-        raise NotClassical(f"crossing {cid} is not a classical crossing")
+        raise ValueError(f"crossing {cid} is not a classical crossing")
     return pairing(index, smoothing(index, cid))
 
 

@@ -34,7 +34,7 @@ from typing import Mapping
 from .algebra import LaurentPoly, from_weight_sums
 from .diagram import (OVER, SING_PRIMARY, SING_SECONDARY, UNDER, Component,
                       CrossingRecord, Passage, TangleDiagram)
-from .errors import HasSingular, NoSingular
+from .errors import HasSingular
 
 # The label step at each passage: -sign Over, +sign Under, -1 primary and
 # +1 secondary, keyed by (role, crossing sign).
@@ -167,7 +167,7 @@ def resolve_singular(d: TangleDiagram) -> list[SingularResolutionTerm]:
     """
     sing = d.singular_ids()
     if not sing:
-        raise NoSingular("diagram has no singular crossings")
+        raise ValueError("diagram has no singular crossings")
     terms = []
     for choice in itertools.product((1, -1), repeat=len(sing)):
         chosen = dict(zip(sing, choice))

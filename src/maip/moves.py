@@ -16,7 +16,7 @@ sign: in these two order patterns, mixed signs make the pair swap shift
 the middle labels, which is not weight-preserving.  That holds only for
 the two patterns the scan reads.  The other oriented R3 moves, some
 with mixed signs, have other order patterns and are never offered
-(ROADMAP item 5).
+(see the ROADMAP item "All eight oriented R3 moves").
 
 A :class:`WalkState` carries a diagram under edit across the steps of a
 walk: the passage list of each component, each passage's previous and
@@ -43,10 +43,9 @@ takes it again only then.
 :func:`find_sites` lists the sites of a fresh state, so the scan and the
 walk share the pair test.  :func:`apply_site` applies an insertion at
 in-range anchors and any other site only where that scan offers it, and
-raises :class:`NotApplicable` for anything else; an R3 site swaps each
-of its three pairs, an R1- or R2- site drops its pairs and their
-crossings.  :func:`random_walk` draws and applies its moves on one
-state.
+raises ValueError for anything else; an R3 site swaps each of its three
+pairs, an R1- or R2- site drops its pairs and their crossings.
+:func:`random_walk` draws and applies its moves on one state.
 """
 
 from __future__ import annotations
@@ -57,7 +56,6 @@ from typing import NamedTuple
 
 from .diagram import (OVER, SING_PRIMARY, SING_SECONDARY, UNDER, Component, CrossingRecord,
                       Passage, TangleDiagram)
-from .errors import NotApplicable
 
 OVER_FIRST = "over_first"
 UNDER_FIRST = "under_first"
@@ -378,22 +376,23 @@ def apply_site(d: TangleDiagram, site: MoveSite) -> TangleDiagram:
     """Apply an insertion at valid anchors, or a site :func:`find_sites` offers on d.
 
     An insertion has one anchor (R1+) or two (R2+), each naming a
-    component and an arc position 0..len(events) on it; a bad ``order``,
-    ``same_direction`` or sign raises ValueError.
+    component and an arc position 0..len(events) on it.  Bad anchors, a
+    site the scan does not offer, or a bad ``order``, ``same_direction``
+    or sign raise ValueError.
     """
     state = WalkState(d)
     if site.kind in _INSERT_KINDS:
         if len(site.anchors) != (1 if site.kind == "R1+" else 2):
-            raise NotApplicable(f"wrong number of anchors: {site.describe()}")
+            raise ValueError(f"wrong number of anchors: {site.describe()}")
         for ci, k in site.anchors:
             if not 1 <= ci <= len(d.components):
-                raise NotApplicable(f"no component {ci}")
+                raise ValueError(f"no component {ci}")
             n = len(d.components[ci - 1].events)
             if not 0 <= k <= n:
-                raise NotApplicable(f"arc position {k} out of range 0..{n}")
+                raise ValueError(f"arc position {k} out of range 0..{n}")
     elif (site.kind not in state.sites
           or site not in [MoveSite(site.kind, anchors) for anchors in state._placed(site.kind)]):
-        raise NotApplicable(f"not a site of this diagram: {site.describe()}")
+        raise ValueError(f"not a site of this diagram: {site.describe()}")
     state.apply(site)
     return state.diagram()
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 from .algebra import LaurentPoly
 from .diagram import Component, Passage, TangleDiagram
-from .errors import ArityMismatch, InconsistentPlan, OrientationMismatch
+from .errors import ArityMismatch, OrientationMismatch
 from .invariant import MaipContributions, contribution_poly
 
 
@@ -189,7 +189,7 @@ def predict_composed(upper: MaipContributions, lower: MaipContributions,
         prefix = 0
         for i in entry.members:
             if i not in delta:
-                raise InconsistentPlan(f"plan references unknown component {i}")
+                raise ValueError(f"plan references unknown component {i}")
             place[i] = (new_index, prefix)
             prefix += delta[i]
         merged_delta[new_index] = prefix

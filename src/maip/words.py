@@ -1,12 +1,14 @@
 """Building diagrams from generator words.
 
-A generator word is a stack of rows, each a left-to-right tensor of
-atoms: identity strands, cups, caps, classical and virtual crossings.
-Rows are listed top to bottom; adjacent rows must agree on strand count
-and direction.  Directions are ``"u"`` (upward) and ``"d"`` (downward).
-In a crossing atom, strand A runs bottom-left to top-right and is the
-overstrand of a ``positive`` atom; the sign follows from the two
-directions, so a positive atom on two upward strands is a +1 crossing.
+A generator word is a tuple of rows, each a tuple of atoms read as a
+left-to-right tensor: identity strands, cups, caps, classical and
+virtual crossings.  Rows are listed top to bottom; adjacent rows must
+agree on strand count and direction, or :func:`from_generator_word`
+raises ArityMismatch or OrientationMismatch naming the two rows.
+Directions are ``"u"`` (upward) and ``"d"`` (downward).  In a crossing
+atom, strand A runs bottom-left to top-right and is the overstrand of a
+``positive`` atom; the sign follows from the two directions, so a
+positive atom on two upward strands is a +1 crossing.
 A virtual crossing only reroutes strands and leaves no passage.
 
 Each atom's ``tangle()`` is an elementary tangle, a row is the
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 from functools import reduce
 
 from .diagram import OVER, UNDER, Component, CrossingRecord, Passage, TangleDiagram
-from .errors import ArityMismatch, DirectionMismatch, OrientationMismatch
+from .errors import ArityMismatch, OrientationMismatch
 from .tangle_ops import compose, tensor
 
 _DIRS = ("u", "d")
@@ -118,24 +120,19 @@ class Crossing:
 Atom = Identity | Cup | Cap | Crossing
 
 
-@dataclass(frozen=True)
-class GeneratorWord:
-    rows: tuple[tuple[Atom, ...], ...]
-
-
 def _row(atoms) -> TangleDiagram:
     return reduce(tensor, (atom.tangle() for atom in atoms), TangleDiagram(0, 0, (), {}))
 
 
-def from_generator_word(word: GeneratorWord) -> TangleDiagram:
+def from_generator_word(rows: tuple[tuple[Atom, ...], ...]) -> TangleDiagram:
     """Tensor each row's atoms, then compose the rows from the top down."""
-    rows = [_row(r) for r in word.rows] or [_row(())]
-    diagram = rows[0]
-    for i, lower in enumerate(rows[1:]):
+    tangles = [_row(r) for r in rows] or [_row(())]
+    diagram = tangles[0]
+    for i, lower in enumerate(tangles[1:]):
         try:
             diagram = compose(diagram, lower)
         except OrientationMismatch:
-            raise DirectionMismatch(f"rows {i} and {i + 1} disagree on strand directions") from None
+            raise OrientationMismatch(f"rows {i} and {i + 1} disagree on strand directions") from None
         except ArityMismatch:
             raise ArityMismatch(f"rows {i} and {i + 1} disagree on strand count "
                                 f"({diagram.n} and {lower.m})") from None

@@ -1,5 +1,7 @@
+import ast
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -585,6 +587,19 @@ def readme_examples():
 
 
 README_EXAMPLES = readme_examples()
+
+
+def test_every_suite_list_matches_checks_suites():
+    """Each place that writes out the suite names lists checks.SUITES, in its order."""
+    script = (FIXTURES.parent / "scripts" / "run_property_suite.py").read_text()
+    trials = next(node.value for node in ast.parse(script).body if isinstance(node, ast.Assign)
+                  and [getattr(t, "id", None) for t in node.targets] == ["TRIALS"])
+    synopsis = (FIXTURES.parent / "README.md").read_text().split("## CLI", 1)[1].split("```")[1]
+    docstring = re.search(r"check +randomized property suites \(([^)]*)\)", cli.__doc__)[1]
+    lists = {"run_property_suite.TRIALS": list(ast.literal_eval(trials)),
+             "README CLI synopsis": re.search(r"--what (\S+)", synopsis)[1].split("|"),
+             "cli docstring": docstring.replace(",", " ").split()}
+    assert {place: names for place, names in lists.items() if names != list(checks.SUITES)} == {}
 
 
 def test_readme_shows_an_example_of_each_main_command():

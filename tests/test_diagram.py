@@ -10,13 +10,12 @@ from maip.algebra import AffineInt, LaurentPoly
 from maip.diagram import (Component, CrossingRecord, Passage, TangleDiagram,
                           from_json, parse, random_diagram, serialize, to_json,
                           validate)
-from maip.errors import (ArityMismatch, DiagramParseError, DirectionMismatch, HasSingular,
+from maip.errors import (ArityMismatch, DiagramParseError, HasSingular, OrientationMismatch,
                          ValidationFailure)
 from maip.homology import check_prop2, maip_via_homology
 from maip.invariant import maip, propagate_labels
 from maip.tangle_ops import compose
-from maip.words import (Cap, Crossing, Cup, GeneratorWord, Identity,
-                        from_generator_word)
+from maip.words import Cap, Crossing, Cup, Identity, from_generator_word
 
 from conftest import FIXTURES, fixture_text, load, reference_from_json, reference_parse
 
@@ -345,7 +344,7 @@ def test_reader_matches_the_reference_reader(fault, seed, n_closed, n_long, n_cr
 
 
 def test_word_single_identity():
-    d = from_generator_word(GeneratorWord(((Identity("u"),),)))
+    d = from_generator_word(((Identity("u"),),))
     assert d.m == 1 and d.n == 1
     assert len(d.components) == 1
     assert d.components[0].kind == "long"
@@ -353,7 +352,7 @@ def test_word_single_identity():
 
 
 def test_word_closed_circle():
-    word = GeneratorWord(((Cap(("u", "d")),), (Cup(("u", "d")),)))
+    word = ((Cap(("u", "d")),), (Cup(("u", "d")),))
     d = from_generator_word(word)
     assert (d.m, d.n) == (0, 0)
     assert len(d.components) == 1
@@ -362,7 +361,7 @@ def test_word_closed_circle():
 
 
 def test_word_positive_crossing_on_upward_strands():
-    d = from_generator_word(GeneratorWord(((Crossing("positive", "u", "u"),),)))
+    d = from_generator_word(((Crossing("positive", "u", "u"),),))
     assert (d.m, d.n) == (2, 2)
     assert [c.kind for c in d.components] == ["long", "long"]
     assert d.crossings[1].sign == 1
@@ -381,12 +380,12 @@ def test_word_positive_crossing_on_upward_strands():
 ])
 def test_word_crossing_sign(kind, dir_a, dir_b, sign):
     atom = Crossing(kind, dir_a, dir_b)
-    d = from_generator_word(GeneratorWord(((atom,),)))
+    d = from_generator_word(((atom,),))
     assert atom.sign() == d.crossings[1].sign == sign
 
 
 def test_word_virtual_crossing_leaves_no_trace():
-    word = GeneratorWord(((Crossing("virtual", "u", "u"),),))
+    word = ((Crossing("virtual", "u", "u"),),)
     d = from_generator_word(word)
     assert d.crossings == {}
     assert all(c.events == () for c in d.components)
@@ -395,23 +394,23 @@ def test_word_virtual_crossing_leaves_no_trace():
 
 
 def test_word_row_arity_mismatch():
-    word = GeneratorWord(((Identity("u"), Identity("u")), (Identity("u"),)))
+    word = ((Identity("u"), Identity("u")), (Identity("u"),))
     with pytest.raises(ArityMismatch, match=r"^rows 0 and 1 disagree on strand count \(2 and 1\)$"):
         from_generator_word(word)
 
 
 def test_word_direction_mismatch():
-    word = GeneratorWord(((Identity("u"),), (Identity("d"),)))
-    with pytest.raises(DirectionMismatch, match=r"^rows 0 and 1 disagree on strand directions$"):
+    word = ((Identity("u"),), (Identity("d"),))
+    with pytest.raises(OrientationMismatch, match=r"^rows 0 and 1 disagree on strand directions$"):
         from_generator_word(word)
 
 
 def test_word_output_always_valid():
-    word = GeneratorWord((
+    word = (
         (Identity("d"), Cap(("u", "d"))),
         (Crossing("positive", "u", "d"), Identity("d")),
         (Identity("u"), Identity("d"), Identity("d")),
-    ))
+    )
     d = from_generator_word(word)
     assert validate(d) == []
     assert (d.m, d.n) == (1, 3)
@@ -419,8 +418,8 @@ def test_word_output_always_valid():
 
 
 def test_word_tensor_rows_concatenate_boundaries():
-    single = from_generator_word(GeneratorWord(((Identity("u"),),)))
-    double = from_generator_word(GeneratorWord(((Identity("u"), Identity("u")),)))
+    single = from_generator_word(((Identity("u"),),))
+    double = from_generator_word(((Identity("u"), Identity("u")),))
     assert (single.m, single.n) == (1, 1)
     assert (double.m, double.n) == (2, 2)
 
@@ -460,7 +459,7 @@ def random_rows(rng, n_rows):
 def test_random_word_valid_with_row_major_crossing_ids(seed):
     rng = random.Random(seed)
     rows = random_rows(rng, rng.randrange(1, 6))
-    d = from_generator_word(GeneratorWord(rows))
+    d = from_generator_word(rows)
     assert validate(d) == []
     classical = [atom for row in rows for atom in row
                  if isinstance(atom, Crossing) and atom.kind != "virtual"]
@@ -473,9 +472,9 @@ def test_random_word_valid_with_row_major_crossing_ids(seed):
 def test_word_is_the_composite_of_its_rows(seed):
     rng = random.Random(seed)
     rows = random_rows(rng, rng.randrange(2, 6))
-    upper = from_generator_word(GeneratorWord(rows[:-1]))
-    lower = from_generator_word(GeneratorWord(rows[-1:]))
-    assert from_generator_word(GeneratorWord(rows)) == compose(upper, lower)
+    upper = from_generator_word(rows[:-1])
+    lower = from_generator_word(rows[-1:])
+    assert from_generator_word(rows) == compose(upper, lower)
 
 
 def trefoil_rows(long):
@@ -495,7 +494,7 @@ def trefoil_rows(long):
 @pytest.mark.parametrize("long", [False, True], ids=["closed", "long"])
 def test_trefoil_closure_has_zero_polynomial(long):
     # one-component classical diagrams have maip == 0 (Kauffman 2013)
-    d = from_generator_word(GeneratorWord(trefoil_rows(long)))
+    d = from_generator_word(trefoil_rows(long))
     assert validate(d) == []
     assert (d.m, d.n) == ((1, 1) if long else (0, 0))
     assert [c.kind for c in d.components] == ["long" if long else "closed"]

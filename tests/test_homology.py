@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from maip import checks, homology, invariant
 from maip.algebra import AffineInt, affine_weight
 from maip.diagram import OVER, UNDER, parse, random_diagram
-from maip.errors import NotClassical
 from maip.homology import (Prop2Report, check_prop2, homological_weight, maip_via_homology,
                            pairing, passage_index, smoothing)
 from maip.invariant import maip, propagate_labels, weight_table
@@ -372,7 +371,7 @@ def test_homological_weight_kink(kink):
 def test_homological_weight_requires_classical(singular):
     index = passage_index(singular)
     for cid in (1, 2):  # singular, and no crossing at all
-        with pytest.raises(NotClassical):
+        with pytest.raises(ValueError, match=rf"^crossing {cid} is not a classical crossing$"):
             homological_weight(index, cid)
 
 

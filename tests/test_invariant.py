@@ -6,7 +6,7 @@ from maip import checks
 from maip.algebra import AffineInt, LaurentPoly, render, substitute_symbols
 from maip.diagram import (OVER, SING_PRIMARY, SING_SECONDARY, UNDER, random_diagram,
                           validate)
-from maip.errors import HasSingular, NoSingular
+from maip.errors import HasSingular
 from maip.invariant import (contribution_poly, maip, propagate_labels, resolve_singular,
                             structured_maip, vassiliev_eval, weight_table)
 
@@ -315,7 +315,7 @@ def test_two_singular_coefficients():
 
 
 def test_resolve_requires_singular(kink):
-    with pytest.raises(NoSingular):
+    with pytest.raises(ValueError, match=r"^diagram has no singular crossings$"):
         resolve_singular(kink)
 
 

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -9,11 +10,10 @@ from hypothesis import strategies as st
 from maip import checks
 from maip.checks import check_moves
 from maip.diagram import parse, random_diagram, serialize, validate
-from maip.errors import NotApplicable
 from maip.invariant import maip, propagate_labels, vassiliev_eval, weight_table
 from maip.moves import (MOVE_KINDS, MoveSite, WalkState, apply_site, find_r1_delete_sites,
                         find_r2_delete_sites, find_r3_sites, find_sites, random_walk)
-from maip.words import Crossing, GeneratorWord, Identity, from_generator_word
+from maip.words import Crossing, Identity, from_generator_word
 
 from conftest import flip_every_sign, reference_sites, weight
 
@@ -52,7 +52,7 @@ def test_r1_orders():
 
 
 def test_r1_delete_rejects_non_kink(ex3):
-    with pytest.raises(NotApplicable):
+    with pytest.raises(ValueError, match=r"^not a site of this diagram: R1- 3:0$"):
         apply_site(ex3, MoveSite("R1-", ((3, 0),)))
 
 
@@ -100,7 +100,7 @@ def test_r2_delete_rejects_same_sign_pair():
               "component 1 long from B1 to T1 : O1+ O2+\n"
               "component 2 long from B2 to T2 : U1+ U2+\n")
     assert find_r2_delete_sites(d) == []
-    with pytest.raises(NotApplicable):
+    with pytest.raises(ValueError, match=r"^not a site of this diagram: R2- 1:0 2:0$"):
         apply_site(d, MoveSite("R2-", ((1, 0), (2, 0))))
 
 
@@ -148,7 +148,7 @@ def test_r3_sites_on_crossing_free_diagram():
 
 
 def test_r3_apply_rejects_bad_site():
-    with pytest.raises(NotApplicable):
+    with pytest.raises(ValueError, match=r"^not a site of this diagram: R3 1:0 2:0 3:1$"):
         apply_site(braid_r3_diagram(), MoveSite("R3", ((1, 0), (2, 0), (3, 1))))
 
 
@@ -165,45 +165,56 @@ def test_r3_apply_rejects_bad_site():
 ], ids=["unknown-kind", "component-0", "offset-minus-1",
         "offset-at-end", "kink-labelled-r3"])
 def test_apply_site_rejects_sites_the_scan_does_not_offer(kink, site):
-    with pytest.raises(NotApplicable):
+    with pytest.raises(ValueError, match=rf"^not a site of this diagram: {re.escape(site.describe())}$"):
         apply_site(kink, site)
 
 
 # The kink has one component with two passages: arc positions 1:0..1:2.
-_BAD_ANCHORS = {"component-0": (0, 0), "component-past-end": (2, 0),
-                "offset-minus-1": (1, -1), "offset-past-end": (1, 3)}
+# Each bad anchor maps to the message it raises.
+_BAD_ANCHORS = {"component-0": ((0, 0), r"no component 0"),
+                "component-past-end": ((2, 0), r"no component 2"),
+                "offset-minus-1": ((1, -1), r"arc position -1 out of range 0\.\.2"),
+                "offset-past-end": ((1, 3), r"arc position 3 out of range 0\.\.2")}
 
 
-@pytest.mark.parametrize("site", [
-    *(MoveSite("R1+", (bad,), sign=1, order="over_first") for bad in _BAD_ANCHORS.values()),
-    *(MoveSite("R2+", (bad, (1, 1)), sign=1, same_direction=True) for bad in _BAD_ANCHORS.values()),
-    *(MoveSite("R2+", ((1, 1), bad), sign=1, same_direction=True) for bad in _BAD_ANCHORS.values()),
-    MoveSite("R1+", ((1, 0), (1, 1)), sign=1, order="over_first"),
-    MoveSite("R2+", ((1, 0),), sign=1, same_direction=True),
+@pytest.mark.parametrize("site, message", [
+    *((MoveSite("R1+", (bad,), sign=1, order="over_first"), message)
+      for bad, message in _BAD_ANCHORS.values()),
+    *((MoveSite("R2+", (bad, (1, 1)), sign=1, same_direction=True), message)
+      for bad, message in _BAD_ANCHORS.values()),
+    *((MoveSite("R2+", ((1, 1), bad), sign=1, same_direction=True), message)
+      for bad, message in _BAD_ANCHORS.values()),
+    (MoveSite("R1+", ((1, 0), (1, 1)), sign=1, order="over_first"),
+     r"wrong number of anchors: R1\+ 1:0 1:1 sign=\+ order=over_first"),
+    (MoveSite("R2+", ((1, 0),), sign=1, same_direction=True),
+     r"wrong number of anchors: R2\+ 1:0 sign=\+ same_direction=True"),
 ], ids=[*(f"{kind}-{name}" for kind in ("r1", "r2-first", "r2-second") for name in _BAD_ANCHORS),
         "r1-two-anchors", "r2-one-anchor"])
-def test_apply_site_range_checks_insertion_anchors(kink, site):
-    with pytest.raises(NotApplicable):
+def test_apply_site_range_checks_insertion_anchors(kink, site, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
         apply_site(kink, site)
 
 
-@pytest.mark.parametrize("site", [
-    MoveSite("R1+", ((1, 0),), sign=1, order="sideways"),
-    MoveSite("R1+", ((1, 0),), sign=2, order="over_first"),
-    MoveSite("R2+", ((1, 0), (1, 1)), sign=0, same_direction=True),
-    *(MoveSite("R2+", ((1, 0), (1, 1)), sign=1, same_direction=bad)
-      for bad in (None, 0, 1, "yes")),
+@pytest.mark.parametrize("site, message", [
+    (MoveSite("R1+", ((1, 0),), sign=1, order="sideways"),
+     "order must be 'over_first' or 'under_first'"),
+    (MoveSite("R1+", ((1, 0),), sign=2, order="over_first"),
+     r"crossing sign must be \+1 or -1, got 2"),
+    (MoveSite("R2+", ((1, 0), (1, 1)), sign=0, same_direction=True),
+     r"crossing sign must be \+1 or -1, got 0"),
+    *((MoveSite("R2+", ((1, 0), (1, 1)), sign=1, same_direction=bad),
+       "same_direction must be True or False") for bad in (None, 0, 1, "yes")),
 ], ids=["unknown-order", "r1-bad-sign", "r2-bad-sign",
         *(f"r2-same-direction-{bad!r}" for bad in (None, 0, 1, "yes"))])
-def test_apply_site_rejects_bad_insertion_parameters(kink, site):
-    with pytest.raises(ValueError):
+def test_apply_site_rejects_bad_insertion_parameters(kink, site, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
         apply_site(kink, site)
 
 
 def test_apply_site_rejects_a_kink_removed_twice(kink):
     (site,) = find_sites(kink)["R1-"]
     once = apply_site(kink, site)
-    with pytest.raises(NotApplicable):
+    with pytest.raises(ValueError, match=r"^not a site of this diagram: R1- 1:0$"):
         apply_site(once, site)
 
 
@@ -386,7 +397,7 @@ def braid_word(k):
     """(s1 s2)^k on three upward strands, every crossing positive: rich in R3 sites."""
     s1 = (Crossing("positive"), Identity())
     s2 = (Identity(), Crossing("positive"))
-    return from_generator_word(GeneratorWord((s1, s2) * k))
+    return from_generator_word((s1, s2) * k)
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -9,10 +9,10 @@ from maip.algebra import AffineInt, LaurentPoly, reindex
 from maip.checks import random_composable_pair
 from maip.diagram import (Component, Passage, TangleDiagram, parse, random_diagram,
                           serialize, validate)
-from maip.errors import ArityMismatch, InconsistentPlan, OrientationMismatch
+from maip.errors import ArityMismatch, OrientationMismatch
 from maip.invariant import maip, propagate_labels, structured_maip
 from maip.tangle_ops import GluePlan, PlanEntry, compose, cut, predict_composed, tensor
-from maip.words import GeneratorWord, Identity, from_generator_word
+from maip.words import Identity, from_generator_word
 
 from conftest import aff, const, flip_every_sign, mono, sym
 
@@ -24,7 +24,7 @@ def empty_tangle():
 def identity_word_for_top(slot_roles):
     """One identity row matching a boundary: "start" slots flow downward."""
     atoms = tuple(Identity("d" if role == "start" else "u") for role in slot_roles)
-    return GeneratorWord((atoms,))
+    return (atoms,)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +191,7 @@ def test_predict_covers_cycles(kink):
 
 def test_predict_rejects_unknown_component(ex3):
     plan = GluePlan((PlanEntry("chain", (1, 9)),))
-    with pytest.raises(InconsistentPlan):
+    with pytest.raises(ValueError, match=r"^plan references unknown component 9$"):
         predict_composed(structured_maip(ex3), structured_maip(ex3), plan)
 
 
