@@ -112,6 +112,12 @@ CHECKS = [
     # sites at once (0.30-0.42 s).
     ("walk_sites n12800.tangle", 10,
      "{'R1-': 13, 'R2-': 11, 'R3': 0} 23a055f273c03ae9b7271ccc6fe781d2f7d342c670481f512f05b4cf45287ef4"),
+    # The same at 100000 crossings, where the walk's state and the scan's
+    # fresh one each link 200000 passages in bulk (1.4-1.5 s at 109.1 MiB).
+    # The drawn file itself has no site, so a 0-step walk would pin none.
+    ("walk_sites n100000.tangle", 10,
+     "{'R1-': 6, 'R2-': 10, 'R3': 0} 391a2d5d0ba97502699b62aead41234eb2410c21b4863a017a373cae893f7631",
+     0, 142),
     # 1690 of the 3000 cuts glue back through a cycle (about 3 s).
     ("maip check --what compose --random --trials 3000 --seed 1", 60,
      "what=compose trials=3000 seed=1: cyclic_trials=1690 longest_chain=18 multi_chain_trials=1881 PASS"),
@@ -157,10 +163,11 @@ def write_inputs():
     *head, last = text.splitlines()
     tok = last.split()[-1]
     flip = tok[:-1] + {"+": "-", "-": "+"}[tok[-1]]
+    data = to_json(parse(text))
+    events = data["components"][-1]["events"]
     for name, line, event in ("bad", last + " Q", tok + " "), ("clash", last[:-len(tok)] + flip, flip):
         Path(f"{name}.tangle").write_text("\n".join(head + [line]) + "\n")
-        data = to_json(parse(text))
-        data["components"][-1]["events"][-1] = event
+        events[-1] = event
         Path(f"{name}.json").write_text(json.dumps(data))
 
 

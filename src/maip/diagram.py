@@ -21,8 +21,9 @@ Both input formats read a component's tokens with one reader.  A valid
 line is read in bulk, by C-level operations over the whole line: one
 regex search proves every word a token, and ``str.translate`` with
 ``split`` lines up the ids, signs and roles.  A line that the bulk reader
-rejects is read again word by word, which stops at the first bad token;
-the text reader adds its line and column.
+rejects is read again word by word, which raises
+:class:`DiagramParseError` at the first bad word; the text reader places
+it at its line and column.
 """
 
 from __future__ import annotations
@@ -236,10 +237,6 @@ _TOKEN_RECORDS = {"+": CrossingRecord.classical(1), "-": CrossingRecord.classica
                   ".": CrossingRecord.singular()}
 
 
-class _BadToken(Exception):
-    """``(offset, message)``: a line's first bad word, where it starts, and what is wrong."""
-
-
 def _number(digits: str, line: int, column: int) -> int:
     try:
         return int(digits)
@@ -247,7 +244,7 @@ def _number(digits: str, line: int, column: int) -> int:
         raise DiagramParseError("number is too long", line, column) from None
 
 
-def _passages(line: str, crossings: dict[int, CrossingRecord],
+def _passages(line: str, crossings: dict[int, CrossingRecord], at: tuple[int, int] | None = None,
               words_proven: bool = False) -> tuple[Passage, ...]:
     """One component's passages from its whitespace-separated tokens.
 
@@ -258,10 +255,11 @@ def _passages(line: str, crossings: dict[int, CrossingRecord],
     through ``map(int, ...)``, one ``setdefault`` identity test per token
     and ``tuple.__new__`` for the passages.  A line that the gate, ``int``
     or the identity test rejects is read again word by word, which raises
-    :class:`_BadToken` at the first word that is not a token, whose id is
-    too long or whose record clashes; the caller places it in its input.
-    ``words_proven`` skips the gate for a caller that has proved every
-    word a token.
+    :class:`DiagramParseError` at the first word that is not a token,
+    whose id is too long or whose record clashes.  ``at`` is the line
+    and column where ``line`` starts in the caller's input, if it has
+    one; the error is placed at its word.  ``words_proven`` skips the
+    gate for a caller that has proved every word a token.
     """
     if words_proven or _NOT_A_TOKEN_RE.search(" " + line) is None:
         try:
@@ -280,16 +278,22 @@ def _passages(line: str, crossings: dict[int, CrossingRecord],
     for word in _WORD_RE.finditer(line):
         digits, sign, sing_digits, other = word.group(2, 3, 5, 6)
         if other:
-            raise _BadToken(word.start(), f"bad token {other!r}")
-        try:
-            cid = int(digits or sing_digits)
-        except ValueError:  # more digits than the interpreter converts
-            raise _BadToken(word.start(), "crossing id is too long") from None
-        rec = _TOKEN_RECORDS[sign or "."]
-        if crossings.setdefault(cid, rec) is not rec:
-            raise _BadToken(word.start(), f"sign mismatch at crossing {cid}"
-                            if (crossings[cid].sign is None) == (rec.sign is None)
-                            else f"crossing {cid} is both classical and singular")
+            message = f"bad token {other!r}"
+        else:
+            try:
+                cid = int(digits or sing_digits)
+            except ValueError:  # more digits than the interpreter converts
+                message = "crossing id is too long"
+            else:
+                rec = _TOKEN_RECORDS[sign or "."]
+                if crossings.setdefault(cid, rec) is rec:
+                    continue
+                message = (f"sign mismatch at crossing {cid}"
+                           if (crossings[cid].sign is None) == (rec.sign is None)
+                           else f"crossing {cid} is both classical and singular")
+        if at is None:
+            raise DiagramParseError(message)
+        raise DiagramParseError(message, at[0], at[1] + word.start())
     raise AssertionError("the bulk read rejected a line that has no bad word")
 
 
@@ -341,11 +345,7 @@ def parse(text: str) -> TangleDiagram:
             raise DiagramParseError(
                 f"component index {idx} out of order (expected {len(components) + 1})",
                 lineno, idx_col)
-        try:
-            events = _passages(m.group(5), crossings)
-        except _BadToken as bad:
-            offset, message = bad.args
-            raise DiagramParseError(message, lineno, indent + m.start(5) + offset + 1) from None
+        events = _passages(m.group(5), crossings, (lineno, indent + m.start(5) + 1))
         if m.group(2) == "closed":
             components.append(Component("closed", events))
         else:
@@ -417,20 +417,17 @@ def from_json(data: dict) -> TangleDiagram:
             joined = " ".join(tokens)
         except TypeError:  # a token that is not a string
             joined = " "     # which the check below rejects
-        try:
-            # Every piece between single spaces is a token, and there are as
-            # many pieces as tokens: so each token is one of them.
-            if (_NOT_A_SPACED_TOKEN_RE.search(" " + joined) is None
-                    and joined.count(" ") == len(tokens) - 1):
-                events = _passages(joined, crossings, words_proven=True)
-            else:  # read up to the first token of another shape (if any), then reject it
-                i = next((i for i, tok in enumerate(tokens)
-                          if not isinstance(tok, str) or tok.split() != [tok]), len(tokens))
-                events = _passages(" ".join(tokens[:i]), crossings)
-                if i < len(tokens):
-                    raise DiagramParseError(f"bad token {tokens[i]!r}")
-        except _BadToken as bad:
-            raise DiagramParseError(bad.args[1]) from None
+        # Every piece between single spaces is a token, and there are as
+        # many pieces as tokens: so each token is one of them.
+        if (_NOT_A_SPACED_TOKEN_RE.search(" " + joined) is None
+                and joined.count(" ") == len(tokens) - 1):
+            events = _passages(joined, crossings, words_proven=True)
+        else:  # read up to the first token of another shape (if any), then reject it
+            i = next((i for i, tok in enumerate(tokens)
+                      if not isinstance(tok, str) or tok.split() != [tok]), len(tokens))
+            events = _passages(" ".join(tokens[:i]), crossings)
+            if i < len(tokens):
+                raise DiagramParseError(f"bad token {tokens[i]!r}")
         components.append(Component(kind, events, start, end))
     d = TangleDiagram(data["m"], data["n"], tuple(components), crossings)
     return d if _proven_valid(d) else require_valid(d)

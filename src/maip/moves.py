@@ -96,16 +96,7 @@ class MoveSite(NamedTuple):
 
 # Inside the state a passage is one int, 4 * crossing + the index of its
 # role, so its dictionaries hash plain ints and U_x is O_x + 1.
-_ROLES = (OVER, UNDER, SING_PRIMARY, SING_SECONDARY)
-_ROLE_INDEX = {role: i for i, role in enumerate(_ROLES)}
-
-
-class _Passages(dict):
-    """Passage of each code, made the first time a code is looked up."""
-
-    def __missing__(self, code: int) -> Passage:
-        p = self[code] = Passage(code >> 2, _ROLES[code & 3])
-        return p
+_ROLE_INDEX = {OVER: 0, UNDER: 1, SING_PRIMARY: 2, SING_SECONDARY: 3}
 
 
 class WalkState:
@@ -113,18 +104,20 @@ class WalkState:
 
     :meth:`draw` and :meth:`apply` take one step of a walk, :meth:`listed`
     gives the sites as :class:`MoveSite` lists and :meth:`diagram` the
-    diagram as it stands.  ``sites[kind]`` maps the first passage of a
-    top pair to the sites it tops there, each given by the first
-    passages of its other pairs: ``()`` for R1-, ``(bottom,)`` for R2-,
-    ``(middle, bottom)`` for R3, whose two chiralities can share one top
-    pair.
+    diagram as it stands.  ``passage`` maps each code to its
+    :class:`Passage`: the input's own object, or one of the two made when
+    a crossing is minted, so the walked diagram shares them.
+    ``sites[kind]`` maps the first passage of a top pair to the sites it
+    tops there, each given by the first passages of its other pairs:
+    ``()`` for R1-, ``(bottom,)`` for R2-, ``(middle, bottom)`` for R3,
+    whose two chiralities can share one top pair.
     """
 
     def __init__(self, d: TangleDiagram):
         self.base = d
         self.crossings = dict(d.crossings)
         self.top = max(self.crossings, default=0)
-        self.passage = _Passages()
+        self.passage: dict[int, Passage] = {}
         self.lines: list[list[int]] = [[] for _ in d.components]
         self.prev: dict[int, int | None] = {}
         self.next: dict[int, int | None] = {}
@@ -239,6 +232,8 @@ class WalkState:
         x = self.top + 1
         self.crossings[x] = CrossingRecord.classical(sign)
         self.top = x
+        self.passage[4 * x] = Passage(x, OVER)
+        self.passage[4 * x + 1] = Passage(x, UNDER)
         return 4 * x
 
     def apply(self, site: MoveSite) -> None:
@@ -300,9 +295,8 @@ class WalkState:
                     found.pop(p, None)
         line[k:k + n] = new
         run = (before, *new, after)
-        for p, q in zip(run, run[1:]):
-            nxt[p] = q
-            prv[q] = p
+        nxt.update(zip(run, run[1:]))
+        prv.update(zip(run[1:], run))
         nxt.pop(None, None)
         prv.pop(None, None)
         return run

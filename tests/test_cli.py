@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from maip import checks, cli, invariant
-from maip.algebra import poly_to_json, render
+from maip.algebra import LaurentPoly, poly_to_json, render
 from maip.diagram import parse, random_diagram, serialize
 from maip.invariant import maip
 
@@ -148,6 +148,16 @@ def test_compose_cyclic_prediction_ok(tmp_path):
     payload = json.loads(res.stdout)
     assert payload["predict"] == "ok"
     assert payload["maip"] == poly_to_json(maip(load("kink")))
+
+
+def test_compose_mismatched_prediction_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "predict_composed", lambda *args: LaurentPoly.zero())
+    assert cli.main(["compose", fx("ex3"), fx("ex2")]) == 1
+    out = capsys.readouterr().out
+    assert "# maip: 1 + t1^(c1-c2-1)" in out
+    assert out.endswith("# predict: MISMATCH\n")
+    assert cli.main(["compose", fx("ex3"), fx("ex2"), "--json"]) == 1
+    assert json.loads(capsys.readouterr().out)["predict"] == "MISMATCH"
 
 
 @pytest.mark.parametrize("command", ["tensor", "compose"])

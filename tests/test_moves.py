@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from maip import checks
 from maip.checks import check_moves
-from maip.diagram import parse, random_diagram, serialize, validate
+from maip.diagram import Passage, parse, random_diagram, serialize, validate
 from maip.invariant import maip, propagate_labels, vassiliev_eval, weight_table
 from maip.moves import (MOVE_KINDS, MoveSite, WalkState, apply_site, find_r1_delete_sites,
                         find_r2_delete_sites, find_r3_sites, find_sites, random_walk)
@@ -549,6 +549,27 @@ def test_random_walk_deterministic(ex1):
     a = random_walk(ex1, 25, 42, [])
     b = random_walk(ex1, 25, 42, [])
     assert a == b
+
+
+def test_a_walk_keeps_the_input_passages_and_makes_two_per_new_crossing():
+    # The walked diagram shares the input's Passage objects, so a long walk
+    # holds one copy of them; a crossing is the input's when its record is.
+    d = random_diagram(3, 1, 2, 40)
+    own = {p: p for comp in d.components for p in comp.events}
+    log = []
+    walked = random_walk(d, 60, 5, log)
+    assert {line.split()[0] for line in log} >= {"R1+", "R2+"}
+    new = {x for x, rec in walked.crossings.items() if rec is not d.crossings.get(x)}
+    assert new
+    made = {}
+    for comp in walked.components:
+        for p in comp.events:
+            if p.crossing in new:
+                assert type(p) is Passage
+                made.setdefault(p.crossing, set()).add(p)
+            else:
+                assert p is own[p]
+    assert made == {x: {Passage(x, "O"), Passage(x, "U")} for x in new}
 
 
 def test_random_walk_logs_moves(ex1):

@@ -2,6 +2,7 @@
 
 import ast
 import re
+from collections import Counter
 
 import pytest
 
@@ -18,6 +19,16 @@ def _names(node):
             yield sub.id
         elif isinstance(sub, ast.Attribute):
             yield sub.attr
+
+
+def _mentions(node):
+    """Every name, attribute name, imported name and string constant under a node."""
+    yield from _names(node)
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.alias):
+            yield sub.name.rpartition(".")[2]
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            yield sub.value
 
 
 def test_every_tangle_error_subclass_is_caught_by_name():
@@ -63,3 +74,34 @@ def test_every_python_file_parses_at_the_python_floor():
     assert len(paths) > 30
     for path in paths:
         ast.parse(path.read_text(), filename=str(path), feature_version=floor)
+
+
+# Public definitions that nothing outside the tests names yet, each with its reason.
+UNUSED_ON_PURPOSE = {
+    "moves.apply_site": "the public single-move applier, which the exhaustive "
+                        "small-scope suite of the ROADMAP is to call",
+}
+
+
+def test_every_public_definition_is_named_outside_the_tests():
+    """Every public top-level function and class in src/maip is named in
+    src/, scripts/ or perfbench/ somewhere besides its own definition, so
+    src/ holds no helper that only the tests use.
+
+    A name in a string counts, as perfbench wraps functions by name; and a
+    mention counts for every definition of that name, so the check is loose.
+    """
+    mentioned, public = Counter(), {}
+    for top in ("src", "scripts", "perfbench"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            mentioned.update(_mentions(tree))
+            if path.parent == PACKAGE:
+                for node in tree.body:
+                    if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                            and not node.name.startswith("_")):
+                        own = sum(name == node.name for name in _mentions(node))
+                        public[f"{path.stem}.{node.name}"] = (node.name, own)
+    assert len(public) > 50
+    unused = {key for key, (name, own) in public.items() if mentioned[name] == own}
+    assert sorted(unused) == sorted(UNUSED_ON_PURPOSE)
