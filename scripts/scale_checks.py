@@ -82,7 +82,7 @@ CHECKS = [
      "what=prop2 trials=1 seed=1: crossings_checked=100000 PASS", 0, 161),
     # corollary: 5.0-6.4 s at 89.6-89.7 MiB.
     ("maip check n100000.tangle --what corollary", 60, "what=corollary trials=1 seed=1: PASS", 0, 122),
-    # A 3-trial walk: 4.9-5.5 s at 119.5-119.7 MiB.
+    # A 3-trial walk: 2.9-3.7 s at 111.2 MiB.
     ("maip check n100000.tangle --what moves --trials 3", 60,
      "what=moves trials=3 seed=1: moves_applied=84 PASS", 0, 161),
     # compute: 0.8-1.0 s at 89.6-93.4 MiB.
@@ -101,22 +101,29 @@ CHECKS = [
     # output ends with "# predict: ok".
     ("maip compose up100000.tangle low100000.tangle", 60,
      "dc38bce701c813b9c90cc4946e4ea2da1ce8bb0536ef303e67fceb52aace660d", 0, 198),
-    # A walk step retests only the pairs its edit can reach: 0.25-0.3 s at
-    # 3200 crossings and 0.91-0.95 s at 12800, most of it in the polynomial
+    # A walk step retests only the pairs its edit can reach: 0.21-0.22 s at
+    # 3200 crossings and 0.46-0.63 s at 12800, most of it in the polynomial
     # and validation around each walk.  tests/test_moves.py bounds the pairs.
     ("maip check n3200.tangle --what moves --trials 5 --seed 1", 60,
      "what=moves trials=5 seed=1: moves_applied=156 PASS"),
     ("maip check n12800.tangle --what moves --trials 5 --seed 1", 10,
      "what=moves trials=5 seed=1: moves_applied=156 PASS"),
-    # 150 steps end with 13 R1- and 11 R2- sites, so a draw places many
-    # sites at once (0.30-0.42 s).
+    # 150 steps end with 13 R1- and 11 R2- sites, so the listing after the
+    # walk places many sites in one pass (0.16-0.21 s).
     ("walk_sites n12800.tangle", 10,
      "{'R1-': 13, 'R2-': 11, 'R3': 0} 23a055f273c03ae9b7271ccc6fe781d2f7d342c670481f512f05b4cf45287ef4"),
     # The same at 100000 crossings, where the walk's state and the scan's
-    # fresh one each link 200000 passages in bulk (1.4-1.5 s at 109.1 MiB).
+    # fresh one each link 200000 passages in bulk (1.1-1.3 s at 109.2-109.3 MiB).
     # The drawn file itself has no site, so a 0-step walk would pin none.
     ("walk_sites n100000.tangle", 10,
      "{'R1-': 6, 'R2-': 10, 'R3': 0} 391a2d5d0ba97502699b62aead41234eb2410c21b4863a017a373cae893f7631",
+     0, 142),
+    # 2000 steps there: a draw scans the passage lists only up to the drawn
+    # site, so the step is still linear.  4.4-5.7 s at 102.6-109.2 MiB, so a
+    # 20 s timeout and a 142 MiB bound; the walk took 9.7-10.5 s when each
+    # draw placed every site of its kind.
+    ("walk_sites n100000.tangle 2000", 20,
+     "{'R1-': 35, 'R2-': 11, 'R3': 0} b305893bea745f8d3371ce79b2ce8c2ef38be43623d98c88e230688bafecf54c",
      0, 142),
     # 1690 of the 3000 cuts glue back through a cycle (about 3 s).
     ("maip check --what compose --random --trials 3000 --seed 1", 60,
@@ -192,13 +199,13 @@ def sum_rule(path):
     print(f"sum rule holds: delta={delta}")
 
 
-def walk_sites(path):
-    """Print the site counts after a 150-step walk at seed 1, and the sha256 of its log and sites."""
+def walk_sites(path, steps=150):
+    """Print the site counts after a walk of ``steps`` steps at seed 1, and the sha256 of its log and sites."""
     from maip.diagram import parse
     from maip.moves import find_sites, random_walk
 
     log = []
-    sites = find_sites(random_walk(parse(Path(path).read_text()), 150, 1, log))
+    sites = find_sites(random_walk(parse(Path(path).read_text()), int(steps), 1, log))
     lines = log + [site.describe() for found in sites.values() for site in found]
     print({kind: len(found) for kind, found in sites.items()},
           hashlib.sha256("\n".join(lines).encode()).hexdigest())

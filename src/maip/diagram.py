@@ -58,7 +58,10 @@ class Passage(NamedTuple):
 
 @dataclass(frozen=True)
 class CrossingRecord:
-    """Classical crossings carry sign +1/-1; singular ones carry None."""
+    """Classical crossings carry sign +1/-1; singular ones carry None.
+
+    :meth:`classical` and :meth:`singular` return one shared record per sign.
+    """
 
     sign: int | None
 
@@ -66,11 +69,14 @@ class CrossingRecord:
     def classical(sign: int) -> "CrossingRecord":
         if sign not in (1, -1):
             raise ValueError(f"crossing sign must be +1 or -1, got {sign}")
-        return CrossingRecord(sign)
+        return _RECORDS[sign]
 
     @staticmethod
     def singular() -> "CrossingRecord":
-        return CrossingRecord(None)
+        return _RECORDS[None]
+
+
+_RECORDS = {sign: CrossingRecord(sign) for sign in (1, -1, None)}
 
 
 @dataclass(frozen=True)

@@ -32,10 +32,11 @@ and the one after the run, the (O, O) pairs around O_c, because besides
 its own two passages a pair's R2- and R3 tests read only the neighbours
 of U_x and U_y.  Sites of deleted passages are dropped.
 
-A passage's component and offset are found only where they are needed,
-to list a kind's sites or draw one: one pass over the passage lists
-places exactly the passages those sites name, and meets their tops in
-(component, offset) order, so the list needs no sort.  A new crossing
+A passage's component and offset are found only where they are needed:
+a draw picks a site by its rank in (component, offset) order, scans for
+tops only up to it and places only its passages; a listing places the
+passages its sites name in one pass and meets their tops in order, so
+it needs no sort.  A new crossing
 gets max(crossings) + 1 of the current table, so the id falls back after
 the highest crossing is deleted; the state carries that maximum and
 takes it again only then.
@@ -79,15 +80,15 @@ class MoveSite(NamedTuple):
     same_direction: bool | None = None
 
     def describe(self) -> str:
-        spots = " ".join(f"{c}:{p}" for c, p in self.anchors)
-        extra = []
-        if self.sign is not None:
-            extra.append(f"sign={'+' if self.sign > 0 else '-'}")
-        if self.order is not None:
-            extra.append(f"order={self.order}")
-        if self.same_direction is not None:
-            extra.append(f"same_direction={self.same_direction}")
-        return " ".join([self.kind, spots] + extra)
+        kind, anchors, sign, order, same_direction = self
+        text = f"{kind} " + " ".join([f"{c}:{p}" for c, p in anchors])
+        if sign is not None:
+            text += f" sign={'+' if sign > 0 else '-'}"
+        if order is not None:
+            text += f" order={order}"
+        if same_direction is not None:
+            text += f" same_direction={same_direction}"
+        return text
 
 
 # ---------------------------------------------------------------------------
@@ -122,10 +123,11 @@ class WalkState:
         self.prev: dict[int, int | None] = {}
         self.next: dict[int, int | None] = {}
         self.sites: dict[str, dict] = {kind: {} for kind in _DELETE_KINDS}
-        for ci, comp in enumerate(d.components, start=1):
-            codes = [4 * x + _ROLE_INDEX[role] for x, role in comp.events]
-            self.passage.update(zip(codes, comp.events))
-            self._splice(ci, 0, 0, codes)
+        for line, comp in zip(self.lines, d.components):
+            line += [4 * x + _ROLE_INDEX[role] for x, role in comp.events]
+            self.passage.update(zip(line, comp.events))
+            self.next.update(zip(line, [*line[1:], None]))
+            self.prev.update(zip(line, [None, *line]))
         self._test(chain.from_iterable(map(pairwise, self.lines)))
 
     def _test(self, pairs) -> None:
@@ -193,6 +195,14 @@ class WalkState:
         return {kind: [MoveSite(kind, anchors) for anchors in self._placed(kind)]
                 for kind in self.sites}
 
+    def _place(self, p: int) -> tuple[int, int]:
+        """The (component, offset) of a live passage p."""
+        for ci, line in enumerate(self.lines, start=1):
+            try:
+                return ci, line.index(p)
+            except ValueError:
+                pass
+
     def _arc_at(self, i: int) -> tuple[int, int]:
         """The i-th arc position (component, offset), counting 0..len(events) per component."""
         for ci, line in enumerate(self.lines, start=1):
@@ -208,7 +218,9 @@ class WalkState:
         The move kind is drawn uniformly among kinds with at least one
         applicable site, then the site (or insertion position, sign, and
         variant) uniformly within the kind, from the list
-        :func:`find_sites` would give.
+        :func:`find_sites` would give.  A site is drawn as its rank r in
+        that list, the index ``rng.choice`` of the list would take, and
+        the tops are scanned in order to the r-th site.
         """
         kinds = list(_INSERT_KINDS) if self.lines else []
         kinds += [kind for kind, found in self.sites.items() if found]
@@ -217,44 +229,51 @@ class WalkState:
         kind = rng.choice(kinds)
         if kind in _INSERT_KINDS:
             arcs = range(len(self.next) + len(self.lines))
-            anchors = tuple(self._arc_at(rng.choice(arcs))
-                            for _ in range(1 if kind == "R1+" else 2))
-            sign = rng.choice((1, -1))
+            anchors = (self._arc_at(rng.choice(arcs)),)
             if kind == "R1+":
-                return MoveSite(kind, anchors, sign=sign,
+                return MoveSite(kind, anchors, sign=rng.choice((1, -1)),
                                 order=rng.choice((OVER_FIRST, UNDER_FIRST)))
-            return MoveSite(kind, anchors, sign=sign,
+            anchors += (self._arc_at(rng.choice(arcs)),)
+            return MoveSite(kind, anchors, sign=rng.choice((1, -1)),
                             same_direction=rng.choice((True, False)))
-        return MoveSite(kind, rng.choice(self._placed(kind)))
+        found = self.sites[kind]
+        r = rng.choice(range(sum(map(len, found.values()))))
+        for ci, line in enumerate(self.lines, start=1):
+            for a in filter(found.__contains__, line):
+                rests = found[a]
+                if r < len(rests):
+                    return MoveSite(kind, tuple([(ci, line.index(a)), *map(self._place, rests[r])]))
+                r -= len(rests)
 
     def _new_crossing(self, sign: int) -> int:
         """Add a classical crossing max(crossings) + 1 of the given sign; return its O passage."""
         x = self.top + 1
         self.crossings[x] = CrossingRecord.classical(sign)
         self.top = x
-        self.passage[4 * x] = Passage(x, OVER)
-        self.passage[4 * x + 1] = Passage(x, UNDER)
+        self.passage[4 * x] = tuple.__new__(Passage, (x, OVER))
+        self.passage[4 * x + 1] = tuple.__new__(Passage, (x, UNDER))
         return 4 * x
 
     def apply(self, site: MoveSite) -> None:
         """Apply site as one edit, then test again the pairs the edit can reach.
 
-        Each edit is (component, offset, tie-break, passages replaced,
-        new passages); applied from the last position back, every edit
-        sees its anchor's original offset.  R1+ inserts (O_x, U_x),
-        reversed for under_first.  R2+ inserts (O_x, O_y) at its first
-        anchor and (U_x, U_y), reversed unless same_direction, at its
-        second; at one position the first anchor's pair comes first.
-        R3 swaps each anchored pair; R1- and R2- drop them and their
-        crossings.
+        R1+ inserts (O_x, U_x), reversed for under_first, in one splice.
+        Every other move is a list of edits (component, offset, tie-break,
+        passages replaced, new passages); applied from the last position
+        back, every edit sees its anchor's original offset.  R2+ inserts
+        (O_x, O_y) at its first anchor and (U_x, U_y), reversed unless
+        same_direction, at its second; at one position the first anchor's
+        pair comes first.  R3 swaps each anchored pair; R1- and R2- drop
+        them and their crossings.
         """
         if site.kind == "R1+":
             if site.order not in (OVER_FIRST, UNDER_FIRST):
                 raise ValueError(f"order must be {OVER_FIRST!r} or {UNDER_FIRST!r}")
             ox = self._new_crossing(site.sign)
             pair = (ox, ox + 1) if site.order == OVER_FIRST else (ox + 1, ox)
-            edits = [(*site.anchors[0], 0, 0, pair)]
-        elif site.kind == "R2+":
+            self._retest([self._splice(*site.anchors[0], 0, pair)])
+            return
+        if site.kind == "R2+":
             if not isinstance(site.same_direction, bool):
                 raise ValueError("same_direction must be True or False")
             ox = self._new_crossing(site.sign)
@@ -295,10 +314,13 @@ class WalkState:
                     found.pop(p, None)
         line[k:k + n] = new
         run = (before, *new, after)
-        nxt.update(zip(run, run[1:]))
-        prv.update(zip(run[1:], run))
-        nxt.pop(None, None)
-        prv.pop(None, None)
+        a = before
+        for b in run[1:]:
+            if a is not None:
+                nxt[a] = b
+            if b is not None:
+                prv[b] = a
+            a = b
         return run
 
     def _retest(self, runs) -> None:
@@ -310,24 +332,23 @@ class WalkState:
         only an (O, O) pair tops such a site.
         """
         nxt, prev = self.next, self.prev
-        tops = []
+        tops = set()
         for run in runs:
-            tops += run[:-1]
+            tops.update(run[:-1])
             for p in run:
                 if p is not None and p & 3 == 1 and p - 1 in prev:
                     o = p - 1
                     before, after = prev[o], nxt[o]
                     if before is not None and not before & 3:
-                        tops.append(before)
+                        tops.add(before)
                     if after is not None and not after & 3:
-                        tops.append(o)
-        tops = prev.keys() & tops
-        r1, r2, r3 = self.sites.values()
-        for a in tops:
-            r1.pop(a, None)
-            r2.pop(a, None)
-            r3.pop(a, None)
-        self._test(zip(tops, map(self.next.__getitem__, tops)))
+                        tops.add(o)
+        tops = [a for a in tops if a in prev]
+        for found in self.sites.values():
+            if found:
+                for a in tops:
+                    found.pop(a, None)
+        self._test(zip(tops, map(nxt.__getitem__, tops)))
 
     def diagram(self) -> TangleDiagram:
         """The diagram as it stands."""

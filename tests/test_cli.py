@@ -317,21 +317,36 @@ def test_property_suite_script_exits_141_on_a_closed_stdout():
     assert "Traceback" not in stderr
 
 
-def test_package_root_reexports_nothing_and_commands_skip_words():
-    # The package's names live in its modules; a re-export layer at the
-    # root would load every module, words too, into every command.
+def run_python(code):
+    """Run code in a fresh interpreter at the repository root, importing this checkout's maip."""
     root = FIXTURES.parent
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [str(root / "src"),
                                                        os.environ.get("PYTHONPATH")]))}
+    res = subprocess.run([sys.executable, "-c", code],
+                         capture_output=True, text=True, cwd=root, env=env)
+    assert res.returncode == 0, res.stderr
+    return res.stdout.splitlines()
+
+
+def test_package_root_reexports_nothing_and_commands_skip_words():
+    # The package's names live in its modules; a re-export layer at the
+    # root would load every module, words too, into every command.
     code = ("import sys, types, maip.cli, maip.checks, maip\n"
             "print('maip.words' in sys.modules)\n"
             "print(sorted(n for n, v in vars(maip).items()\n"
             "             if not n.startswith('_') and not isinstance(v, types.ModuleType)))\n")
-    res = subprocess.run([sys.executable, "-c", code],
-                         capture_output=True, text=True, cwd=root, env=env)
-    assert res.returncode == 0, res.stderr
-    assert res.stdout.splitlines() == ["False", "[]"]
+    assert run_python(code) == ["False", "[]"]
+
+
+def test_compute_loads_neither_the_suites_nor_what_only_they_call():
+    # Only check runs a suite, so compute skips importing the suites, the
+    # walk and the oracle.
+    code = ("import sys\n"
+            "from maip import cli\n"
+            "assert cli.main(['compute', 'fixtures/ex1.tangle']) == 0\n"
+            "print([m for m in ('maip.checks', 'maip.moves', 'maip.homology') if m in sys.modules])\n")
+    assert run_python(code)[-1] == "[]"
 
 
 @pytest.mark.parametrize("argv, module, name, inputs", [
@@ -608,7 +623,8 @@ def test_every_suite_list_matches_checks_suites():
     docstring = re.search(r"check +randomized property suites \(([^)]*)\)", cli.__doc__)[1]
     lists = {"run_property_suite.TRIALS": list(ast.literal_eval(trials)),
              "README CLI synopsis": re.search(r"--what (\S+)", synopsis)[1].split("|"),
-             "cli docstring": docstring.replace(",", " ").split()}
+             "cli docstring": docstring.replace(",", " ").split(),
+             "cli.SUITE_NAMES": list(cli.SUITE_NAMES)}
     assert {place: names for place, names in lists.items() if names != list(checks.SUITES)} == {}
 
 

@@ -13,7 +13,8 @@ from maip.diagram import (Component, CrossingRecord, Passage, TangleDiagram,
 from maip.errors import (ArityMismatch, DiagramParseError, HasSingular, OrientationMismatch,
                          ValidationFailure)
 from maip.homology import check_prop2, maip_via_homology
-from maip.invariant import maip, propagate_labels
+from maip.invariant import maip, propagate_labels, resolve_singular
+from maip.moves import random_walk
 from maip.tangle_ops import compose
 from maip.words import Cap, Crossing, Cup, Identity, from_generator_word
 
@@ -45,6 +46,28 @@ def test_validate_names_a_role_of_the_other_kind_in_order():
         "crossing 1: unexpected role X",
         "crossing 2: unexpected role U",
     ]
+
+
+def test_every_maker_of_records_shares_one_record_per_sign():
+    # random_diagram, the resolutions, a generator word and a walk that
+    # mints crossings build no record of their own: each record is the one
+    # classical() or singular() gives.
+    d = random_diagram(1, 2, 2, 200, n_singular=3)
+    word = from_generator_word(((Crossing("positive"), Crossing("negative")),))
+    walked = random_walk(random_diagram(3, 1, 2, 40), 60, 5, [])
+    assert max(walked.crossings) > 40
+    made = [d, word, walked, *(term.diagram for term in resolve_singular(d))]
+    records = [rec for diagram in made for rec in diagram.crossings.values()]
+    assert {rec.sign for rec in records} == {1, -1, None}
+    shared = {1: CrossingRecord.classical(1), -1: CrossingRecord.classical(-1),
+              None: CrossingRecord.singular()}
+    assert all(rec is shared[rec.sign] for rec in records)
+
+
+@pytest.mark.parametrize("sign", [0, 2, None, "x"])
+def test_classical_record_rejects_a_sign_other_than_plus_or_minus_one(sign):
+    with pytest.raises(ValueError, match=rf"^crossing sign must be \+1 or -1, got {sign}$"):
+        CrossingRecord.classical(sign)
 
 
 def test_validate_endpoint_arity():

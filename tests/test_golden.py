@@ -20,13 +20,16 @@ diagrams and the order of the deletion and R3 sites found on them, which
 import hashlib
 import json
 
+from maip import moves
 from maip.algebra import poly_to_json, render
 from maip.checks import random_composable_pair
 from maip.diagram import random_diagram, serialize
 from maip.invariant import maip, structured_maip
-from maip.moves import (find_r1_delete_sites, find_r2_delete_sites,
+from maip.moves import (WalkState, find_r1_delete_sites, find_r2_delete_sites,
                         find_r3_sites, random_walk)
 from maip.tangle_ops import GluePlan, compose, predict_composed
+
+from conftest import reference_sites
 
 
 def digests(polys):
@@ -98,4 +101,16 @@ def test_composite_grouping_and_numbering_are_unchanged():
 
 
 def test_walk_logs_diagrams_and_site_order_are_unchanged():
+    assert walk_digest() == WALK_DIGEST
+
+
+def test_walks_draw_their_sites_without_placing_a_whole_kind(monkeypatch):
+    # A walk step draws a site by its rank and places only that site's
+    # passages.  find_sites lists through _placed, so the scans after each
+    # walk come from the slow reference here.
+    def refused(self, kind):
+        raise AssertionError(f"placed every {kind} site")
+
+    monkeypatch.setattr(WalkState, "_placed", refused)
+    monkeypatch.setattr(moves, "find_sites", reference_sites)
     assert walk_digest() == WALK_DIGEST

@@ -248,12 +248,14 @@ def test_a_kind_with_no_sites_is_placed_without_a_pass(kink):
     assert state._placed("R3") == []
 
 
+# The top pair (O1, O2) at 1:0 names both R3 candidates.
+TWO_CHIRALITIES = parse("tangle m=1 n=1\n"
+                        "component 1 long from B1 to T1 : O1+ O2+ U4+ U1+ O3+ O4+ U2+ U3+\n")
+
+
 def test_r3_chiralities_of_one_top_pair_keep_their_order():
-    # The top pair (O1, O2) at 1:0 names both R3 candidates; the walk's
-    # rng.choice reads this order, so a site index must keep it.
-    d = parse("tangle m=1 n=1\n"
-              "component 1 long from B1 to T1 : O1+ O2+ U4+ U1+ O3+ O4+ U2+ U3+\n")
-    assert [s.describe() for s in find_sites(d)["R3"]] == [
+    # The walk's rng.choice reads this order, so a site index must keep it.
+    assert [s.describe() for s in find_sites(TWO_CHIRALITIES)["R3"]] == [
         "R3 1:0 1:3 1:6", "R3 1:0 1:5 1:2", "R3 1:4 1:1 1:6"]
 
 
@@ -418,6 +420,18 @@ def test_carried_sites_match_a_fresh_scan_on_a_line_of_kinks(seed):
     assert _check_carried_sites(d, 40, seed)["R1-"] > 0
 
 
+def test_a_rank_draw_keeps_the_order_of_one_top_pairs_r3_sites():
+    # A draw counts the sites of one top pair in the order the scan lists
+    # them; some of these walks draw the second site of (O1, O2).
+    drawn = set()
+    for seed in range(12):
+        _check_carried_sites(TWO_CHIRALITIES, 30, seed)
+        log = []
+        random_walk(TWO_CHIRALITIES, 30, seed, log)
+        drawn.update(log)
+    assert "R3 1:0 1:5 1:2" in drawn
+
+
 def test_carried_sites_match_a_fresh_scan_at_scale():
     # 3200 passages, and a walk on which some kind holds more than 8
     # sites, so one pass over the passage lists places many sites at once.
@@ -553,13 +567,15 @@ def test_random_walk_deterministic(ex1):
 
 def test_a_walk_keeps_the_input_passages_and_makes_two_per_new_crossing():
     # The walked diagram shares the input's Passage objects, so a long walk
-    # holds one copy of them; a crossing is the input's when its record is.
+    # holds one copy of them.  Records are shared per sign, so a crossing
+    # is new when the input lacks its id; no new crossing of this walk
+    # takes an id the input had.
     d = random_diagram(3, 1, 2, 40)
     own = {p: p for comp in d.components for p in comp.events}
     log = []
     walked = random_walk(d, 60, 5, log)
     assert {line.split()[0] for line in log} >= {"R1+", "R2+"}
-    new = {x for x, rec in walked.crossings.items() if rec is not d.crossings.get(x)}
+    new = walked.crossings.keys() - d.crossings.keys()
     assert new
     made = {}
     for comp in walked.components:
