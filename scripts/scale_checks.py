@@ -80,24 +80,24 @@ CHECKS = [
     # would need about 4.7 GiB).  prop2: 4.6-5.4 s at 123.5 MiB.
     ("maip check n100000.tangle --what prop2", 60,
      "what=prop2 trials=1 seed=1: crossings_checked=100000 PASS", 0, 161),
-    # corollary: 5.0-6.4 s at 89.6-89.7 MiB.
+    # corollary: 4.3-4.6 s at 91.2-91.3 MiB.
     ("maip check n100000.tangle --what corollary", 60, "what=corollary trials=1 seed=1: PASS", 0, 122),
     # A 3-trial walk: 2.9-3.7 s at 111.2 MiB.
     ("maip check n100000.tangle --what moves --trials 3", 60,
      "what=moves trials=3 seed=1: moves_applied=84 PASS", 0, 161),
-    # compute: 0.8-1.0 s at 89.6-93.4 MiB.
+    # compute: 0.6-0.7 s at 89.8-91.1 MiB.
     ("maip compute n100000.tangle", 60,
      "92d6668502280e831ff9e4f665fdc80c2f9510d93b3e06013d01d4ae47f45a09", 0, 122),
-    # Its JSON form, 7861 terms in 569646 bytes: 0.6 s at 89.8-93.7 MiB.
+    # Its JSON form, 7861 terms in 569646 bytes: 0.6-0.9 s at 90.6 MiB.
     ("maip compute n100000.tangle --json", 60,
      "e712be3a00c1fdd6ff044ce38b98bb5151ed505919ac05bca41fd2d2cc7d3404", 0, 117),
-    # resolve of the same draw with one singular crossing: 0.5-0.7 s at 80.1-80.5 MiB.
+    # resolve of the same draw with one singular crossing: 0.5-0.7 s at 76.5 MiB.
     ("maip resolve k1_100000.tangle", 60,
      "d1f03482cf85a5c6e9e1de3ac3acc7b70f692da7e4338070da55c1749a0b2cb7", 0, 105),
-    # tensor of the file with itself: 1.7-2.5 s at 193.6 MiB.
+    # tensor of the file with itself: 1.7-2.6 s at 193.4-193.6 MiB.
     ("maip tensor n100000.tangle n100000.tangle", 60,
      "63d5d53ae5b2045b6a2a0284a869f07baf22a48d7e52e20596d2b2fd0a47f9b3", 0, 252),
-    # compose of a pair cut from one draw: 3.5-4.5 s at 151.8-151.9 MiB; the
+    # compose of a pair cut from one draw: 3.3-4.4 s at 149.1-149.2 MiB; the
     # output ends with "# predict: ok".
     ("maip compose up100000.tangle low100000.tangle", 60,
      "dc38bce701c813b9c90cc4946e4ea2da1ce8bb0536ef303e67fceb52aace660d", 0, 198),

@@ -7,9 +7,10 @@ by -1 on the primary strand and +1 on the secondary, so all resolutions
 of a singular diagram share one labeling.  Every step is an integer, so
 each label on component i is its starting symbol c_i plus an integer
 offset, and the walk carries only the offsets.  As it goes, the walk
-records each passage's place: its component and the offset of its
-incoming label.  The index difference delta_i of a component is its
-final label minus its starting label, the last offset.
+branches on each passage's role, records the passage's place in that
+role's table (its component and the offset of its incoming label), and
+then takes the role's step.  The index difference delta_i of a component
+is its final label minus its starting label, the last offset.
 
 A classical crossing with over-incoming label a, under-incoming label b
 and sign s gets weight W = a - b - s (equivalently over-incoming minus
@@ -36,12 +37,6 @@ from .diagram import (OVER, SING_PRIMARY, SING_SECONDARY, UNDER, Component,
                       CrossingRecord, Passage, TangleDiagram)
 from .errors import HasSingular
 
-# The label step at each passage: -sign Over, +sign Under, -1 primary and
-# +1 secondary, keyed by (role, crossing sign).
-_INCREMENT = {(OVER, 1): -1, (OVER, -1): 1, (UNDER, 1): 1, (UNDER, -1): -1,
-              (SING_PRIMARY, None): -1, (SING_SECONDARY, None): 1}
-
-
 @dataclass(frozen=True)
 class Labeling:
     """Where each passage sits on the labels, and every index difference.
@@ -57,32 +52,43 @@ class Labeling:
 
 def propagate_labels(d: TangleDiagram) -> Labeling:
     """Propagate labels from each component's start, the symbol c_i."""
-    signs = {cid: rec.sign for cid, rec in d.crossings.items()}
+    crossings = d.crossings
     places: dict[str, dict[int, tuple[int, int]]] = {
         OVER: {}, UNDER: {}, SING_PRIMARY: {}, SING_SECONDARY: {}}
+    over, under, primary, secondary = places.values()
     delta: dict[int, int] = {}
     for ci, comp in enumerate(d.components, start=1):
         offset = 0
-        for ev in comp.events:
-            cid, role = ev.crossing, ev.role
-            places[role][cid] = (ci, offset)
-            offset += _INCREMENT[role, signs[cid]]
+        for cid, role in comp.events:
+            if role == OVER:
+                over[cid] = (ci, offset)
+                offset -= crossings[cid].sign
+            elif role == UNDER:
+                under[cid] = (ci, offset)
+                offset += crossings[cid].sign
+            elif role == SING_PRIMARY:
+                primary[cid] = (ci, offset)
+                offset -= 1
+            else:
+                secondary[cid] = (ci, offset)
+                offset += 1
         delta[ci] = offset
     return Labeling(places, delta)
 
 
 def weight_table(d: TangleDiagram, labeling: Labeling) -> dict[int, tuple[int, int, int, int]]:
-    """Every classical crossing's record (sign, i, j, k), keyed by ascending crossing id.
+    """Every classical crossing's record (sign, i, j, k), keyed by crossing id in walk order.
 
     This is where the weight W = a - b - s is read off a labeling: with
     a = c_i + k_a and b = c_j + k_b it is the integer k = k_a - k_b - s
     plus the symbol part c_i - c_j, which the record keeps as i and j.
+    The classical crossings are the Over places, taken in the order the
+    walk met their Over passages, not by ascending id; no caller reads
+    the order.
     """
-    over, under = labeling.places[OVER], labeling.places[UNDER]
-    crossings = d.crossings
+    under, crossings = labeling.places[UNDER], d.crossings
     table = {}
-    for cid in sorted(over):    # the classical crossings: each has one Over passage
-        i, a = over[cid]
+    for cid, (i, a) in labeling.places[OVER].items():
         j, b = under[cid]
         sign = crossings[cid].sign
         table[cid] = (sign, i, j, a - b - sign)
@@ -100,7 +106,9 @@ class MaipContributions:
     This is the unsimplified form needed to predict composite
     polynomials: the delta rewrites of composition act on the exponent
     slots of individual records and cannot be recovered from the summed
-    polynomial.
+    polynomial.  The records run in the walk order of
+    :func:`weight_table`, not by ascending crossing id; no caller reads
+    the order.
     """
 
     records: tuple[tuple[int, int, int, int], ...]
@@ -130,17 +138,29 @@ def contribution_poly(records, delta: Mapping[int, int]) -> LaurentPoly:
 
 
 def structured_maip(d: TangleDiagram) -> MaipContributions:
-    """The records of :func:`weight_table` in crossing order, with every delta_i."""
+    """The records of :func:`weight_table`, in its walk order, with every delta_i.
+
+    Composition's prediction reads this form; :func:`maip` assembles the
+    table's records directly.
+    """
     labeling = propagate_labels(d)
-    records = tuple(weight_table(d, labeling).values())
-    return MaipContributions(records, labeling.delta)
+    return MaipContributions(tuple(weight_table(d, labeling).values()), labeling.delta)
 
 
 def maip(d: TangleDiagram) -> LaurentPoly:
-    """The multi-variable polynomial of a diagram without singular crossings."""
-    if d.has_singular():
+    """The multi-variable polynomial of a diagram without singular crossings.
+
+    One label walk serves both the check and the weights: a singular
+    crossing shows as a primary place in the walk's labeling.
+    """
+    labeling = propagate_labels(d)
+    if labeling.places[SING_PRIMARY]:
         raise HasSingular("diagram has singular crossings; use resolve")
-    return structured_maip(d).polynomial()
+    table, delta = weight_table(d, labeling), labeling.delta
+    # Free the places before the assembly, so the polynomial's objects
+    # reuse their memory rather than pin fresh memory beside them.
+    del labeling
+    return contribution_poly(table.values(), delta)
 
 
 # ---------------------------------------------------------------------------

@@ -38,8 +38,12 @@ tops only up to it and places only its passages; a listing places the
 passages its sites name in one pass and meets their tops in order, so
 it needs no sort.  A new crossing
 gets max(crossings) + 1 of the current table, so the id falls back after
-the highest crossing is deleted; the state carries that maximum and
-takes it again only then.
+the highest crossing is deleted.  The state carries that maximum and
+finds it again only then, without a pass over the table: every id above
+a floor (at first the input's highest) was minted by the walk, so a scan
+down from the deleted id meets only ids that a mint has paid for, and
+at the floor a max-heap of the live ids, built on first need and pruned
+lazily, gives the highest one left.
 
 :func:`find_sites` lists the sites of a fresh state, so the scan and the
 walk share the pair test.  :func:`apply_site` applies an insertion at
@@ -52,6 +56,7 @@ pairs, an R1- or R2- site drops its pairs and their crossings.
 from __future__ import annotations
 
 import random
+from heapq import heapify, heappop
 from itertools import chain, pairwise
 from typing import NamedTuple
 
@@ -117,7 +122,8 @@ class WalkState:
     def __init__(self, d: TangleDiagram):
         self.base = d
         self.crossings = dict(d.crossings)
-        self.top = max(self.crossings, default=0)
+        self.top = self.floor = max(self.crossings, default=0)
+        self.heap: list[int] | None = None
         self.passage: dict[int, Passage] = {}
         self.lines: list[list[int]] = [[] for _ in d.components]
         self.prev: dict[int, int | None] = {}
@@ -254,6 +260,31 @@ class WalkState:
         self.passage[4 * x + 1] = tuple.__new__(Passage, (x, UNDER))
         return 4 * x
 
+    def _fall_back(self) -> None:
+        """Set top to max(crossings) after the crossing it named was deleted.
+
+        Every id in (floor, top] was minted since the floor was set, and a
+        scanned id lies above the new top, so it is scanned again only
+        after it is minted again.  Every live id at or below the floor is
+        an input id, kept negated in ``heap``, which is built from the
+        table the first time the scan reaches the floor; so an input's id
+        gaps are never scanned.  The floor only falls, and every mint
+        lands above it.
+        """
+        crossings, x = self.crossings, self.top - 1
+        while x > self.floor:
+            if x in crossings:
+                self.top = x
+                return
+            x -= 1
+        heap = self.heap
+        if heap is None:
+            heap = self.heap = [-c for c in crossings]
+            heapify(heap)
+        while heap and -heap[0] not in crossings:
+            heappop(heap)
+        self.top = self.floor = -heap[0] if heap else 0
+
     def apply(self, site: MoveSite) -> None:
         """Apply site as one edit, then test again the pairs the edit can reach.
 
@@ -293,7 +324,7 @@ class WalkState:
                         crossings.pop(p >> 2, None)
                     edits.append((ci, k, 0, 2, ()))
             if self.top not in crossings:
-                self.top = max(crossings, default=0)
+                self._fall_back()
         edits.sort(reverse=True)
         self._retest([self._splice(ci, k, n, new) for ci, k, _, n, new in edits])
 

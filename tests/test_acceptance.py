@@ -140,12 +140,24 @@ def test_criteria_06_07_catch_an_under_range_that_starts_one_slot_early(monkeypa
     assert prop2 == corollary == crossed
 
 
+def walk_with_planted_fault(monkeypatch, replacements):
+    """Install a copy of propagate_labels, with each (old, new) source
+    replacement made, in every module that calls the walk."""
+    source = inspect.getsource(invariant.propagate_labels)
+    for old, new in replacements:
+        assert old in source
+        source = source.replace(old, new)
+    namespace = dict(vars(invariant))
+    exec(source, namespace)
+    for module in (invariant, homology):
+        monkeypatch.setattr(module, "propagate_labels", namespace["propagate_labels"])
+
+
 def test_criteria_06_07_catch_negated_label_steps(monkeypatch):
     # The oracle writes its counts from the crossing signs, not from the
-    # labeling's step table, so negating every classical step must show.
-    negated = {(role, sign): step if sign is None else -step
-               for (role, sign), step in invariant._INCREMENT.items()}
-    monkeypatch.setattr(invariant, "_INCREMENT", negated)
+    # labeling's steps, so negating the step of every classical passage
+    # (+sign at Over, -sign at Under) must show.
+    walk_with_planted_fault(monkeypatch, [("crossings[cid].sign", "-crossings[cid].sign")])
     prop2, corollary, crossed = failing_trials_of_criteria_06_07()
     assert len(crossed) == 174
     assert prop2 == corollary == crossed
@@ -153,17 +165,16 @@ def test_criteria_06_07_catch_negated_label_steps(monkeypatch):
 
 def test_tier1_and_criteria_06_07_catch_places_recorded_after_the_step(monkeypatch):
     # A copy of propagate_labels that records each passage's outgoing
-    # label in place of its incoming one moves every weight by -2s: the
-    # example polynomial changes, and every trial with a classical crossing
-    # must fail both criteria.
-    source = inspect.getsource(invariant.propagate_labels)
-    record = "            places[role][cid] = (ci, offset)\n"
-    step = "            offset += _INCREMENT[role, signs[cid]]\n"
-    assert record + step in source
-    namespace = dict(vars(invariant))
-    exec(source.replace(record + step, step + record), namespace)
-    for module in (invariant, homology):
-        monkeypatch.setattr(module, "propagate_labels", namespace["propagate_labels"])
+    # label in place of its incoming one, in every role's branch, moves
+    # every weight by -2s: the example polynomial changes, and every trial
+    # with a classical crossing must fail both criteria.
+    steps = {"over": "offset -= crossings[cid].sign", "under": "offset += crossings[cid].sign",
+             "primary": "offset -= 1", "secondary": "offset += 1"}
+    indent = " " * 16
+    walk_with_planted_fault(monkeypatch, [
+        (f"{indent}{places}[cid] = (ci, offset)\n{indent}{step}\n",
+         f"{indent}{step}\n{indent}{places}[cid] = (ci, offset)\n")
+        for places, step in steps.items()])
     assert maip(load("ex3")) != mono(1, aff(-1, c1=1, c3=-1)) + mono(2, aff(0, c2=1, c3=-1), -1)
     prop2, corollary, crossed = failing_trials_of_criteria_06_07()
     assert len(crossed) == 174

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -380,6 +382,55 @@ def test_vassiliev_suite_reports_a_zero_value(monkeypatch):
 def test_structured_form_sums_to_the_polynomial(seed):
     d = random_diagram(seed, 1, 1, seed % 10)
     assert structured_maip(d).polynomial() == maip(d)
+
+
+def records_read_off_the_components(d):
+    """Every classical crossing's record (sign, i, j, k), one crossing at a
+    time: each of its two passages is found in ``d.components``, and its
+    incoming offset is the sum of the label steps before it."""
+    def place(cid, role):
+        for ci, comp in enumerate(d.components, start=1):
+            offset = 0
+            for ev in comp.events:
+                if ev == (cid, role):
+                    return ci, offset
+                sign = d.crossings[ev.crossing].sign
+                if ev.role in (OVER, UNDER):
+                    offset += -sign if ev.role == OVER else sign
+                else:
+                    offset += -1 if ev.role == SING_PRIMARY else 1
+        raise AssertionError(f"no passage {role}{cid}")
+
+    records = {}
+    for cid, rec in d.crossings.items():
+        if rec.sign is not None:
+            (i, a), (j, b) = place(cid, OVER), place(cid, UNDER)
+            records[cid] = (rec.sign, i, j, a - b - rec.sign)
+    return records
+
+
+def test_the_label_path_on_2000_seeded_diagrams():
+    # 1-4 components, some of them empty, 0-12 crossings, and one diagram
+    # in eight with singular crossings, which maip refuses after its walk.
+    rng = random.Random(20250810)
+    seen = {"empty component": 0, "no crossing": 0, "singular": 0}
+    for _ in range(2000):
+        n_components = rng.randint(1, 4)
+        n_closed = rng.randint(0, n_components)
+        n_singular = rng.randint(1, 2) if rng.random() < 0.125 else 0
+        d = random_diagram(rng.randrange(10**6), n_closed, n_components - n_closed,
+                           rng.randint(0, 12), n_singular=n_singular)
+        seen["empty component"] += any(not comp.events for comp in d.components)
+        seen["no crossing"] += not d.crossings
+        assert weight_table(d, propagate_labels(d)) == records_read_off_the_components(d)
+        if n_singular:
+            seen["singular"] += 1
+            with pytest.raises(HasSingular,
+                               match=r"^diagram has singular crossings; use resolve$"):
+                maip(d)
+        else:
+            assert maip(d) == structured_maip(d).polynomial()
+    assert min(seen.values()) >= 100, seen
 
 
 @given(st.integers(min_value=0, max_value=100_000), st.integers(min_value=1, max_value=4),

@@ -481,6 +481,49 @@ def test_a_new_crossing_takes_the_highest_id_left_plus_one():
     assert state.listed() == find_sites(expected)
 
 
+def test_the_carried_top_is_the_highest_id_after_every_step():
+    # Suite-sized walks delete the highest crossing often: the top falls
+    # back by the scan above the floor on some steps and to the heap's
+    # highest input id on others.
+    scanned = popped = 0
+    for seed in range(40):
+        d = random_diagram(seed, seed % 3, 1 + seed % 2, seed % 13)
+        top = floor = None
+        for _, state in walk_states(d, 120, seed):
+            assert state.top == max(state.crossings, default=0)
+            if top is not None and state.top < top:
+                scanned += state.floor == floor
+                popped += state.floor < floor
+            top, floor = state.top, state.floor
+    assert scanned > 100 and popped >= 5, (scanned, popped)
+
+
+def test_a_deleted_top_falls_back_over_an_id_gap_without_scanning_it():
+    # Ids are unbounded, so the step below a deleted top must not count
+    # down through the gap between 1000000 and 2: the table is looked up
+    # a few times, not once per id in the gap.
+    looked_up = []
+
+    class Table(dict):
+        def __contains__(self, x):
+            looked_up.append(x)
+            return dict.__contains__(self, x)
+
+    d = parse("tangle m=1 n=1\ncomponent 1 long from B1 to T1 : O2+ U2+ O1000000- U1000000-\n")
+    state = WalkState(d)
+    state.crossings = Table(state.crossings)
+    state.apply(MoveSite("R1-", ((1, 2),)))
+    assert (state.top, state.floor) == (2, 2) and len(looked_up) <= 4
+    state.apply(MoveSite("R1+", ((1, 0),), sign=1, order="over_first"))
+    state.apply(MoveSite("R1-", ((1, 0),)))
+    assert (state.top, state.floor) == (2, 2)
+    state.apply(MoveSite("R1-", ((1, 0),)))
+    assert (state.top, state.crossings) == (0, {})
+    state.apply(MoveSite("R1+", ((1, 0),), sign=-1, order="over_first"))
+    assert state.diagram() == parse("tangle m=1 n=1\ncomponent 1 long from B1 to T1 : O1- U1-\n")
+    assert len(looked_up) <= 12
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_walk_draws_an_arc_as_a_choice_from_the_explicit_list(seed):
     log = []
